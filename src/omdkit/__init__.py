@@ -33,6 +33,7 @@ from .engine import (
     ConstantStep,
     ExpectationCurve,
     MonteCarloResult,
+    NonFiniteCurve,
     PolynomialDecay,
     RegimeError,
     TheoremRate,

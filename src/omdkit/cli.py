@@ -7,8 +7,9 @@ verify           run the identity/property suite; one line per check
 omega            tabulate the Huber-like control function over a grid
 --dump-defaults  print the default experiment config
 
-Exit codes: 0 success, 1 failed verification, 2 schema violation,
-3 step-size regime violation, 4 all Monte Carlo runs diverged.  Curve and
+Exit codes: 0 success, 1 failed verification, 2 schema violation (also a
+non-integer OMDKIT_WORKERS), 3 step-size regime violation, 4 all Monte
+Carlo runs diverged or the curve is not finite.  Curve and
 report bytes depend only on the config (timings go to stdout, not into the
 artifacts).
 """
@@ -30,6 +31,7 @@ from .engine import (
     RegimeError,
     TheoremRate,
     assert_step_regime,
+    default_workers,
     monte_carlo_curve,
 )
 from .mirror_maps import omega_p
@@ -156,9 +158,14 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    try:
+        workers = default_workers() if args.workers is None else args.workers
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     started = time.perf_counter()
     try:
-        result = run_experiment(exp, workers=args.workers)
+        result = run_experiment(exp, workers=workers)
     except RegimeError as exc:
         print(f"error: step-size regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME

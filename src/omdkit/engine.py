@@ -2,11 +2,16 @@
 deterministic Monte Carlo estimator of expected Bregman-distance curves.
 
 Each Monte Carlo run owns a counter-based random stream keyed by
-``base_seed + run_index``, so results are bit-identical regardless of how
-runs are scheduled, and extending ``n_runs`` reproduces the existing runs
-exactly.  Divergence (iterate norm beyond 1e12) freezes a run at its last
-state and flags it instead of raising; such runs stay in the averages
-unless explicitly excluded.
+``base_seed + run_index`` and draws its whole sample from it, so extending
+``n_runs`` reproduces the existing runs exactly.  Runs step in blocks of a
+fixed size, set by a byte budget for the block's draw buffer: a block
+advances as one ``(B, d)`` array, one run per row, and a row's values do not
+depend on which other runs share its block.  Worker processes only share out
+whole blocks, so the artifacts are identical at any worker count.
+Divergence (iterate norm beyond 1e12) freezes a run at its last state and
+flags it instead of raising; such runs stay in the averages unless
+explicitly excluded.  ``run_trajectory`` steps one run at a time and is the
+scalar reference for the batched engine.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +41,7 @@ __all__ = [
     "ExpectationCurve",
     "MonteCarloResult",
     "AllRunsDiverged",
+    "NonFiniteCurve",
     "monte_carlo_curve",
     "ResolvedConstants",
     "resolve_constants",
@@ -45,6 +52,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# Byte budget for one block's (T - 1, B, d) feature draws: 64 runs at T = 2048, d = 4.
+BLOCK_BYTES = 4 << 20
 
 
 def _check_iteration(t: int) -> int:
@@ -289,17 +298,90 @@ class AllRunsDiverged(RuntimeError):
     pass
 
 
-def _one_run(args) -> tuple[np.ndarray, bool]:
-    mirror, model, source, schedule, w1, T, cps, seed, w_star = args
-    traj = run_trajectory(mirror, model, source, schedule, w1, T, cps, seed, w_star)
-    return traj.bregman_to_optimum, traj.diverged
+class NonFiniteCurve(AllRunsDiverged):
+    """Some kept runs diverged to non-finite Bregman distances, so the curve is not finite."""
+
+    def __init__(self, runs: list[int]):
+        self.runs = runs
+        super().__init__(f"the curve is not finite: runs {runs} diverged to non-finite distances")
 
 
 def default_workers() -> int:
     env = os.environ.get("OMDKIT_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"OMDKIT_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _block_runs(T: int, d: int) -> int:
+    """Runs per block: as many as fit one (T - 1, runs, d) draw buffer in BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * d * max(T - 1, 1)))
+
+
+def _run_block(
+    mirror: MirrorMap,
+    model: LossModel,
+    source: SampleSource,
+    schedule: StepSchedule,
+    w1,
+    T: int,
+    cps: list[int],
+    w_star,
+    seeds: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the runs seeded ``seeds`` together, one run per row.
+
+    Row r follows ``run_trajectory`` with seed ``seeds[r]``: the same draws,
+    the same update and the same divergence freeze.  Returns the per-run
+    Bregman distances at the checkpoints and the per-run divergence flags.
+    """
+    w1, w_star = as_vector(w1), as_vector(w_star)
+    B, d = len(seeds), w1.shape[0]
+    values = np.empty((B, len(cps)))
+    diverged = np.zeros(B, dtype=bool)
+    if T > 1:
+        # Row r of X[t] is run r's sample for step t; filled one run at a time.
+        X = np.empty((T - 1, B, d))
+        Y = np.empty((T - 1, B))
+        for r, seed in enumerate(seeds):
+            X[:, r], Y[:, r] = draw_arrays(source, _rng(seed), T - 1)
+        etas = [float(schedule(t)) for t in range(1, T)]
+    W = np.tile(w1, (B, 1))
+    dual = np.tile(mirror.grad(w1), (B, 1))
+    live = None  # indices of the rows still stepping, once some row has diverged
+    gradients = model.gradients
+    grad_inv_rows = mirror.grad_inv_rows
+    ci = 0
+    # Overflow is handled, not warned about: the guard freezes a row whose
+    # iterate overflows, and monte_carlo_curve refuses a non-finite curve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            if ci < len(cps) and cps[ci] == t:
+                # At t = 1 every row still sits at w1.
+                values[:, ci] = mirror.bregman(w_star, w1) if t == 1 else mirror.bregman_rows(w_star, W)
+                ci += 1
+            if t == T:
+                break
+            if live is None:
+                dual = dual - etas[t - 1] * gradients(W, X[t - 1], Y[t - 1])
+                W = grad_inv_rows(dual)
+                if np.abs(W).max() <= DIVERGENCE_LIMIT:  # False on NaN as well
+                    continue
+                bad = ~(np.abs(W).max(axis=1) <= DIVERGENCE_LIMIT)
+                live = np.arange(B)
+            elif live.size:
+                dual[live] = dual[live] - etas[t - 1] * gradients(W[live], X[t - 1, live], Y[t - 1, live])
+                W[live] = grad_inv_rows(dual[live])
+                bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
+            else:
+                continue  # every row has diverged
+            # A diverging row keeps the iterate that crossed the guard and steps no further.
+            diverged[live[bad]] = True
+            live = live[~bad]
+    return values, diverged
 
 
 def monte_carlo_curve(
@@ -318,39 +400,41 @@ def monte_carlo_curve(
 ) -> MonteCarloResult:
     """Aggregate n_runs independent trajectories; run i is seeded base_seed + i.
 
-    Aggregation is a fold in run-index order, so the result is independent of
-    how runs are scheduled across workers.
+    Runs step in blocks whose size depends only on T and the dimension;
+    ``workers`` processes share out the blocks.  Aggregation is a fold in
+    run-index order, so the result is independent of the worker count.
     """
     n_runs = int(n_runs)
     if n_runs < 2:
         raise ValueError("need at least 2 runs for a standard error")
-    cps = _checked_checkpoints(checkpoints, int(T))
-    jobs = [
-        (mirror, model, source, schedule, w1, int(T), cps, base_seed + i, w_star)
-        for i in range(n_runs)
-    ]
+    T = int(T)
+    cps = _checked_checkpoints(checkpoints, T)
     workers = default_workers() if workers is None else max(1, int(workers))
-    values = np.empty((n_runs, len(cps)))
-    diverged: list[int] = []
+    per_block = _block_runs(T, as_vector(w1).shape[0])
+    blocks = [range(base_seed + lo, base_seed + min(lo + per_block, n_runs))
+              for lo in range(0, n_runs, per_block)]
+    block = partial(_run_block, mirror, model, source, schedule, w1, T, cps, w_star)
     if workers == 1:
-        results = map(_one_run, jobs)
+        results = list(map(block, blocks))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_one_run, jobs, chunksize=max(1, n_runs // (4 * workers)))
-    for i, (vals, div) in enumerate(results):
-        values[i] = vals
-        if div:
-            diverged.append(i)
-    if workers > 1:
-        pool.shutdown()
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            results = list(pool.map(block, blocks))
+    values = np.concatenate([vals for vals, _ in results])
+    diverged = np.flatnonzero(np.concatenate([flags for _, flags in results])).tolist()
     if len(diverged) == n_runs:
         raise AllRunsDiverged(f"all {n_runs} runs exceeded the divergence guard")
     keep = np.ones(n_runs, dtype=bool)
     if exclude_diverged and diverged:
         keep[diverged] = False
     kept = values[keep]
-    mean = kept.mean(axis=0)
-    std_err = kept.std(axis=0, ddof=1) / np.sqrt(kept.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = kept.mean(axis=0)
+        std_err = kept.std(axis=0, ddof=1) / np.sqrt(kept.shape[0])
+    if not (np.isfinite(mean).all() and np.isfinite(std_err).all()):
+        # Only diverged runs reach non-finite distances, or distances whose sum
+        # overflows; name the non-finite ones, else every kept diverged run.
+        bad = np.flatnonzero(keep & ~np.isfinite(values).all(axis=1)).tolist()
+        raise NonFiniteCurve(bad or [i for i in diverged if keep[i]])
     curve = ExpectationCurve(
         checkpoints=np.asarray(cps, dtype=np.int64),
         mean=mean,

@@ -13,6 +13,7 @@ __all__ = [
     "check_exponent",
     "dual_exponent",
     "inner",
+    "row_inner",
     "p_norm",
 ]
 
@@ -42,6 +43,16 @@ def inner(w, v) -> float:
     if w.shape != v.shape:
         raise ValueError(f"dimension mismatch: {w.shape[0]} vs {v.shape[0]}")
     return float(w @ v)
+
+
+def row_inner(W, V) -> np.ndarray:
+    """<w_i, v_i> for each row pair of two (n, d) arrays; a 1-d argument pairs with every row.
+
+    Each entry is a 1-d product, so it equals ``float(w_i @ v_i)`` bit for bit.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    return (W[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 
 def p_norm(w, p: float) -> float:

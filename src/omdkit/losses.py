@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .geometry import row_inner
+
 __all__ = [
     "Loss",
     "LeastSquares",
@@ -157,6 +159,19 @@ class LossModel:
         if self.lam:
             g = g + (2.0 * self.lam) * w
         return g
+
+    def gradients(self, W, X, y) -> np.ndarray:
+        """Row-wise phi'(<w_i, x_i>, y_i) x_i + 2 lam w_i for (n, d) arrays W, X
+        and labels y; a single vector W is shared by every row of X."""
+        W = np.asarray(W, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or W.shape[-1] != X.shape[1]:
+            raise ValueError(f"dimension mismatch: {W.shape} vs {X.shape}")
+        a = row_inner(W, X)
+        G = np.asarray(self.loss.derivative(a, y), dtype=np.float64)[:, None] * X
+        if self.lam:
+            G = G + (2.0 * self.lam) * W
+        return G
 
     def smoothness_bound(self, radius: float) -> float:
         """2 (l_phi R^2 + lam) for sup ||x||_* <= R; valid for every sample."""

@@ -7,14 +7,16 @@ p-norm for the p-norm potential, the Euclidean norm otherwise), and exposes
 the strong-convexity / strong-smoothness moduli it attains with respect to
 that norm.  Gradients and inverse gradients are exact closed forms; the
 inverse of the p-norm gradient is the gradient of the dual-exponent
-potential.
+potential.  Every map also evaluates its potential, gradient, inverse
+gradient and Bregman distance row-wise on a ``(B, d)`` array of points, one
+point per row, which is what the batched Monte Carlo engine steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, check_exponent, dual_exponent, p_norm
+from .geometry import EUCLIDEAN, NormSpec, as_vector, check_exponent, dual_exponent, p_norm, row_inner
 
 __all__ = [
     "MirrorMap",
@@ -23,6 +25,7 @@ __all__ = [
     "SmoothedL1Map",
     "pnorm_potential",
     "pnorm_gradient",
+    "pnorm_gradient_rows",
     "pnorm_bregman",
     "tau",
     "omega_p",
@@ -47,6 +50,16 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
         # 0^{2-q} * 0 form; the limit along every ray is 0.
         return np.zeros_like(w)
     return n ** (2.0 - q) * np.sign(w) * np.abs(w) ** (q - 1.0)
+
+
+def pnorm_gradient_rows(W, q: float) -> np.ndarray:
+    """pnorm_gradient of every row of a (B, d) array; a zero row maps to 0."""
+    q = check_exponent(q)
+    W = np.asarray(W, dtype=np.float64)
+    n = np.linalg.norm(W, ord=q, axis=1)
+    # A zero row has sign 0 in every coordinate; any finite scale keeps it at 0.
+    scale = np.where(n > 0.0, n, 1.0) ** (2.0 - q)
+    return scale[:, None] * np.sign(W) * np.abs(W) ** (q - 1.0)
 
 
 def pnorm_bregman(target, base, q: float) -> float:
@@ -87,6 +100,26 @@ class MirrorMap:
             raise ValueError(f"dimension mismatch: {t.shape[0]} vs {b.shape[0]}")
         return self.value(t) - self.value(b) - float((t - b) @ self.grad(b))
 
+    def value_rows(self, W) -> np.ndarray:
+        """value of every row of a (B, d) array."""
+        raise NotImplementedError
+
+    def grad_rows(self, W) -> np.ndarray:
+        """grad of every row of a (B, d) array."""
+        raise NotImplementedError
+
+    def grad_inv_rows(self, V) -> np.ndarray:
+        """grad_inv of every row of a (B, d) array."""
+        raise NotImplementedError
+
+    def bregman_rows(self, target, W) -> np.ndarray:
+        """D(target, w_i) for every row w_i of a (B, d) array, by the same formula as bregman."""
+        t = as_vector(target)
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2 or W.shape[1] != t.shape[0]:
+            raise ValueError(f"expected rows of dimension {t.shape[0]}, got shape {W.shape}")
+        return self.value(t) - self.value_rows(W) - row_inner(t - W, self.grad_rows(W))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -105,6 +138,12 @@ class EuclideanMap(MirrorMap):
 
     def grad_inv(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64)
+
+    def value_rows(self, W) -> np.ndarray:
+        return 0.5 * row_inner(W, W)
+
+    grad_rows = grad
+    grad_inv_rows = grad_inv
 
     def strong_convexity(self) -> float:
         return 1.0
@@ -137,6 +176,15 @@ class PNormMap(MirrorMap):
 
     def grad_inv(self, v) -> np.ndarray:
         return pnorm_gradient(v, self.dual_p)
+
+    def value_rows(self, W) -> np.ndarray:
+        return 0.5 * np.linalg.norm(np.asarray(W, dtype=np.float64), ord=self.p, axis=1) ** 2
+
+    def grad_rows(self, W) -> np.ndarray:
+        return pnorm_gradient_rows(W, self.p)
+
+    def grad_inv_rows(self, V) -> np.ndarray:
+        return pnorm_gradient_rows(V, self.dual_p)
 
     def strong_convexity(self) -> float:
         return self.p - 1.0
@@ -186,6 +234,16 @@ class SmoothedL1Map(MirrorMap):
             v * (self.epsilon / thr),
             v - self.lam * np.sign(v),
         )
+
+    def value_rows(self, W) -> np.ndarray:
+        W = np.asarray(W, dtype=np.float64)
+        a = np.abs(W)
+        hub = np.where(a <= self.epsilon, W * W / (2.0 * self.epsilon), a - 0.5 * self.epsilon)
+        return self.lam * hub.sum(axis=1) + 0.5 * row_inner(W, W)
+
+    # grad and grad_inv act coordinate-wise, so they apply to rows unchanged.
+    grad_rows = grad
+    grad_inv_rows = grad_inv
 
     def strong_convexity(self) -> float:
         return 1.0

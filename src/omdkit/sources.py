@@ -279,23 +279,15 @@ def mean_gradient_norm(
     w = as_vector(w)
     q = dual_norm.p
     if isinstance(source, DiscreteFiniteSource):
-        G = _per_atom_gradients(source, model, w)
+        G = model.gradients(w, source.X, source.y)
         norms = (np.abs(G) ** q).sum(axis=1) ** (1.0 / q)
         return Estimate(float(source.probs @ norms), 0.0)
     if mc_samples is None or rng is None:
         raise ValueError("continuous sources need mc_samples and an rng")
     X, y = draw_arrays(source, rng, mc_samples)
-    a = X @ w
-    der = np.asarray(model.loss.derivative(a, y), dtype=np.float64)
-    G = der[:, None] * X + (2.0 * model.lam) * w[None, :]
+    G = model.gradients(w, X, y)
     norms = (np.abs(G) ** q).sum(axis=1) ** (1.0 / q)
     return Estimate(float(norms.mean()), float(norms.std(ddof=1) / np.sqrt(mc_samples)))
-
-
-def _per_atom_gradients(source: DiscreteFiniteSource, model: LossModel, w: np.ndarray) -> np.ndarray:
-    a = source.X @ w
-    der = np.asarray(model.loss.derivative(a, source.y), dtype=np.float64)
-    return der[:, None] * source.X + (2.0 * model.lam) * w[None, :]
 
 
 def classify_variance(

@@ -377,9 +377,7 @@ def _check_one_step_contract(seed: int) -> CheckResult:
         L = model.sharp_smoothness_bound(source.radius(mirror.norm.dual))
         eta = sigma / (2.0 * L)
         q = mirror.norm.dual.p
-        a = source.X @ w_star
-        der = np.asarray(model.loss.derivative(a, source.y), dtype=np.float64)
-        G = der[:, None] * source.X + 2.0 * model.lam * w_star[None, :]
+        G = model.gradients(w_star, source.X, source.y)
         sq_norms = (np.abs(G) ** q).sum(axis=1) ** (2.0 / q)
         noise = float(source.probs @ sq_norms)
         for _ in range(1000):

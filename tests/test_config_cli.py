@@ -172,6 +172,29 @@ def test_run_all_diverged_exits_4(tmp_path, capsys):
     assert main(["run", str(conf)]) == 4
 
 
+def test_run_non_finite_curve_exits_4(tmp_path, capsys):
+    # Half of the atoms have zero gradient at w1 = 0; a step of 1e200 along any
+    # other atom overflows the Bregman distance, so the curve is not finite.
+    conf = tmp_path / "overflow.conf"
+    conf.write_text(small_config_text(
+        eta=1e200, theorem_tag="none", T=2, n_runs=16, source_w_star=(0.5, 0.5, 0.5, 0.5),
+        source_label_noise=0.5,
+    ))
+    assert main(["run", str(conf), "--workers", "1"]) == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
+
+
+def test_run_bad_workers_env_exits_2(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(small_config_text())
+    monkeypatch.setenv("OMDKIT_WORKERS", "abc")
+    assert main(["run", str(conf)]) == 2
+    assert "OMDKIT_WORKERS" in capsys.readouterr().err
+    assert not conf.with_suffix(".curve.csv").exists()
+
+
 def test_run_violation_probe_necessity(tmp_path, capsys):
     cfg = with_overrides(
         ExperimentConfig(),

@@ -1,9 +1,13 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from omdkit import engine
 from omdkit.engine import (
     AllRunsDiverged,
     ConstantStep,
+    NonFiniteCurve,
     PolynomialDecay,
     RegimeError,
     TheoremRate,
@@ -15,7 +19,7 @@ from omdkit.engine import (
     resolve_constants,
     run_trajectory,
 )
-from omdkit.losses import LeastSquares, LossModel
+from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
 from omdkit.mirror_maps import EuclideanMap, PNormMap, SmoothedL1Map
 from omdkit.sources import (
     DiscreteFiniteSource,
@@ -207,25 +211,117 @@ def test_first_checkpoint_mean_equals_initial_distance():
     assert mc.curve.std_err[0] == 0.0
 
 
-def test_extending_runs_reproduces_prefix():
+def three_run_blocks(monkeypatch, T, d):
+    """Shrink the draw-buffer budget so that a block holds 3 runs."""
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * d * (T - 1))
+    assert engine._block_runs(T, d) == 3
+
+
+BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
+
+
+@pytest.mark.parametrize("mirror", BLOCK_MAPS, ids=repr)
+def test_extending_runs_reproduces_prefix(mirror, monkeypatch):
+    three_run_blocks(monkeypatch, 64, 4)  # run 9 is alone in its block at 10 runs, not at 20
     src = eight_atom_source(label_noise=0.5)
     w_star = minimizer(src, LS)
-    common = (EuclideanMap(), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 64,
+    common = (mirror, LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 64,
               geometric_checkpoints(64))
     small = monte_carlo_curve(*common, n_runs=10, base_seed=100, w_star=w_star, workers=1)
     big = monte_carlo_curve(*common, n_runs=20, base_seed=100, w_star=w_star, workers=1)
     np.testing.assert_array_equal(big.values[:10], small.values)
 
 
-def test_worker_pool_matches_serial():
+@pytest.mark.parametrize("mirror", BLOCK_MAPS, ids=repr)
+def test_worker_pool_matches_serial(mirror, monkeypatch):
+    three_run_blocks(monkeypatch, 32, 4)  # 8 runs make blocks of 3, 3 and 2
     src = eight_atom_source(label_noise=0.5)
     w_star = minimizer(src, LS)
-    common = (EuclideanMap(), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 32,
+    common = (mirror, LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 32,
               geometric_checkpoints(32))
     serial = monte_carlo_curve(*common, n_runs=8, base_seed=50, w_star=w_star, workers=1)
     pooled = monte_carlo_curve(*common, n_runs=8, base_seed=50, w_star=w_star, workers=2)
     np.testing.assert_array_equal(serial.values, pooled.values)
     np.testing.assert_array_equal(serial.curve.mean, pooled.curve.mean)
+
+
+class _RaisingMap(EuclideanMap):
+    """A map whose batched inverse gradient raises inside the process that steps the block."""
+
+    def grad_inv_rows(self, V):
+        raise RuntimeError("grad_inv failed")
+
+
+def test_worker_error_reaches_caller_and_pool_closes():
+    src = eight_atom_source()
+    w_star = minimizer(src, LS)
+    with pytest.raises(RuntimeError, match="grad_inv failed"):
+        monte_carlo_curve(_RaisingMap(), LS, src, ConstantStep(0.1), np.zeros(4), 16,
+                          [1, 16], n_runs=4, base_seed=0, w_star=w_star, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+# -- the batched engine against the scalar reference -----------------------------------------
+
+REFERENCE_POINT = {4: np.array([0.5, -0.2, 0.1, 0.3]), 3: np.array([0.6, -0.3, 0.2])}
+
+
+def scalar_values(mirror, model, source, schedule, w1, T, cps, n_runs, base_seed, ref):
+    trajs = [run_trajectory(mirror, model, source, schedule, w1, T, cps, base_seed + i, ref)
+             for i in range(n_runs)]
+    return np.array([t.bregman_to_optimum for t in trajs]), [i for i, t in enumerate(trajs) if t.diverged]
+
+
+@pytest.mark.parametrize("source_kind", ["discrete", "gaussian"])
+@pytest.mark.parametrize(
+    "model",
+    [LS, LossModel(Logistic(), lam=0.1), LossModel(Huber()), LossModel(SquaredHinge()),
+     LossModel(Sigmoid())],
+    ids=lambda m: type(m.loss).__name__,
+)
+@pytest.mark.parametrize(
+    "mirror",
+    [EuclideanMap(), PNormMap(1.2), PNormMap(1.5), PNormMap(2.0), SmoothedL1Map(0.5, 1.0)],
+    ids=repr,
+)
+def test_batched_engine_matches_run_trajectory(mirror, model, source_kind):
+    if source_kind == "discrete":
+        src = eight_atom_source(label_noise=0.5)
+    else:
+        src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5,
+                                   radius=1.5)
+    d = src.d
+    T, n_runs, base_seed = 256, 5, 31
+    cps = geometric_checkpoints(T)
+    args = (mirror, model, src, PolynomialDecay(0.5, 1.0), np.full(d, 0.25), T, cps)
+    ref = REFERENCE_POINT[d]
+    mc = monte_carlo_curve(*args, n_runs=n_runs, base_seed=base_seed, w_star=ref, workers=1)
+    expected, expected_diverged = scalar_values(*args, n_runs, base_seed, ref)
+    assert mc.diverged_runs == expected_diverged == []
+    np.testing.assert_allclose(mc.values, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "mirror, eta",
+    [(EuclideanMap(), 0.5), (PNormMap(1.5), 0.5), (SmoothedL1Map(0.5, 1.0), 0.7)],
+    ids=lambda v: repr(v),
+)
+def test_batched_engine_mixed_divergence(mirror, eta, monkeypatch):
+    # The rare atom expands its coordinate by |1 - 9 eta| per hit, the common one
+    # contracts; runs that draw the rare atom often enough cross the guard.
+    T, n_runs, base_seed = 256, 12, 40
+    three_run_blocks(monkeypatch, T, 2)
+    src = DiscreteFiniteSource([Sample(np.array([1.0, 0.0]), 0.0), Sample(np.array([0.0, 3.0]), 1.0)],
+                               [0.9, 0.1])
+    ref = np.array([0.3, -0.2])
+    args = (mirror, LS, src, ConstantStep(eta), np.zeros(2), T, geometric_checkpoints(T))
+    mc = monte_carlo_curve(*args, n_runs=n_runs, base_seed=base_seed, w_star=ref, workers=1)
+    expected, expected_diverged = scalar_values(*args, n_runs, base_seed, ref)
+    assert 0 < len(expected_diverged) < n_runs
+    assert mc.diverged_runs == expected_diverged
+    finite = np.isfinite(expected)
+    np.testing.assert_array_equal(np.isfinite(mc.values), finite)
+    np.testing.assert_allclose(mc.values[finite], expected[finite], rtol=1e-12, atol=0.0)
 
 
 def test_all_runs_diverged_raises():
@@ -236,6 +332,34 @@ def test_all_runs_diverged_raises():
             EuclideanMap(), LS, src, ConstantStep(1e6), np.zeros(4), 64,
             geometric_checkpoints(64), n_runs=3, base_seed=0, w_star=w_star, workers=1,
         )
+
+
+def zero_gradient_or_blow_up_source():
+    # At w = 0 the first atom has zero gradient; the second sends a step of 1e200
+    # to an iterate whose squared norm overflows.
+    return DiscreteFiniteSource([Sample(np.array([1.0, 0.0]), 0.0), Sample(np.array([0.0, 1.0]), 1.0)],
+                                [0.5, 0.5])
+
+
+def test_non_finite_curve_raises_naming_runs():
+    src = zero_gradient_or_blow_up_source()
+    args = (EuclideanMap(), LS, src, ConstantStep(1e200), np.zeros(2), 4, [1, 2, 4])
+    ref = np.array([0.0, 1.0])
+    with pytest.raises(NonFiniteCurve) as info:
+        monte_carlo_curve(*args, n_runs=16, base_seed=100, w_star=ref, workers=1)
+    assert isinstance(info.value, AllRunsDiverged)
+    # the runs that drew only the zero-gradient atom stay finite and are not named
+    with np.errstate(over="ignore", invalid="ignore"):
+        survivors = [i for i in range(16)
+                     if not run_trajectory(*args, seed=100 + i, w_star=ref).diverged]
+    assert survivors
+    assert info.value.runs == [i for i in range(16) if i not in survivors]
+    assert str(info.value.runs) in str(info.value)
+    # excluding the diverged runs leaves a finite curve of the survivors
+    mc = monte_carlo_curve(*args, n_runs=16, base_seed=100, w_star=ref, workers=1,
+                           exclude_diverged=True)
+    assert mc.curve.run_count == len(survivors)
+    assert np.isfinite(mc.curve.mean).all()
 
 
 def test_diverged_runs_reported_and_excludable():

@@ -38,7 +38,6 @@ from .engine import (
     RegimeError,
     TheoremRate,
     Trajectory,
-    assert_step_regime,
     geometric_checkpoints,
     kaczmarz_step,
     monte_carlo_curve,
@@ -52,6 +51,7 @@ from .diagnostics import (
     RateFit,
     Verdict,
     VerdictReport,
+    assert_step_regime,
     cocoercivity_margin,
     duality_residual,
     fit_decay_rate,

@@ -7,11 +7,11 @@ verify           run the identity/property suite; one line per check
 omega            tabulate the Huber-like control function over a grid
 --dump-defaults  print the default experiment config
 
-Exit codes: 0 success, 1 failed verification, 2 schema violation (also a
-non-integer OMDKIT_WORKERS), 3 step-size regime violation, 4 all Monte
-Carlo runs diverged or the curve is not finite.  Curve and
-report bytes depend only on the config (timings go to stdout, not into the
-artifacts).
+Exit codes: 0 success, 1 failed verification, 2 schema violation (also an
+unknown theorem_tag or a non-integer OMDKIT_WORKERS), 3 step-size regime
+violation, 4 all Monte Carlo runs diverged or the curve is not finite.  Curve
+and report bytes depend only on the config (timings go to stdout, not into
+the artifacts).
 """
 
 from __future__ import annotations
@@ -23,17 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
-from .diagnostics import ExperimentResult, theorem_verdict
-from .engine import (
-    AllRunsDiverged,
-    ConstantStep,
-    PolynomialDecay,
-    RegimeError,
-    TheoremRate,
-    assert_step_regime,
-    default_workers,
-    monte_carlo_curve,
-)
+from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
+from .engine import AllRunsDiverged, RegimeError, default_workers, monte_carlo_curve
 from .mirror_maps import omega_p
 from .verification import run_verification
 
@@ -44,16 +35,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_REGIME = 3
 EXIT_DIVERGED = 4
-
-
-def _schedule_kind(schedule) -> str:
-    if isinstance(schedule, ConstantStep):
-        return "constant"
-    if isinstance(schedule, PolynomialDecay):
-        return "polynomial"
-    if isinstance(schedule, TheoremRate):
-        return "theorem_rate"
-    return type(schedule).__name__
 
 
 def run_experiment(exp: Experiment, workers: int | None = None) -> ExperimentResult:
@@ -126,7 +107,7 @@ def format_report(exp: Experiment, result: ExperimentResult, verdicts) -> str:
         "w_star = " + " ".join(repr(float(v)) for v in exp.w_star),
         "",
         "[schedule]",
-        f"kind = {_schedule_kind(result.schedule)}",
+        f"kind = {result.schedule.kind}",
         f"eta1 = {result.schedule(1)!r}",
         f"limit_zero = {str(result.schedule.limit_zero).lower()}",
         f"sum_infinite = {str(result.schedule.sum_infinite).lower()}",

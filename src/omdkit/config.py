@@ -12,12 +12,14 @@ from typing import Any
 
 import numpy as np
 
+from .diagnostics import THEOREMS
 from .engine import (
     ConstantStep,
     PolynomialDecay,
     ResolvedConstants,
     StepSchedule,
     TheoremRate,
+    _checked_checkpoints,
     geometric_checkpoints,
     resolve_constants,
 )
@@ -69,7 +71,7 @@ class ExperimentConfig:
     checkpoints: str = "geometric"      # "geometric" or space-separated ints
     n_runs: int = 500
     base_seed: int = 1000
-    theorem_tag: str = "none"
+    theorem_tag: str = "none"           # "none" or a key of diagnostics.THEOREMS
     violation_probe: bool = False
     kappa: float = 1.0
     exclude_diverged: bool = False
@@ -154,6 +156,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown source kind {cfg.source!r}")
     if cfg.schedule not in ("constant", "polynomial", "theorem_rate"):
         raise ConfigError(f"unknown schedule kind {cfg.schedule!r}")
+    if cfg.theorem_tag != "none" and cfg.theorem_tag not in THEOREMS:
+        raise ConfigError(f"unknown theorem tag {cfg.theorem_tag!r}")
     if cfg.reg_lambda < 0.0:
         raise ConfigError("reg_lambda must be nonnegative")
     if cfg.T < 1:
@@ -259,11 +263,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         if cfg.checkpoints == "geometric":
             checkpoints = geometric_checkpoints(cfg.T)
         else:
-            checkpoints = [int(v) for v in cfg.checkpoints.replace(",", " ").split()]
-            if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
-                raise ConfigError("checkpoints must be strictly increasing")
-            if checkpoints[0] < 1 or checkpoints[-1] > cfg.T:
-                raise ConfigError("checkpoints must lie in [1, T]")
+            checkpoints = _checked_checkpoints(cfg.checkpoints.replace(",", " ").split(), cfg.T)
         d1 = mirror.bregman(w_star, w1)
         return Experiment(
             config=cfg,

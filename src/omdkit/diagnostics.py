@@ -1,10 +1,16 @@
 """Theorem-level verifiers: rate fitting, bound evaluation, identity
 residuals, the non-strong-smoothness witness, and pass/fail verdicts.
 
+``THEOREMS`` is the one registry of theorem tags: each tag maps to a
+``TheoremSpec`` holding its step-size regime check, its verdict rule and
+whether it is a violation probe.  ``assert_step_regime`` and
+``theorem_verdict`` are lookups in that table.
+
 Verdicts on Monte Carlo curves use 2x standard-error margins: a claim that
 only holds (or only fails) inside the error band is reported Inconclusive
 rather than Fail, since the underlying statements concern exact
-expectations.
+expectations.  A curve a rule cannot score (a fit window at the float64
+floor, a missing checkpoint) is Inconclusive too, with the reason attached.
 """
 
 from __future__ import annotations
@@ -12,18 +18,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, p_norm
 from .losses import LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
-from .sources import DiscreteFiniteSource, Sample, minimizer, population_gradient
+from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer, population_gradient
 from .engine import (
+    ConstantStep,
     ExpectationCurve,
     MonteCarloResult,
+    RegimeError,
     ResolvedConstants,
     StepSchedule,
+    TheoremRate,
     omd_step,
 )
 
@@ -41,6 +51,9 @@ __all__ = [
     "Verdict",
     "VerdictReport",
     "ExperimentResult",
+    "TheoremSpec",
+    "THEOREMS",
+    "assert_step_regime",
     "theorem_verdict",
 ]
 
@@ -298,53 +311,47 @@ def _at(curve: ExpectationCurve, t: int) -> tuple[float, float]:
     return float(curve.mean[i]), float(curve.std_err[i])
 
 
-def _first_checkpoint_at_least(curve: ExpectationCurve, t: int) -> int:
+def _index_at_least(curve: ExpectationCurve, t: int) -> int:
     idx = np.nonzero(curve.checkpoints >= t)[0]
     if idx.size == 0:
         raise ValueError(f"no checkpoint at or after t={t}")
-    return int(curve.checkpoints[int(idx[0])])
+    return int(idx[0])
 
 
-def _verdict_linear_rate(res: ExperimentResult) -> VerdictReport:
+def _first_checkpoint_at_least(curve: ExpectationCurve, t: int) -> int:
+    return int(curve.checkpoints[_index_at_least(curve, t)])
+
+
+def _verdict_linear_rate(res: ExperimentResult) -> tuple[Verdict, dict]:
     c = res.constants
     if c.sigma_f is None:
         raise ValueError("linear-rate verdict needs a resolvable sigma_f")
     eta1 = res.schedule(1)
+    sel = res.curve.checkpoints >= 8
+    ts = res.curve.checkpoints[sel]
+    # The bracket refuses a step outside its conditions, which the logs below rely on.
+    bracket = linear_rate_bracket(c.sigma_psi, c.smooth_L, c.sigma_f, eta1, res.d1, ts - 1)
     lo_log = math.log(1.0 - 2.0 * c.smooth_L * eta1 / c.sigma_psi)
     hi_log = math.log(1.0 - 0.5 * c.sigma_f * eta1)
     fit = fit_decay_rate(res.curve, 8, res.T)
     slope_ok = (lo_log - 0.02) <= fit.slope <= (hi_log + 0.02)
-    sel = res.curve.checkpoints >= 8
-    ts = res.curve.checkpoints[sel]
-    bracket = linear_rate_bracket(c.sigma_psi, c.smooth_L, c.sigma_f, eta1, res.d1, ts - 1)
     mean = res.curve.mean[sel]
     se = res.curve.std_err[sel]
     inside = (mean >= bracket.lower - 2.0 * se) & (mean <= bracket.upper + 2.0 * se)
     verdict = Verdict.PASS if (slope_ok and inside.all()) else Verdict.FAIL
-    return VerdictReport(
-        "Thm3-linear-rate",
-        verdict,
-        {
-            "slope": fit.slope,
-            "slope_low": lo_log,
-            "slope_high": hi_log,
-            "bracket_contained": bool(inside.all()),
-        },
-    )
+    return verdict, {"slope": fit.slope, "slope_low": lo_log, "slope_high": hi_log,
+                     "bracket_contained": bool(inside.all())}
 
 
-def _verdict_one_over_t(res: ExperimentResult) -> VerdictReport:
+def _verdict_one_over_t(res: ExperimentResult) -> tuple[Verdict, dict]:
     t_min = max(32, res.T // 16)
     fit = fit_rate(res.curve, t_min, res.T)
     ok = (-1.25 <= fit.slope <= -0.75) and fit.r_squared >= 0.95
-    return VerdictReport(
-        "Thm2b-rate",
-        Verdict.PASS if ok else Verdict.FAIL,
-        {"slope": fit.slope, "r_squared": fit.r_squared, "t_min": t_min},
-    )
+    details = {"slope": fit.slope, "r_squared": fit.r_squared, "t_min": t_min}
+    return Verdict.PASS if ok else Verdict.FAIL, details
 
 
-def _verdict_lower_rate(res: ExperimentResult) -> VerdictReport:
+def _verdict_lower_rate(res: ExperimentResult) -> tuple[Verdict, dict]:
     grid_start = _first_checkpoint_at_least(res.curve, max(1, res.T // 8))
     sel = res.curve.checkpoints >= grid_start
     ts = res.curve.checkpoints[sel].astype(np.float64)
@@ -358,40 +365,30 @@ def _verdict_lower_rate(res: ExperimentResult) -> VerdictReport:
     verdict = _margin_verdict(strict_pass, strict_fail)
     if verdict is Verdict.INCONCLUSIVE and point_pass:
         verdict = Verdict.PASS
-    return VerdictReport(
-        "Thm2a-lower",
-        verdict,
-        {"min_scaled": float(scaled.min()), "ref_scaled": float(ref), "grid_start": grid_start},
-    )
+    return verdict, {"min_scaled": float(scaled.min()), "ref_scaled": float(ref), "grid_start": grid_start}
 
 
-def _verdict_convergence(res: ExperimentResult, tag: str, factor: float) -> VerdictReport:
+def _verdict_convergence(res: ExperimentResult) -> tuple[Verdict, dict]:
+    factor = 0.1
     t_ref = _first_checkpoint_at_least(res.curve, 8)
     ref, ref_se = _at(res.curve, t_ref)
     final, final_se = _at(res.curve, int(res.curve.checkpoints[-1]))
     strict_pass = final + 2.0 * final_se <= factor * max(ref - 2.0 * ref_se, 0.0)
     strict_fail = final - 2.0 * final_se > factor * (ref + 2.0 * ref_se)
-    return VerdictReport(
-        tag,
-        _margin_verdict(strict_pass, strict_fail),
-        {"reference_t": t_ref, "reference": ref, "final": final, "factor": factor},
-    )
+    details = {"reference_t": t_ref, "reference": ref, "final": final, "factor": factor}
+    return _margin_verdict(strict_pass, strict_fail), details
 
 
-def _verdict_necessity_sum(res: ExperimentResult) -> VerdictReport:
+def _verdict_necessity_sum(res: ExperimentResult) -> tuple[Verdict, dict]:
     t0 = 1
     d_ref, _ = _at(res.curve, t0 + 1)
     floor = nonconvergence_floor(res.constants.growth_a, res.schedule, d_ref, t0, res.T)
     final, final_se = _at(res.curve, res.T)
     ok = final >= 0.9 * floor - 2.0 * final_se
-    return VerdictReport(
-        "Thm2-necessity-sum",
-        Verdict.PASS if ok else Verdict.FAIL,
-        {"floor": floor, "final": final, "d_ref": d_ref},
-    )
+    return Verdict.PASS if ok else Verdict.FAIL, {"floor": floor, "final": final, "d_ref": d_ref}
 
 
-def _verdict_necessity_limit(res: ExperimentResult) -> VerdictReport:
+def _verdict_necessity_limit(res: ExperimentResult) -> tuple[Verdict, dict]:
     t_ref = _first_checkpoint_at_least(res.curve, 8)
     ref, ref_se = _at(res.curve, t_ref)
     sel = res.curve.checkpoints >= max(1, res.T // 8)
@@ -400,50 +397,153 @@ def _verdict_necessity_limit(res: ExperimentResult) -> VerdictReport:
     thr = 0.25 * ref
     strict_pass = float((mean - 2.0 * se).min()) >= 0.25 * (ref + 2.0 * ref_se)
     strict_fail = float((mean + 2.0 * se).min()) < 0.25 * max(ref - 2.0 * ref_se, 0.0)
-    return VerdictReport(
-        "Thm2-necessity-limit",
-        _margin_verdict(strict_pass, strict_fail),
-        {"plateau_min": float(mean.min()), "threshold": thr, "reference_t": t_ref},
-    )
+    details = {"plateau_min": float(mean.min()), "threshold": thr, "reference_t": t_ref}
+    return _margin_verdict(strict_pass, strict_fail), details
 
 
-def _verdict_almost_sure(res: ExperimentResult) -> VerdictReport:
+def _verdict_almost_sure(res: ExperimentResult) -> tuple[Verdict, dict]:
     curve = res.curve
     values = res.mc.values
-    t_ref = _first_checkpoint_at_least(curve, 16)
-    i_ref = int(np.nonzero(curve.checkpoints == t_ref)[0][0])
+    i_ref = _index_at_least(curve, 16)
+    t_ref = int(curve.checkpoints[i_ref])
     i_final = len(curve.checkpoints) - 1
-    i_mid = int(np.nonzero(curve.checkpoints >= max(1, res.T // 4))[0][0])
+    i_mid = _index_at_least(curve, max(1, res.T // 4))
     ref_vals = values[:, i_ref]
     final_vals = values[:, i_final]
     frac = float((final_vals <= 0.05 * ref_vals).mean())
     max_decreases = float(values[:, i_mid].max()) > float(final_vals.max())
     ok = frac >= 0.95 and max_decreases
-    return VerdictReport(
-        "Thm4-as",
-        Verdict.PASS if ok else Verdict.FAIL,
-        {"per_run_fraction": frac, "max_run_decreases": max_decreases, "reference_t": t_ref},
-    )
+    details = {"per_run_fraction": frac, "max_run_decreases": max_decreases, "reference_t": t_ref}
+    return Verdict.PASS if ok else Verdict.FAIL, details
 
 
-_VERDICT_RULES = {
-    "Thm3-linear-rate": _verdict_linear_rate,
-    "Thm2b-rate": _verdict_one_over_t,
-    "Thm2a-lower": _verdict_lower_rate,
-    "Thm2-sufficiency": lambda res: _verdict_convergence(res, "Thm2-sufficiency", 0.1),
-    "Thm1a-pnorm": lambda res: _verdict_convergence(res, "Thm1a-pnorm", 0.1),
-    "Thm2-necessity-sum": _verdict_necessity_sum,
-    "Thm2-necessity-probe": _verdict_necessity_sum,
-    "Thm2-necessity-limit": _verdict_necessity_limit,
-    "Thm4-as": _verdict_almost_sure,
+# -- step-size regimes ------------------------------------------------------------------
+
+def _require_positive_variance(tag: str, variance: VarianceRegime | None) -> None:
+    if variance is not None and variance is not VarianceRegime.POSITIVE:
+        raise RegimeError(f"{tag} needs a positive-variance source")
+
+
+def _regime_linear_rate(tag, schedule, c, kappa, variance) -> None:
+    if not isinstance(schedule, ConstantStep):
+        raise RegimeError(f"{tag} needs a constant schedule")
+    limit = c.sigma_psi / (2.0 * c.smooth_L)
+    if not schedule.eta < limit:
+        raise RegimeError(f"{tag} needs eta < sigma_psi/(2L) = {limit!r}")
+    cap = c.sigma_psi / ((2.0 + kappa) * c.smooth_L)
+    if schedule.eta > cap + 1e-12:
+        raise RegimeError(f"{tag} needs eta <= sigma_psi/((2+kappa)L) = {cap!r}")
+    if variance is not None and variance is not VarianceRegime.ZERO:
+        raise RegimeError(f"{tag} needs a zero-variance source")
+
+
+def _regime_one_over_t(tag, schedule, c, kappa, variance) -> None:
+    if not isinstance(schedule, TheoremRate):
+        raise RegimeError(f"{tag} needs the 4/((t+1) sigma_f) schedule")
+    if c.sigma_f is None:
+        raise RegimeError(f"{tag} needs a strongly smooth map with a resolvable sigma_f")
+    if schedule.sigma_f > c.sigma_f * (1.0 + 1e-9):
+        raise RegimeError(
+            f"schedule sigma_f {schedule.sigma_f!r} exceeds the resolved value {c.sigma_f!r}"
+        )
+    _require_positive_variance(tag, variance)
+
+
+def _regime_lower_rate(tag, schedule, c, kappa, variance) -> None:
+    if not schedule.limit_zero:
+        raise RegimeError(f"{tag} needs lim eta_t = 0")
+    if c.map_smoothness is None:
+        raise RegimeError(f"{tag} needs a strongly smooth map")
+    _require_positive_variance(tag, variance)
+
+
+def _regime_convergence(tag, schedule, c, kappa, variance) -> None:
+    if not (schedule.limit_zero and schedule.sum_infinite):
+        raise RegimeError(f"{tag} needs lim eta_t = 0 and sum eta_t = inf")
+
+
+def _regime_summable(tag, schedule, c, kappa, variance) -> None:
+    if schedule.sum_infinite:
+        raise RegimeError(f"{tag} needs a summable schedule (sum eta_t < inf)")
+    bound = 1.0 / (3.0 * c.growth_a)
+    if schedule.max_step > bound + 1e-12:
+        raise RegimeError(
+            f"{tag} needs eta_t <= 1/(3a) = {bound!r} for the floor bound, "
+            f"got max step {schedule.max_step!r}"
+        )
+
+
+def _regime_nonvanishing(tag, schedule, c, kappa, variance) -> None:
+    if schedule.limit_zero:
+        raise RegimeError(f"{tag} needs a schedule with lim eta_t != 0")
+
+
+def _regime_almost_sure(tag, schedule, c, kappa, variance) -> None:
+    if not (schedule.sum_infinite and schedule.sum_squares_finite):
+        raise RegimeError(f"{tag} needs sum eta_t = inf and sum eta_t^2 < inf")
+
+
+# -- the theorem table ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One registered theorem.
+
+    ``regime(tag, schedule, constants, kappa, variance)`` raises RegimeError
+    outside the step-size regime the theorem needs; ``verdict(result)`` scores
+    a curve as ``(Verdict, details)`` and raises ValueError on a curve it
+    cannot score.  A probe theorem runs a deliberately non-convergent
+    schedule, so it requires ``violation_probe``; for the others that flag
+    skips the regime check.
+    """
+
+    probe: bool
+    regime: Callable[..., None]
+    verdict: Callable[[ExperimentResult], tuple[Verdict, dict]]
+
+
+_NECESSITY_SUM = TheoremSpec(True, _regime_summable, _verdict_necessity_sum)
+
+THEOREMS: dict[str, TheoremSpec] = {
+    "Thm3-linear-rate": TheoremSpec(False, _regime_linear_rate, _verdict_linear_rate),
+    "Thm2b-rate": TheoremSpec(False, _regime_one_over_t, _verdict_one_over_t),
+    "Thm2a-lower": TheoremSpec(False, _regime_lower_rate, _verdict_lower_rate),
+    "Thm2-sufficiency": TheoremSpec(False, _regime_convergence, _verdict_convergence),
+    "Thm1a-pnorm": TheoremSpec(False, _regime_convergence, _verdict_convergence),
+    "Thm2-necessity-sum": _NECESSITY_SUM,
+    "Thm2-necessity-probe": _NECESSITY_SUM,  # alias kept for existing configs
+    "Thm2-necessity-limit": TheoremSpec(True, _regime_nonvanishing, _verdict_necessity_limit),
+    "Thm4-as": TheoremSpec(False, _regime_almost_sure, _verdict_almost_sure),
 }
 
 
+def assert_step_regime(
+    tag: str,
+    schedule: StepSchedule,
+    constants: ResolvedConstants,
+    kappa: float = 1.0,
+    violation_probe: bool = False,
+    variance: VarianceRegime | None = None,
+) -> None:
+    """Refuse schedules outside the regime the tagged theorem requires."""
+    spec = THEOREMS.get(tag)
+    if spec is None:
+        raise RegimeError(f"unknown theorem tag {tag!r}")
+    if spec.probe and not violation_probe:
+        raise RegimeError(f"{tag} runs a non-convergent schedule; set violation_probe")
+    if spec.probe or not violation_probe:
+        spec.regime(tag, schedule, constants, kappa, variance)
+
+
 def theorem_verdict(result: ExperimentResult, tag: str) -> VerdictReport:
+    """Score the curve against the tagged theorem; a curve the rule cannot
+    score is Inconclusive, with the reason in the details."""
     try:
-        rule = _VERDICT_RULES[tag]
+        rule = THEOREMS[tag].verdict
     except KeyError:
         raise ValueError(f"unknown theorem tag {tag!r}") from None
-    report = rule(result)
-    report.tag = tag
-    return report
+    try:
+        verdict, details = rule(result)
+    except ValueError as exc:
+        verdict, details = Verdict.INCONCLUSIVE, {"reason": str(exc)}
+    return VerdictReport(tag, verdict, details)

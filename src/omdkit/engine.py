@@ -12,6 +12,10 @@ Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  ``run_trajectory`` steps one run at a time and is the
 scalar reference for the batched engine.
+
+The module also resolves the geometry and loss constants that a theorem's
+step-size regime is checked against; the regimes themselves are registered
+in ``diagnostics.THEOREMS``.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from .geometry import as_vector
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import SampleSource, VarianceRegime, draw_arrays
+from .sources import SampleSource, draw_arrays
 
 __all__ = [
     "ConstantStep",
@@ -46,9 +51,6 @@ __all__ = [
     "ResolvedConstants",
     "resolve_constants",
     "RegimeError",
-    "assert_step_regime",
-    "PROBE_TAGS",
-    "KNOWN_TAGS",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -65,6 +67,11 @@ def _check_iteration(t: int) -> int:
 
 @dataclass(frozen=True)
 class ConstantStep:
+    kind: ClassVar[str] = "constant"
+    limit_zero: ClassVar[bool] = False
+    sum_infinite: ClassVar[bool] = True
+    sum_squares_finite: ClassVar[bool] = False
+
     eta: float
 
     def __post_init__(self):
@@ -76,18 +83,6 @@ class ConstantStep:
         return self.eta
 
     @property
-    def limit_zero(self) -> bool:
-        return False
-
-    @property
-    def sum_infinite(self) -> bool:
-        return True
-
-    @property
-    def sum_squares_finite(self) -> bool:
-        return False
-
-    @property
     def max_step(self) -> float:
         return self.eta
 
@@ -95,6 +90,8 @@ class ConstantStep:
 @dataclass(frozen=True)
 class PolynomialDecay:
     """eta_t = c * t^(-theta)."""
+
+    kind: ClassVar[str] = "polynomial"
 
     c: float
     theta: float
@@ -129,6 +126,11 @@ class PolynomialDecay:
 class TheoremRate:
     """eta_t = 4 / ((t + 1) sigma_f), the rate-optimal schedule under a linear control."""
 
+    kind: ClassVar[str] = "theorem_rate"
+    limit_zero: ClassVar[bool] = True
+    sum_infinite: ClassVar[bool] = True
+    sum_squares_finite: ClassVar[bool] = True
+
     sigma_f: float
 
     def __post_init__(self):
@@ -137,18 +139,6 @@ class TheoremRate:
 
     def __call__(self, t: int) -> float:
         return 4.0 / ((_check_iteration(t) + 1) * self.sigma_f)
-
-    @property
-    def limit_zero(self) -> bool:
-        return True
-
-    @property
-    def sum_infinite(self) -> bool:
-        return True
-
-    @property
-    def sum_squares_finite(self) -> bool:
-        return True
 
     @property
     def max_step(self) -> float:
@@ -501,85 +491,3 @@ def resolve_constants(mirror: MirrorMap, model: LossModel, source: SampleSource)
 
 class RegimeError(RuntimeError):
     """A theorem-tagged experiment was configured outside the theorem's regime."""
-
-
-PROBE_TAGS = {"Thm2-necessity-sum", "Thm2-necessity-probe", "Thm2-necessity-limit"}
-KNOWN_TAGS = PROBE_TAGS | {
-    "Thm3-linear-rate",
-    "Thm2b-rate",
-    "Thm2a-lower",
-    "Thm2-sufficiency",
-    "Thm1a-pnorm",
-    "Thm4-as",
-}
-
-
-def assert_step_regime(
-    tag: str,
-    schedule: StepSchedule,
-    constants: ResolvedConstants,
-    kappa: float = 1.0,
-    violation_probe: bool = False,
-    variance: VarianceRegime | None = None,
-) -> None:
-    """Refuse schedules outside the regime the tagged theorem requires.
-
-    Probe tags intentionally run non-convergent schedules and therefore
-    *require* the violation_probe flag; for the other tags the flag disables
-    the assertions instead.
-    """
-    if tag not in KNOWN_TAGS:
-        raise RegimeError(f"unknown theorem tag {tag!r}")
-    if tag in PROBE_TAGS:
-        if not violation_probe:
-            raise RegimeError(f"{tag} runs a non-convergent schedule; set violation_probe")
-        if tag in ("Thm2-necessity-sum", "Thm2-necessity-probe"):
-            if schedule.sum_infinite:
-                raise RegimeError(f"{tag} needs a summable schedule (sum eta_t < inf)")
-            bound = 1.0 / (3.0 * constants.growth_a)
-            if schedule.max_step > bound + 1e-12:
-                raise RegimeError(
-                    f"{tag} needs eta_t <= 1/(3a) = {bound!r} for the floor bound, "
-                    f"got max step {schedule.max_step!r}"
-                )
-        else:  # Thm2-necessity-limit
-            if schedule.limit_zero:
-                raise RegimeError(f"{tag} needs a schedule with lim eta_t != 0")
-        return
-    if violation_probe:
-        return
-    if tag == "Thm3-linear-rate":
-        if not isinstance(schedule, ConstantStep):
-            raise RegimeError("Thm3-linear-rate needs a constant schedule")
-        limit = constants.sigma_psi / (2.0 * constants.smooth_L)
-        if not schedule.eta < limit:
-            raise RegimeError(f"Thm3-linear-rate needs eta < sigma_psi/(2L) = {limit!r}")
-        cap = constants.sigma_psi / ((2.0 + kappa) * constants.smooth_L)
-        if schedule.eta > cap + 1e-12:
-            raise RegimeError(f"Thm3-linear-rate needs eta <= sigma_psi/((2+kappa)L) = {cap!r}")
-        if variance is not None and variance is not VarianceRegime.ZERO:
-            raise RegimeError("Thm3-linear-rate needs a zero-variance source")
-    elif tag == "Thm2b-rate":
-        if not isinstance(schedule, TheoremRate):
-            raise RegimeError("Thm2b-rate needs the 4/((t+1) sigma_f) schedule")
-        if constants.sigma_f is None:
-            raise RegimeError("Thm2b-rate needs a strongly smooth map with a resolvable sigma_f")
-        if schedule.sigma_f > constants.sigma_f * (1.0 + 1e-9):
-            raise RegimeError(
-                f"schedule sigma_f {schedule.sigma_f!r} exceeds the resolved value "
-                f"{constants.sigma_f!r}"
-            )
-    elif tag == "Thm2a-lower":
-        if not schedule.limit_zero:
-            raise RegimeError("Thm2a-lower needs lim eta_t = 0")
-        if constants.map_smoothness is None:
-            raise RegimeError("Thm2a-lower needs a strongly smooth map")
-    elif tag in ("Thm2-sufficiency", "Thm1a-pnorm"):
-        if not (schedule.limit_zero and schedule.sum_infinite):
-            raise RegimeError(f"{tag} needs lim eta_t = 0 and sum eta_t = inf")
-    elif tag == "Thm4-as":
-        if not (schedule.sum_infinite and schedule.sum_squares_finite):
-            raise RegimeError("Thm4-as needs sum eta_t = inf and sum eta_t^2 < inf")
-    if tag in ("Thm2b-rate", "Thm2a-lower") and variance is not None:
-        if variance is not VarianceRegime.POSITIVE:
-            raise RegimeError(f"{tag} needs a positive-variance source")

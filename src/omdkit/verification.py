@@ -2,8 +2,8 @@
 
 Every check draws from a counter-based stream with a fixed key, computes a
 worst-case residual over a randomized sweep, and compares it against the
-tolerance the check is specified at.  Reports are byte-identical across
-runs.
+tolerance the check is specified at; it returns ``(passed, max_residual,
+tolerance)`` and ``CHECKS`` names it.  Reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ class CheckResult:
         return f"{self.name},{status},{self.max_residual!r}"
 
 
+Outcome = tuple[bool, float, float]
+
+
 def _rng(offset: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_SEED + offset))
 
@@ -71,7 +74,7 @@ def _random_pairs(rng, n, d, scales=(0.1, 1.0, 10.0)):
     return w * s[:, None], v * s[:, None]
 
 
-def _check_holder(seed: int) -> CheckResult:
+def _check_holder(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf
     for p in (1.2, 1.5, 2.0):
@@ -80,10 +83,10 @@ def _check_holder(seed: int) -> CheckResult:
         lhs = np.abs((W * V).sum(axis=1))
         rhs = (np.abs(W) ** p).sum(axis=1) ** (1 / p) * (np.abs(V) ** q).sum(axis=1) ** (1 / q)
         worst = max(worst, float((lhs - rhs).max()))
-    return CheckResult("holder_inequality", worst <= 1e-12, worst, 1e-12)
+    return worst <= 1e-12, worst, 1e-12
 
 
-def _check_triangle(seed: int) -> CheckResult:
+def _check_triangle(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf
     for p in (1.2, 1.5, 2.0, 3.0):
@@ -91,10 +94,10 @@ def _check_triangle(seed: int) -> CheckResult:
         lhs = (np.abs(W + V) ** p).sum(axis=1) ** (1 / p)
         rhs = (np.abs(W) ** p).sum(axis=1) ** (1 / p) + (np.abs(V) ** p).sum(axis=1) ** (1 / p)
         worst = max(worst, float((lhs - rhs).max()))
-    return CheckResult("triangle_inequality", worst <= 1e-12, worst, 1e-12)
+    return worst <= 1e-12, worst, 1e-12
 
 
-def _check_round_trip(seed: int) -> CheckResult:
+def _check_round_trip(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = 0.0
     for mirror in _maps():
@@ -103,10 +106,10 @@ def _check_round_trip(seed: int) -> CheckResult:
             w = scale * rng.standard_normal(5)
             back = mirror.grad_inv(mirror.grad(w))
             worst = max(worst, float(np.abs(back - w).max()))
-    return CheckResult("gradient_round_trip", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_gradient_norm_identity(seed: int) -> CheckResult:
+def _check_gradient_norm_identity(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = 0.0
     for p in (1.2, 1.5, 1.9):
@@ -115,10 +118,10 @@ def _check_gradient_norm_identity(seed: int) -> CheckResult:
             w = float(rng.choice([0.1, 1.0, 10.0])) * rng.standard_normal(6)
             resid = abs(p_norm(pnorm_gradient(w, p), q) - p_norm(w, p))
             worst = max(worst, resid)
-    return CheckResult("gradient_norm_identity", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_strong_convexity(seed: int) -> CheckResult:
+def _check_strong_convexity(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of D >= (sigma/2) ||diff||^2
     for mirror in _maps():
@@ -128,10 +131,10 @@ def _check_strong_convexity(seed: int) -> CheckResult:
             v = rng.standard_normal(5) * float(rng.choice([0.3, 1.0, 3.0]))
             gap = 0.5 * sigma * p_norm(w - v, mirror.norm.p) ** 2 - mirror.bregman(w, v)
             worst = max(worst, gap)
-    return CheckResult("strong_convexity", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_strong_smoothness(seed: int) -> CheckResult:
+def _check_strong_smoothness(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of D <= (L/2) ||diff||^2
     for mirror in _maps():
@@ -143,10 +146,10 @@ def _check_strong_smoothness(seed: int) -> CheckResult:
             v = rng.standard_normal(5) * float(rng.choice([0.3, 1.0, 3.0]))
             gap = mirror.bregman(w, v) - 0.5 * L * p_norm(w - v, mirror.norm.p) ** 2
             worst = max(worst, gap)
-    return CheckResult("strong_smoothness", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_bregman_sum(seed: int) -> CheckResult:
+def _check_bregman_sum(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = 0.0
     for mirror in _maps():
@@ -156,10 +159,10 @@ def _check_bregman_sum(seed: int) -> CheckResult:
             lhs = mirror.bregman(w, v) + mirror.bregman(v, w)
             rhs = float((w - v) @ (mirror.grad(w) - mirror.grad(v)))
             worst = max(worst, abs(lhs - rhs))
-    return CheckResult("bregman_sum_identity", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_bregman_duality(seed: int) -> CheckResult:
+def _check_bregman_duality(seed: int) -> Outcome:
     from .diagnostics import duality_residual
 
     rng = _rng(seed)
@@ -169,10 +172,10 @@ def _check_bregman_duality(seed: int) -> CheckResult:
             w = rng.uniform(-10.0, 10.0, size=6)
             v = rng.uniform(-10.0, 10.0, size=6)
             worst = max(worst, duality_residual(p, w, v))
-    return CheckResult("bregman_duality", worst <= 1e-9, worst, 1e-9)
+    return worst <= 1e-9, worst, 1e-9
 
 
-def _check_pnorm_upper(seed: int) -> CheckResult:
+def _check_pnorm_upper(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of the displayed upper bound
     for p in (1.2, 1.5, 1.9):
@@ -185,10 +188,10 @@ def _check_pnorm_upper(seed: int) -> CheckResult:
             coef = (2.0 * nt) ** (2.0 - p) + nt ** (p - 1.0) + 1.0
             rhs = coef * (diff ** 2 + diff ** min(p, 3.0 - p))
             worst = max(worst, pnorm_bregman(wt, w, p) - rhs)
-    return CheckResult("pnorm_bregman_upper", worst <= 1e-12, worst, 1e-12)
+    return worst <= 1e-12, worst, 1e-12
 
 
-def _check_pnorm_lower_control(seed: int) -> CheckResult:
+def _check_pnorm_lower_control(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of ||diff||^2 >= B_p * Omega_p(D)
     for p in (1.2, 1.5, 1.9):
@@ -199,10 +202,10 @@ def _check_pnorm_lower_control(seed: int) -> CheckResult:
             d_val = pnorm_bregman(wt, w, p)
             rhs = b_p_constant(p, p_norm(wt, p)) * omega_p(p, max(d_val, 0.0))
             worst = max(worst, rhs - p_norm(wt - w, p) ** 2)
-    return CheckResult("pnorm_lower_control", worst <= 1e-12, worst, 1e-12)
+    return worst <= 1e-12, worst, 1e-12
 
 
-def _check_incremental(seed: int) -> CheckResult:
+def _check_incremental(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of ||grad|| <= C (1 + ||w||)
     for mirror in _maps():
@@ -215,10 +218,10 @@ def _check_incremental(seed: int) -> CheckResult:
             w = rng.standard_normal(5) * float(rng.choice([1e-3, 1.0, 50.0, 1e3]))
             lhs = p_norm(mirror.grad(w), mirror.norm.dual.p)
             worst = max(worst, lhs - C * (1.0 + p_norm(w, mirror.norm.p)))
-    return CheckResult("incremental_condition", worst <= 1e-8, worst, 1e-8)
+    return worst <= 1e-8, worst, 1e-8
 
 
-def _check_cocoercivity(seed: int) -> CheckResult:
+def _check_cocoercivity(seed: int) -> Outcome:
     from .diagnostics import cocoercivity_margin
 
     rng = _rng(seed)
@@ -234,10 +237,10 @@ def _check_cocoercivity(seed: int) -> CheckResult:
             v = rng.standard_normal(4) * 2.0
             L = model.sharp_smoothness_bound(1.0)
             worst = min(worst, cocoercivity_margin(model, Sample(x, y), w, v, L))
-    return CheckResult("cocoercivity_margin", worst >= -1e-10, worst, -1e-10)
+    return worst >= -1e-10, worst, -1e-10
 
 
-def _check_fenchel_conjugate(seed: int) -> CheckResult:
+def _check_fenchel_conjugate(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = 0.0  # max relative shortfall between formula and brute force
     cases = [
@@ -268,9 +271,9 @@ def _check_fenchel_conjugate(seed: int) -> CheckResult:
                                  options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
         best = max(best, float(-polish.fun))
         if best > formula + 1e-9 * max(1.0, formula):
-            return CheckResult("fenchel_conjugate_bruteforce", False, best - formula, 1e-4)
+            return False, best - formula, 1e-4
         worst = max(worst, (formula - best) / formula)
-    return CheckResult("fenchel_conjugate_bruteforce", worst <= 1e-4, worst, 1e-4)
+    return worst <= 1e-4, worst, 1e-4
 
 
 def _identity_fixture():
@@ -283,7 +286,7 @@ def _identity_fixture():
     return DiscreteFiniteSource(atoms, [0.4, 0.3, 0.2, 0.1])
 
 
-def _check_key_identity(seed: int) -> CheckResult:
+def _check_key_identity(seed: int) -> Outcome:
     rng = _rng(seed)
     source = _identity_fixture()
     worst = 0.0
@@ -298,10 +301,10 @@ def _check_key_identity(seed: int) -> CheckResult:
             w_t = rng.standard_normal(3) * float(rng.choice([0.5, 2.0]))
             eta = float(rng.choice([0.05, 0.5]))
             worst = max(worst, key_identity_residual(mirror, model, source, w_t, eta, w_star))
-    return CheckResult("key_identity", worst <= 1e-10, worst, 1e-10)
+    return worst <= 1e-10, worst, 1e-10
 
 
-def _check_witness_monotone(seed: int) -> CheckResult:
+def _check_witness_monotone(seed: int) -> Outcome:
     del seed  # deterministic grid
     grid = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     min_gap = np.inf
@@ -310,10 +313,10 @@ def _check_witness_monotone(seed: int) -> CheckResult:
             ratios = [nonsmoothness_witness(p, d, a) for a in grid]
             gaps = np.diff(ratios)
             min_gap = min(min_gap, float(gaps.min()))
-    return CheckResult("nonsmoothness_witness_monotone", min_gap > 0.0, min_gap, 0.0)
+    return min_gap > 0.0, min_gap, 0.0
 
 
-def _check_kaczmarz(seed: int) -> CheckResult:
+def _check_kaczmarz(seed: int) -> Outcome:
     rng = _rng(seed)
     mirror = EuclideanMap()
     model = LossModel(LeastSquares())
@@ -326,10 +329,10 @@ def _check_kaczmarz(seed: int) -> CheckResult:
         a = omd_step(mirror, model, w, x, y, eta)
         b = kaczmarz_step(w, x, y, eta)
         worst = max(worst, float(np.abs(a - b).max()))
-    return CheckResult("kaczmarz_equivalence", worst <= 1e-15, worst, 1e-15)
+    return worst <= 1e-15, worst, 1e-15
 
 
-def _check_loss_gradients(seed: int) -> CheckResult:
+def _check_loss_gradients(seed: int) -> Outcome:
     rng = _rng(seed)
     losses = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
     h = 1e-6
@@ -345,10 +348,10 @@ def _check_loss_gradients(seed: int) -> CheckResult:
             n += 1
             fd = (float(loss.value(a + h, y)) - float(loss.value(a - h, y))) / (2.0 * h)
             worst = max(worst, abs(fd - float(loss.derivative(a, y))))
-    return CheckResult("loss_gradient_fd", worst <= 1e-6, worst, 1e-6)
+    return worst <= 1e-6, worst, 1e-6
 
 
-def _check_loss_lipschitz(seed: int) -> CheckResult:
+def _check_loss_lipschitz(seed: int) -> Outcome:
     del seed
     losses = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
     a_grid = np.linspace(-6.0, 6.0, 1201)
@@ -359,10 +362,10 @@ def _check_loss_lipschitz(seed: int) -> CheckResult:
             der = np.asarray(loss.derivative(a_grid, float(y)))
             quot = np.abs(np.diff(der)) / np.diff(a_grid)
             worst = max(worst, float(quot.max()) - ell)
-    return CheckResult("loss_lipschitz_quotients", worst <= 1e-8, worst, 1e-8)
+    return worst <= 1e-8, worst, 1e-8
 
 
-def _check_one_step_contract(seed: int) -> CheckResult:
+def _check_one_step_contract(seed: int) -> Outcome:
     rng = _rng(seed)
     source = _identity_fixture()
     worst = np.inf  # min slack of E[D+] <= D + (eta^2/sigma) E||grad f(w*)||^2
@@ -388,10 +391,10 @@ def _check_one_step_contract(seed: int) -> CheckResult:
                 e_next += prob * mirror.bregman(w_star, w_next)
             bound = mirror.bregman(w_star, w_t) + eta * eta / sigma * noise
             worst = min(worst, float(bound - e_next))
-    return CheckResult("one_step_distance_contract", worst >= -1e-9, worst, -1e-9)
+    return worst >= -1e-9, worst, -1e-9
 
 
-def _check_omega(seed: int) -> CheckResult:
+def _check_omega(seed: int) -> Outcome:
     del seed
     worst = 0.0
     for p in (4.0 / 3.0, 1.5, 2.0):
@@ -402,10 +405,10 @@ def _check_omega(seed: int) -> CheckResult:
         vals = np.array([omega_p(p, float(ui)) for ui in u])
         second = np.diff(vals, 2)
         worst = max(worst, float((-second).max()))
-    return CheckResult("omega_continuity_convexity", worst <= 1e-12, worst, 1e-12)
+    return worst <= 1e-12, worst, 1e-12
 
 
-def _check_mean_gradient_zero(seed: int) -> CheckResult:
+def _check_mean_gradient_zero(seed: int) -> Outcome:
     # zero-variance source: exact mean gradient norm vanishes at the minimizer
     del seed
     from .sources import orthonormal_atom_source
@@ -415,10 +418,10 @@ def _check_mean_gradient_zero(seed: int) -> CheckResult:
     model = LossModel(LeastSquares())
     w_star = minimizer(source, model)
     value = mean_gradient_norm(source, model, w_star).value
-    return CheckResult("zero_variance_gradient", value <= 1e-10, value, 1e-10)
+    return value <= 1e-10, value, 1e-10
 
 
-CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [
+CHECKS: list[tuple[str, Callable[[int], Outcome]]] = [
     ("holder_inequality", _check_holder),
     ("triangle_inequality", _check_triangle),
     ("gradient_round_trip", _check_round_trip),
@@ -447,4 +450,4 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 
 def run_verification() -> list[CheckResult]:
     """Run every registered check with its fixed stream; deterministic output."""
-    return [fn(offset) for offset, (_, fn) in enumerate(CHECKS)]
+    return [CheckResult(name, *fn(offset)) for offset, (name, fn) in enumerate(CHECKS)]

@@ -166,6 +166,29 @@ def test_run_regime_violation_exits_3(tmp_path, capsys):
     assert not conf.with_suffix(".curve.csv").exists()
 
 
+def test_unknown_theorem_tag_is_a_schema_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown theorem tag"):
+        parse_config("theorem_tag = Thm9-typo")
+    conf = tmp_path / "typo.conf"
+    conf.write_text("T = 16\nn_runs = 4\ntheorem_tag = Thm9-typo\n")
+    assert main(["run", str(conf)]) == 2
+    assert "unknown theorem tag" in capsys.readouterr().err
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
+
+
+def test_run_verdict_at_precision_floor_exits_0(tmp_path, capsys):
+    # Zero variance and a constant step drive the mean curve to the float64 floor
+    # well before T = 2048, where the linear-rate fit cannot take logarithms.
+    conf = tmp_path / "floor.conf"
+    conf.write_text(small_config_text(T=2048, n_runs=10))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    assert "Thm3-linear-rate: Inconclusive" in capsys.readouterr().out
+    report = conf.with_suffix(".report.txt").read_text()
+    assert "verdict = Inconclusive" in report
+    assert "detail.reason = 'rate fits need strictly positive means in the window'" in report
+
+
 def test_run_all_diverged_exits_4(tmp_path, capsys):
     conf = tmp_path / "explode.conf"
     conf.write_text(small_config_text(eta=1e6, theorem_tag="none", T=32, n_runs=4))

@@ -1,11 +1,17 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from omdkit.config import ExperimentConfig, build_experiment, with_overrides
 from omdkit.diagnostics import (
+    THEOREMS,
     ExperimentResult,
     Verdict,
+    assert_step_regime,
     cocoercivity_margin,
     duality_residual,
     fit_decay_rate,
@@ -21,7 +27,9 @@ from omdkit.engine import (
     ExpectationCurve,
     MonteCarloResult,
     PolynomialDecay,
+    RegimeError,
     ResolvedConstants,
+    TheoremRate,
     geometric_checkpoints,
 )
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid
@@ -337,3 +345,64 @@ def test_verdict_unknown_tag():
     res = result_from(curve_from(t, [1.0 / x for x in t]))
     with pytest.raises(ValueError, match="unknown theorem tag"):
         theorem_verdict(res, "no-such-tag")
+
+
+def test_verdict_at_precision_floor_is_inconclusive():
+    # The tail of a zero-variance curve reached the float64 floor, so the rate fit
+    # has no positive means to take logs of; the verdict says so instead of raising.
+    t = geometric_checkpoints(2048)
+    res = result_from(curve_from(t, [0.9 ** x if x < 1024 else 0.0 for x in t]), T=2048)
+    report = theorem_verdict(res, "Thm3-linear-rate")
+    assert report.tag == "Thm3-linear-rate"
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.details == {"reason": "rate fits need strictly positive means in the window"}
+
+
+
+def test_verdict_outside_the_bracket_names_the_condition():
+    # A probe run may use a step past sigma_psi / (2 L), where the bracket has no meaning.
+    t = geometric_checkpoints(64)
+    res = result_from(curve_from(t, [0.5 ** x for x in t]), schedule=ConstantStep(0.6))
+    report = theorem_verdict(res, "Thm3-linear-rate")
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.details == {"reason": "bracket needs eta1 < sigma_psi / (2 L)"}
+
+# -- the theorem table ------------------------------------------------------------------------
+
+def test_necessity_probe_is_an_alias():
+    assert THEOREMS["Thm2-necessity-probe"] is THEOREMS["Thm2-necessity-sum"]
+
+
+def test_verdict_reports_the_requested_tag():
+    t = geometric_checkpoints(2048)
+    res = result_from(curve_from(t, [1.0 / x for x in t]), T=2048)
+    for tag in THEOREMS:
+        assert theorem_verdict(res, tag).tag == tag
+
+
+@pytest.mark.parametrize("tag", sorted(tag for tag, spec in THEOREMS.items() if spec.probe))
+def test_probe_theorems_require_the_flag(tag):
+    constants = result_from(curve_from([1, 2], [1.0, 0.5])).constants
+    with pytest.raises(RegimeError, match="violation_probe"):
+        assert_step_regime(tag, PolynomialDecay(0.05, 2.0), constants)
+
+
+@pytest.mark.parametrize("tag", sorted(tag for tag, spec in THEOREMS.items() if not spec.probe))
+def test_flag_skips_the_regime_of_other_theorems(tag):
+    constants = result_from(curve_from([1, 2], [1.0, 0.5])).constants
+    with pytest.raises(RegimeError, match=re.escape(tag)):
+        assert_step_regime(tag, ConstantStep(100.0), constants)
+    assert_step_regime(tag, ConstantStep(100.0), constants, violation_probe=True)
+
+
+def test_readme_names_exactly_the_registered_tags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Registered tags", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(Thm[^`]*)`", paragraph)) == sorted(THEOREMS)
+
+
+@pytest.mark.parametrize("cls", [ConstantStep, PolynomialDecay, TheoremRate])
+def test_schedule_kind_is_its_config_value(cls):
+    assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+    exp = build_experiment(with_overrides(ExperimentConfig(), schedule=cls.kind))
+    assert type(exp.schedule) is cls

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omdkit import engine
+from omdkit.diagnostics import assert_step_regime
 from omdkit.engine import (
     AllRunsDiverged,
     ConstantStep,
@@ -11,7 +12,6 @@ from omdkit.engine import (
     PolynomialDecay,
     RegimeError,
     TheoremRate,
-    assert_step_regime,
     geometric_checkpoints,
     kaczmarz_step,
     monte_carlo_curve,

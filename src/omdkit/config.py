@@ -8,7 +8,7 @@ errors; nothing is written when a config fails to validate.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -148,14 +148,9 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.map not in ("euclidean", "pnorm", "smoothed_l1"):
-        raise ConfigError(f"unknown map kind {cfg.map!r}")
-    if cfg.loss not in LOSSES:
-        raise ConfigError(f"unknown loss kind {cfg.loss!r}")
-    if cfg.source not in ("orthonormal", "gaussian_linear"):
-        raise ConfigError(f"unknown source kind {cfg.source!r}")
-    if cfg.schedule not in ("constant", "polynomial", "theorem_rate"):
-        raise ConfigError(f"unknown schedule kind {cfg.schedule!r}")
+    for key, table in (("map", _MAPS), ("loss", LOSSES), ("source", _SOURCES), ("schedule", _SCHEDULES)):
+        if getattr(cfg, key) not in table:
+            raise ConfigError(f"unknown {key} kind {getattr(cfg, key)!r}")
     if cfg.theorem_tag != "none" and cfg.theorem_tag not in THEOREMS:
         raise ConfigError(f"unknown theorem tag {cfg.theorem_tag!r}")
     if cfg.reg_lambda < 0.0:
@@ -182,29 +177,23 @@ def _rotation(d: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _build_mirror(cfg: ExperimentConfig) -> MirrorMap:
-    if cfg.map == "euclidean":
-        return EuclideanMap()
-    if cfg.map == "pnorm":
-        return PNormMap(cfg.map_p)
-    return SmoothedL1Map(cfg.map_epsilon, cfg.map_lambda)
+def _orthonormal_source(cfg: ExperimentConfig) -> SampleSource:
+    d = cfg.source_d
+    if len(cfg.source_weights) != d:
+        raise ConfigError("source_weights must list one weight per dimension")
+    if len(cfg.source_w_star) != d:
+        raise ConfigError("source_w_star must have length source_d")
+    U = _rotation(d, cfg.source_rotation)
+    return orthonormal_atom_source(
+        U,
+        cfg.source_weights,
+        np.asarray(cfg.source_w_star),
+        scale=cfg.source_scale,
+        label_noise=cfg.source_label_noise,
+    )
 
 
-def _build_source(cfg: ExperimentConfig) -> SampleSource:
-    if cfg.source == "orthonormal":
-        d = cfg.source_d
-        if len(cfg.source_weights) != d:
-            raise ConfigError("source_weights must list one weight per dimension")
-        if len(cfg.source_w_star) != d:
-            raise ConfigError("source_w_star must have length source_d")
-        U = _rotation(d, cfg.source_rotation)
-        return orthonormal_atom_source(
-            U,
-            cfg.source_weights,
-            np.asarray(cfg.source_w_star),
-            scale=cfg.source_scale,
-            label_noise=cfg.source_label_noise,
-        )
+def _gaussian_source(cfg: ExperimentConfig) -> SampleSource:
     return GaussianLinearSource(
         np.asarray(cfg.source_w_true),
         noise_sd=cfg.source_noise_sd,
@@ -213,11 +202,7 @@ def _build_source(cfg: ExperimentConfig) -> SampleSource:
     )
 
 
-def _build_schedule(cfg: ExperimentConfig, constants: ResolvedConstants) -> StepSchedule:
-    if cfg.schedule == "constant":
-        return ConstantStep(cfg.eta)
-    if cfg.schedule == "polynomial":
-        return PolynomialDecay(cfg.decay_c, cfg.decay_theta)
+def _theorem_rate(cfg: ExperimentConfig, constants: ResolvedConstants) -> StepSchedule:
     if cfg.sigma_f == "auto":
         if constants.sigma_f is None:
             raise ConfigError(
@@ -225,6 +210,23 @@ def _build_schedule(cfg: ExperimentConfig, constants: ResolvedConstants) -> Step
             )
         return TheoremRate(constants.sigma_f)
     return TheoremRate(float(cfg.sigma_f))
+
+
+# Each config kind, mapped to the function that makes its object: the one list of valid kinds.
+_MAPS: dict[str, Callable[[ExperimentConfig], MirrorMap]] = {
+    "euclidean": lambda cfg: EuclideanMap(),
+    "pnorm": lambda cfg: PNormMap(cfg.map_p),
+    "smoothed_l1": lambda cfg: SmoothedL1Map(cfg.map_epsilon, cfg.map_lambda),
+}
+_SOURCES: dict[str, Callable[[ExperimentConfig], SampleSource]] = {
+    "orthonormal": _orthonormal_source,
+    "gaussian_linear": _gaussian_source,
+}
+_SCHEDULES: dict[str, Callable[[ExperimentConfig, ResolvedConstants], StepSchedule]] = {
+    ConstantStep.kind: lambda cfg, constants: ConstantStep(cfg.eta),
+    PolynomialDecay.kind: lambda cfg, constants: PolynomialDecay(cfg.decay_c, cfg.decay_theta),
+    TheoremRate.kind: _theorem_rate,
+}
 
 
 @dataclass
@@ -247,13 +249,13 @@ class Experiment:
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     _validate(cfg)
     try:
-        mirror = _build_mirror(cfg)
+        mirror = _MAPS[cfg.map](cfg)
         model = LossModel(LOSSES[cfg.loss](), lam=cfg.reg_lambda)
-        source = _build_source(cfg)
+        source = _SOURCES[cfg.source](cfg)
         w_star = minimizer(source, model)
         variance = classify_variance(source, model, w_star, mirror.norm.dual)
         constants = resolve_constants(mirror, model, source)
-        schedule = _build_schedule(cfg, constants)
+        schedule = _SCHEDULES[cfg.schedule](cfg, constants)
         if cfg.w1 == "zeros":
             w1 = np.zeros(source.d)
         else:

@@ -22,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, p_norm
+from .geometry import EUCLIDEAN, NormSpec, as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
 from .losses import LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
-from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer, population_gradient
+from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer
 from .engine import (
     ConstantStep,
     ExpectationCurve,
@@ -186,31 +186,34 @@ def key_identity_residual(
     w_t,
     eta: float,
     w_star=None,
-) -> float:
+) -> float | np.ndarray:
     """|E_z[D(w*, w+)] - D(w*, w) - eta <w* - w, grad F(w)> - E_z[D(w, w+)]|,
-    both sides as exact weighted sums over the support."""
+    both sides as exact weighted sums over the support.
+
+    ``w_t`` may be a stack of points, with ``eta`` one step or one per row;
+    each row takes one stacked step over all atoms.
+    """
     if not isinstance(source, DiscreteFiniteSource):
         raise ValueError("the exact one-step identity needs a discrete source")
-    w_t = as_vector(w_t)
+    w_t = as_points(w_t)
     w_star = minimizer(source, model) if w_star is None else as_vector(w_star)
-    e_next = 0.0
-    e_move = 0.0
-    for prob, x, y in zip(source.probs, source.X, source.y):
-        w_next = omd_step(mirror, model, w_t, x, float(y), eta)
-        e_next += prob * mirror.bregman(w_star, w_next)
-        e_move += prob * mirror.bregman(w_t, w_next)
-    lhs = e_next - mirror.bregman(w_star, w_t)
-    grad_f = population_gradient(source, model, w_t)
-    rhs = eta * float((w_star - w_t) @ grad_f) + e_move
-    return float(abs(lhs - rhs))
+    eta = np.asarray(eta, dtype=np.float64)
+    W = w_t[..., None, :]  # each point against every atom
+    W_next = omd_step(mirror, model, W, source.X, source.y, eta[..., None, None])
+    e_next = mirror.bregman(w_star, W_next) @ source.probs
+    e_move = mirror.bregman(W, W_next) @ source.probs
+    grad_f = source.probs @ model.gradient(W, source.X, source.y)
+    rhs = eta * row_inner(w_star - w_t, grad_f) + e_move
+    return as_result(abs(e_next - mirror.bregman(w_star, w_t) - rhs))
 
 
-def duality_residual(p: float, w, w_tilde) -> float:
-    """|D_p(w, wt) - D_q(grad_p(wt), grad_p(w))| with q the dual exponent of p."""
+def duality_residual(p: float, w, w_tilde) -> float | np.ndarray:
+    """|D_p(w, wt) - D_q(grad_p(wt), grad_p(w))| with q the dual exponent of p,
+    for two points or row-wise for stacks."""
     p = float(p)
     if not (1.0 < p <= 2.0):
         raise ValueError(f"duality check requires p in (1, 2], got {p}")
-    w, w_tilde = as_vector(w), as_vector(w_tilde)
+    w, w_tilde = as_points(w), as_points(w_tilde)
     primal = pnorm_bregman(w, w_tilde, p)
     q = dual_exponent(p)
     dual = pnorm_bregman(pnorm_gradient(w_tilde, p), pnorm_gradient(w, p), q)
@@ -260,8 +263,7 @@ def cocoercivity_margin(
         raise ValueError("L must be positive")
     w, w_tilde = as_vector(w), as_vector(w_tilde)
     dg = model.gradient(w, z.x, z.y) - model.gradient(w_tilde, z.x, z.y)
-    dual_sq = float((np.abs(dg) ** dual_norm.p).sum() ** (2.0 / dual_norm.p))
-    return float((w - w_tilde) @ dg) - dual_sq / L
+    return float((w - w_tilde) @ dg) - p_norm(dg, dual_norm.p) ** 2 / L
 
 
 # -- verdicts -----------------------------------------------------------------------

@@ -3,10 +3,11 @@ deterministic Monte Carlo estimator of expected Bregman-distance curves.
 
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
-``n_runs`` reproduces the existing runs exactly.  Runs step in blocks of a
-fixed size, set by a byte budget for the block's draw buffer: a block
-advances as one ``(B, d)`` array, one run per row, and a row's values do not
-depend on which other runs share its block.  Worker processes only share out
+``n_runs`` reproduces the existing runs exactly.  Runs step in even blocks,
+as few as a byte budget for each block's draw buffer allows: a block
+advances as one ``(B, d)`` stack, one run per row, through the same map and
+loss kernels a single point takes, and a row's values do not depend on
+which other runs share its block.  Worker processes only share out
 whole blocks, so the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
@@ -24,11 +25,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
 
-from .geometry import as_vector
+from .geometry import as_vector, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
 from .sources import SampleSource, draw_arrays
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Byte budget for one block's (T - 1, B, d) feature draws: 64 runs at T = 2048, d = 4.
+# Byte budget for one block's (T - 1, B, d) feature draws: at most 64 runs at T = 2048, d = 4.
 BLOCK_BYTES = 4 << 20
 
 
@@ -150,19 +152,21 @@ StepSchedule = ConstantStep | PolynomialDecay | TheoremRate
 
 # -- single steps ---------------------------------------------------------------
 
-def omd_step(mirror: MirrorMap, model: LossModel, w, x, y: float, eta: float) -> np.ndarray:
-    """One dual-space step: grad_inv(grad(w) - eta * grad f(w, z))."""
-    if not eta > 0.0:
+def omd_step(mirror: MirrorMap, model: LossModel, w, x, y, eta) -> np.ndarray:
+    """One dual-space step grad_inv(grad(w) - eta * grad f(w, z)) from a point
+    or row-wise on a stack: iterates w, samples (x, y) and steps eta broadcast
+    along their leading axes."""
+    if not np.all(np.asarray(eta) > 0.0):
         raise ValueError("step size must be positive")
     w = np.asarray(w, dtype=np.float64)
     return mirror.grad_inv(mirror.grad(w) - eta * model.gradient(w, x, y))
 
 
-def kaczmarz_step(w, x, y: float, eta: float) -> np.ndarray:
-    """The direct residual update w - eta (<w, x> - y) x."""
+def kaczmarz_step(w, x, y, eta) -> np.ndarray:
+    """The direct residual update w - eta (<w, x> - y) x, from a point or row-wise on a stack."""
     w = np.asarray(w, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    return w - eta * ((float(w @ x) - y) * x)
+    return w - eta * ((row_inner(w, x) - y)[..., None] * x)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -307,8 +311,15 @@ def default_workers() -> int:
 
 
 def _block_runs(T: int, d: int) -> int:
-    """Runs per block: as many as fit one (T - 1, runs, d) draw buffer in BLOCK_BYTES."""
+    """The cap on runs per block: as many as fit one (T - 1, runs, d) draw buffer in BLOCK_BYTES."""
     return max(1, BLOCK_BYTES // (8 * d * max(T - 1, 1)))
+
+
+def _block_sizes(n_runs: int, T: int, d: int) -> list[int]:
+    """The fewest blocks within the cap, their sizes differing by at most one."""
+    n_blocks = -(-n_runs // _block_runs(T, d))
+    size, extra = divmod(n_runs, n_blocks)
+    return [size + 1] * extra + [size] * (n_blocks - extra)
 
 
 def _run_block(
@@ -342,29 +353,28 @@ def _run_block(
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
     live = None  # indices of the rows still stepping, once some row has diverged
-    gradients = model.gradients
-    grad_inv_rows = mirror.grad_inv_rows
+    gradient = model.gradient
+    grad_inv = mirror.grad_inv
     ci = 0
     # Overflow is handled, not warned about: the guard freezes a row whose
     # iterate overflows, and monte_carlo_curve refuses a non-finite curve.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if ci < len(cps) and cps[ci] == t:
-                # At t = 1 every row still sits at w1.
-                values[:, ci] = mirror.bregman(w_star, w1) if t == 1 else mirror.bregman_rows(w_star, W)
+                values[:, ci] = mirror.bregman(w_star, W)
                 ci += 1
             if t == T:
                 break
             if live is None:
-                dual = dual - etas[t - 1] * gradients(W, X[t - 1], Y[t - 1])
-                W = grad_inv_rows(dual)
+                dual = dual - etas[t - 1] * gradient(W, X[t - 1], Y[t - 1])
+                W = grad_inv(dual)
                 if np.abs(W).max() <= DIVERGENCE_LIMIT:  # False on NaN as well
                     continue
                 bad = ~(np.abs(W).max(axis=1) <= DIVERGENCE_LIMIT)
                 live = np.arange(B)
             elif live.size:
-                dual[live] = dual[live] - etas[t - 1] * gradients(W[live], X[t - 1, live], Y[t - 1, live])
-                W[live] = grad_inv_rows(dual[live])
+                dual[live] = dual[live] - etas[t - 1] * gradient(W[live], X[t - 1, live], Y[t - 1, live])
+                W[live] = grad_inv(dual[live])
                 bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
             else:
                 continue  # every row has diverged
@@ -390,9 +400,9 @@ def monte_carlo_curve(
 ) -> MonteCarloResult:
     """Aggregate n_runs independent trajectories; run i is seeded base_seed + i.
 
-    Runs step in blocks whose size depends only on T and the dimension;
-    ``workers`` processes share out the blocks.  Aggregation is a fold in
-    run-index order, so the result is independent of the worker count.
+    Runs step in blocks whose sizes depend only on n_runs, T and the
+    dimension; ``workers`` processes share out the blocks.  Aggregation is a
+    fold in run-index order, so the result is independent of the worker count.
     """
     n_runs = int(n_runs)
     if n_runs < 2:
@@ -400,9 +410,8 @@ def monte_carlo_curve(
     T = int(T)
     cps = _checked_checkpoints(checkpoints, T)
     workers = default_workers() if workers is None else max(1, int(workers))
-    per_block = _block_runs(T, as_vector(w1).shape[0])
-    blocks = [range(base_seed + lo, base_seed + min(lo + per_block, n_runs))
-              for lo in range(0, n_runs, per_block)]
+    bounds = [0, *accumulate(_block_sizes(n_runs, T, as_vector(w1).shape[0]))]
+    blocks = [range(base_seed + lo, base_seed + hi) for lo, hi in zip(bounds, bounds[1:])]
     block = partial(_run_block, mirror, model, source, schedule, w1, T, cps, w_star)
     if workers == 1:
         results = list(map(block, blocks))

@@ -1,4 +1,9 @@
-"""Dense real vectors, inner products, and p-norms with their duals."""
+"""Dense real vectors, inner products, and p-norms with their duals.
+
+``row_inner`` and ``p_norm`` act on the last axis, so each takes a point (a
+1-d vector) or a stack of points, one per row; ``p_norm`` of a point is a
+Python float.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +15,14 @@ __all__ = [
     "EUCLIDEAN",
     "NormSpec",
     "as_vector",
+    "as_points",
+    "as_result",
     "check_exponent",
     "dual_exponent",
     "inner",
     "row_inner",
     "p_norm",
+    "unchecked_p_norm",
 ]
 
 
@@ -26,6 +34,19 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("vector entries must be finite")
     return w
+
+
+def as_points(x) -> np.ndarray:
+    """Coerce ``x`` to a float64 point or stack of points of dimension >= 1; entries may be non-finite."""
+    w = np.asarray(x, dtype=np.float64)
+    if w.ndim < 1 or w.shape[-1] < 1:
+        raise ValueError(f"expected a point or a stack of points of dimension >= 1, got shape {w.shape}")
+    return w
+
+
+def as_result(x):
+    """A per-point result: a Python float for one point, the array for a stack."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def check_exponent(p: float) -> float:
@@ -46,7 +67,8 @@ def inner(w, v) -> float:
 
 
 def row_inner(W, V) -> np.ndarray:
-    """<w_i, v_i> for each row pair of two (n, d) arrays; a 1-d argument pairs with every row.
+    """<w_i, v_i> along the last axis, broadcast over the leading ones, so a
+    point pairs with every row of a stack.
 
     Each entry is a 1-d product, so it equals ``float(w_i @ v_i)`` bit for bit.
     """
@@ -55,11 +77,21 @@ def row_inner(W, V) -> np.ndarray:
     return (W[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 
-def p_norm(w, p: float) -> float:
-    """(sum_j |w(j)|^p)^(1/p) for 1 < p < inf."""
-    w = as_vector(w)
-    p = check_exponent(p)
-    return float(np.linalg.norm(w, ord=p))
+def p_norm(w, p: float):
+    """(sum_j |w(j)|^p)^(1/p) for 1 < p < inf, of a finite point or of each row of a stack."""
+    w = as_points(w)
+    if not np.isfinite(w).all():
+        raise ValueError("vector entries must be finite")
+    return as_result(unchecked_p_norm(w, check_exponent(p)))
+
+
+def unchecked_p_norm(w: np.ndarray, p: float):
+    """p_norm without the checks, so non-finite entries pass through.
+
+    A point keeps numpy's whole-vector path (a dot product at p = 2), whose
+    digits differ from the per-row reduction a stack takes.
+    """
+    return np.linalg.norm(w, ord=p, axis=-1 if w.ndim > 1 else None)
 
 
 def dual_exponent(p: float) -> float:

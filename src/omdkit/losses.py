@@ -4,7 +4,8 @@ regularized per-sample objective f(w, z) = phi(<w, x>, y) + lam ||w||_2^2.
 Derivative Lipschitz constants for the margin losses assume labels in
 [-1, 1]; sample sources enforce that range for classification data.  All
 value/derivative formulas accept scalars or numpy arrays in the first
-argument.
+argument, and ``LossModel.gradient`` takes a point or a stack of points and
+samples.
 """
 
 from __future__ import annotations
@@ -148,30 +149,19 @@ class LossModel:
             val += self.lam * float(w @ w)
         return val
 
-    def gradient(self, w, x, y: float) -> np.ndarray:
-        """phi'(<w, x>, y) x + 2 lam w."""
+    def gradient(self, w, x, y) -> np.ndarray:
+        """phi'(<w, x>, y) x + 2 lam w at a point or row-wise on a stack: w and
+        the samples x broadcast along their leading axes, so one point w is
+        shared by every row of a stack x."""
         w = np.asarray(w, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        if w.shape != x.shape:
+        if x.ndim < 1 or w.shape[-1:] != x.shape[-1:]:
             raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-        a = float(x @ w)
-        g = float(self.loss.derivative(a, y)) * x
+        a = row_inner(w, x)
+        g = np.asarray(self.loss.derivative(a, y), dtype=np.float64)[..., None] * x
         if self.lam:
             g = g + (2.0 * self.lam) * w
         return g
-
-    def gradients(self, W, X, y) -> np.ndarray:
-        """Row-wise phi'(<w_i, x_i>, y_i) x_i + 2 lam w_i for (n, d) arrays W, X
-        and labels y; a single vector W is shared by every row of X."""
-        W = np.asarray(W, dtype=np.float64)
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or W.shape[-1] != X.shape[1]:
-            raise ValueError(f"dimension mismatch: {W.shape} vs {X.shape}")
-        a = row_inner(W, X)
-        G = np.asarray(self.loss.derivative(a, y), dtype=np.float64)[:, None] * X
-        if self.lam:
-            G = G + (2.0 * self.lam) * W
-        return G
 
     def smoothness_bound(self, radius: float) -> float:
         """2 (l_phi R^2 + lam) for sup ||x||_* <= R; valid for every sample."""

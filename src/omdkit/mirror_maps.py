@@ -7,16 +7,26 @@ p-norm for the p-norm potential, the Euclidean norm otherwise), and exposes
 the strong-convexity / strong-smoothness moduli it attains with respect to
 that norm.  Gradients and inverse gradients are exact closed forms; the
 inverse of the p-norm gradient is the gradient of the dual-exponent
-potential.  Every map also evaluates its potential, gradient, inverse
-gradient and Bregman distance row-wise on a ``(B, d)`` array of points, one
-point per row, which is what the batched Monte Carlo engine steps.
+potential.  Every formula acts on the last axis, so it takes a point or a
+stack of points, one per row (what the batched Monte Carlo engine steps);
+the potential and the Bregman distance of a point are Python floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, check_exponent, dual_exponent, p_norm, row_inner
+from .geometry import (
+    EUCLIDEAN,
+    NormSpec,
+    as_points,
+    as_result,
+    check_exponent,
+    dual_exponent,
+    p_norm,
+    row_inner,
+    unchecked_p_norm,
+)
 
 __all__ = [
     "MirrorMap",
@@ -25,7 +35,6 @@ __all__ = [
     "SmoothedL1Map",
     "pnorm_potential",
     "pnorm_gradient",
-    "pnorm_gradient_rows",
     "pnorm_bregman",
     "tau",
     "omega_p",
@@ -34,49 +43,49 @@ __all__ = [
 ]
 
 
+def _bregman(value, grad, target, base):
+    """value(target) - value(base) - <target - base, grad(base)>; either argument may be a stack."""
+    t, b = as_points(target), as_points(base)
+    if t.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {t.shape[-1]} vs {b.shape[-1]}")
+    return as_result(value(t) - value(b) - row_inner(t - b, grad(b)))
+
+
 # -- squared-p-norm helpers (valid for any exponent q in (1, inf)) -----------
 
-def pnorm_potential(w, q: float) -> float:
+def pnorm_potential(w, q: float):
     """(1/2) ||w||_q^2."""
-    return 0.5 * p_norm(w, q) ** 2
+    return as_result(0.5 * unchecked_p_norm(np.asarray(w, dtype=np.float64), check_exponent(q)) ** 2)
 
 
 def pnorm_gradient(w, q: float) -> np.ndarray:
     """Gradient ||w||_q^{2-q} (sgn(w_j) |w_j|^{q-1})_j, with value 0 at w = 0."""
     q = check_exponent(q)
     w = np.asarray(w, dtype=np.float64)
-    n = float(np.linalg.norm(w, ord=q))
-    if n == 0.0:
-        # 0^{2-q} * 0 form; the limit along every ray is 0.
-        return np.zeros_like(w)
-    return n ** (2.0 - q) * np.sign(w) * np.abs(w) ** (q - 1.0)
+    n = unchecked_p_norm(w, q)
+    # A zero row has sign 0 in every coordinate, so any finite scale keeps it
+    # at 0, the limit along every ray.  n + (n == 0) puts in 1 for a zero norm
+    # and, unlike np.where, keeps a point's norm a numpy scalar, whose power
+    # is libm's; an array's power may differ from it in the last digit.
+    scale = (n + (n == 0.0)) ** (2.0 - q)
+    return scale[..., None] * np.sign(w) * np.abs(w) ** (q - 1.0)
 
 
-def pnorm_gradient_rows(W, q: float) -> np.ndarray:
-    """pnorm_gradient of every row of a (B, d) array; a zero row maps to 0."""
-    q = check_exponent(q)
-    W = np.asarray(W, dtype=np.float64)
-    n = np.linalg.norm(W, ord=q, axis=1)
-    # A zero row has sign 0 in every coordinate; any finite scale keeps it at 0.
-    scale = np.where(n > 0.0, n, 1.0) ** (2.0 - q)
-    return scale[:, None] * np.sign(W) * np.abs(W) ** (q - 1.0)
-
-
-def pnorm_bregman(target, base, q: float) -> float:
-    t, b = as_vector(target), as_vector(base)
-    if t.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {t.shape[0]} vs {b.shape[0]}")
-    return pnorm_potential(t, q) - pnorm_potential(b, q) - float((t - b) @ pnorm_gradient(b, q))
+def pnorm_bregman(target, base, q: float):
+    return _bregman(lambda w: pnorm_potential(w, q), lambda w: pnorm_gradient(w, q), target, base)
 
 
 # -- mirror maps --------------------------------------------------------------
 
 class MirrorMap:
-    """A strongly convex potential with gradient, inverse gradient, and moduli."""
+    """A strongly convex potential with gradient, inverse gradient, and moduli.
+
+    ``value``, ``grad``, ``grad_inv`` and ``bregman`` take a point or a stack.
+    """
 
     norm: NormSpec = EUCLIDEAN
 
-    def value(self, w) -> float:
+    def value(self, w):
         raise NotImplementedError
 
     def grad(self, w) -> np.ndarray:
@@ -93,32 +102,9 @@ class MirrorMap:
         """Modulus L with D(t, b) <= (L/2) ||t - b||^2, or None if no such L exists."""
         raise NotImplementedError
 
-    def bregman(self, target, base) -> float:
+    def bregman(self, target, base):
         """D(target, base) = value(target) - value(base) - <target - base, grad(base)>."""
-        t, b = as_vector(target), as_vector(base)
-        if t.shape != b.shape:
-            raise ValueError(f"dimension mismatch: {t.shape[0]} vs {b.shape[0]}")
-        return self.value(t) - self.value(b) - float((t - b) @ self.grad(b))
-
-    def value_rows(self, W) -> np.ndarray:
-        """value of every row of a (B, d) array."""
-        raise NotImplementedError
-
-    def grad_rows(self, W) -> np.ndarray:
-        """grad of every row of a (B, d) array."""
-        raise NotImplementedError
-
-    def grad_inv_rows(self, V) -> np.ndarray:
-        """grad_inv of every row of a (B, d) array."""
-        raise NotImplementedError
-
-    def bregman_rows(self, target, W) -> np.ndarray:
-        """D(target, w_i) for every row w_i of a (B, d) array, by the same formula as bregman."""
-        t = as_vector(target)
-        W = np.asarray(W, dtype=np.float64)
-        if W.ndim != 2 or W.shape[1] != t.shape[0]:
-            raise ValueError(f"expected rows of dimension {t.shape[0]}, got shape {W.shape}")
-        return self.value(t) - self.value_rows(W) - row_inner(t - W, self.grad_rows(W))
+        return _bregman(self.value, self.grad, target, base)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -129,21 +115,14 @@ class EuclideanMap(MirrorMap):
 
     norm = EUCLIDEAN
 
-    def value(self, w) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        return 0.5 * float(w @ w)
+    def value(self, w):
+        return as_result(0.5 * row_inner(w, w))
 
     def grad(self, w) -> np.ndarray:
         return np.asarray(w, dtype=np.float64)
 
     def grad_inv(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64)
-
-    def value_rows(self, W) -> np.ndarray:
-        return 0.5 * row_inner(W, W)
-
-    grad_rows = grad
-    grad_inv_rows = grad_inv
 
     def strong_convexity(self) -> float:
         return 1.0
@@ -168,7 +147,7 @@ class PNormMap(MirrorMap):
         self.dual_p = dual_exponent(p)
         self.norm = NormSpec(p)
 
-    def value(self, w) -> float:
+    def value(self, w):
         return pnorm_potential(w, self.p)
 
     def grad(self, w) -> np.ndarray:
@@ -176,15 +155,6 @@ class PNormMap(MirrorMap):
 
     def grad_inv(self, v) -> np.ndarray:
         return pnorm_gradient(v, self.dual_p)
-
-    def value_rows(self, W) -> np.ndarray:
-        return 0.5 * np.linalg.norm(np.asarray(W, dtype=np.float64), ord=self.p, axis=1) ** 2
-
-    def grad_rows(self, W) -> np.ndarray:
-        return pnorm_gradient_rows(W, self.p)
-
-    def grad_inv_rows(self, V) -> np.ndarray:
-        return pnorm_gradient_rows(V, self.dual_p)
 
     def strong_convexity(self) -> float:
         return self.p - 1.0
@@ -215,11 +185,11 @@ class SmoothedL1Map(MirrorMap):
         self.epsilon = float(epsilon)
         self.lam = float(lam)
 
-    def value(self, w) -> float:
+    def value(self, w):
         w = np.asarray(w, dtype=np.float64)
         a = np.abs(w)
         hub = np.where(a <= self.epsilon, w * w / (2.0 * self.epsilon), a - 0.5 * self.epsilon)
-        return self.lam * float(hub.sum()) + 0.5 * float(w @ w)
+        return as_result(self.lam * hub.sum(axis=-1) + 0.5 * row_inner(w, w))
 
     def grad(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
@@ -234,16 +204,6 @@ class SmoothedL1Map(MirrorMap):
             v * (self.epsilon / thr),
             v - self.lam * np.sign(v),
         )
-
-    def value_rows(self, W) -> np.ndarray:
-        W = np.asarray(W, dtype=np.float64)
-        a = np.abs(W)
-        hub = np.where(a <= self.epsilon, W * W / (2.0 * self.epsilon), a - 0.5 * self.epsilon)
-        return self.lam * hub.sum(axis=1) + 0.5 * row_inner(W, W)
-
-    # grad and grad_inv act coordinate-wise, so they apply to rows unchanged.
-    grad_rows = grad
-    grad_inv_rows = grad_inv
 
     def strong_convexity(self) -> float:
         return 1.0

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtr, chdtrc
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector
+from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -91,8 +91,7 @@ class DiscreteFiniteSource:
         return self.X.shape[0]
 
     def radius(self, dual_norm: NormSpec = EUCLIDEAN) -> float:
-        q = dual_norm.p
-        return float((np.abs(self.X) ** q).sum(axis=1).max() ** (1.0 / q))
+        return float(p_norm(self.X, dual_norm.p).max())
 
     def covariance(self) -> np.ndarray:
         return (self.probs[:, None] * self.X).T @ self.X
@@ -129,7 +128,7 @@ class GaussianLinearSource:
         # E[min(Q, rho^2)] = d F_{d+2}(rho^2) + rho^2 (1 - F_d(rho^2)), Q ~ chi2_d.
         d = self.d
         rho2 = (self._radius / self.feature_scale) ** 2
-        second_moment = d * chi2.cdf(rho2, d + 2) + rho2 * chi2.sf(rho2, d)
+        second_moment = d * chdtr(d + 2, rho2) + rho2 * chdtrc(d, rho2)
         coef = self.feature_scale ** 2 * second_moment / d
         return coef * np.eye(d)
 
@@ -277,16 +276,13 @@ def mean_gradient_norm(
 ) -> Estimate:
     """E ||grad f(w, Z)||_* — exact on discrete supports, Monte Carlo otherwise."""
     w = as_vector(w)
-    q = dual_norm.p
     if isinstance(source, DiscreteFiniteSource):
-        G = model.gradients(w, source.X, source.y)
-        norms = (np.abs(G) ** q).sum(axis=1) ** (1.0 / q)
+        norms = p_norm(model.gradient(w, source.X, source.y), dual_norm.p)
         return Estimate(float(source.probs @ norms), 0.0)
     if mc_samples is None or rng is None:
         raise ValueError("continuous sources need mc_samples and an rng")
     X, y = draw_arrays(source, rng, mc_samples)
-    G = model.gradients(w, X, y)
-    norms = (np.abs(G) ** q).sum(axis=1) ** (1.0 / q)
+    norms = p_norm(model.gradient(w, X, y), dual_norm.p)
     return Estimate(float(norms.mean()), float(norms.std(ddof=1) / np.sqrt(mc_samples)))
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import omdkit
 from omdkit.cli import main, omega_table
 from omdkit.config import (
     ConfigError,
@@ -294,3 +300,13 @@ def test_omega_matches_function_on_grid():
     for line in table.strip().splitlines()[1:]:
         u_txt, val_txt = line.split(",")
         assert float(val_txt) == omega_p(1.5, float(u_txt))
+
+
+SRC = str(Path(omdkit.__file__).resolve().parents[1])
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    code = "import omdkit, sys; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

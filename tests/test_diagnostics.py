@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omdkit.config import ExperimentConfig, build_experiment, with_overrides
+from omdkit import config
+from omdkit.config import ConfigError, ExperimentConfig, build_experiment, with_overrides
 from omdkit.diagnostics import (
     THEOREMS,
     ExperimentResult,
@@ -34,7 +35,13 @@ from omdkit.engine import (
 )
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid
 from omdkit.mirror_maps import EuclideanMap, PNormMap, SmoothedL1Map
-from omdkit.sources import DiscreteFiniteSource, Sample, minimizer, orthonormal_atom_source
+from omdkit.sources import (
+    DiscreteFiniteSource,
+    GaussianLinearSource,
+    Sample,
+    minimizer,
+    orthonormal_atom_source,
+)
 
 
 def curve_from(checkpoints, means, std_errs=None, run_count=100):
@@ -401,8 +408,26 @@ def test_readme_names_exactly_the_registered_tags():
     assert sorted(re.findall(r"`(Thm[^`]*)`", paragraph)) == sorted(THEOREMS)
 
 
-@pytest.mark.parametrize("cls", [ConstantStep, PolynomialDecay, TheoremRate])
-def test_schedule_kind_is_its_config_value(cls):
-    assert "kind" not in {f.name for f in dataclasses.fields(cls)}
-    exp = build_experiment(with_overrides(ExperimentConfig(), schedule=cls.kind))
-    assert type(exp.schedule) is cls
+CONFIG_KINDS = [("schedule", cls.kind, cls) for cls in (ConstantStep, PolynomialDecay, TheoremRate)] + [
+    ("map", "euclidean", EuclideanMap),
+    ("map", "pnorm", PNormMap),
+    ("map", "smoothed_l1", SmoothedL1Map),
+    ("source", "orthonormal", DiscreteFiniteSource),
+    ("source", "gaussian_linear", GaussianLinearSource),
+]
+
+
+@pytest.mark.parametrize("key,kind,cls", CONFIG_KINDS, ids=[cls.__name__ for _, _, cls in CONFIG_KINDS])
+def test_schedule_kind_is_its_config_value(key, kind, cls):
+    if key == "schedule":
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+    exp = build_experiment(with_overrides(ExperimentConfig(), **{key: kind}))
+    assert type(getattr(exp, "mirror" if key == "map" else key)) is cls
+
+
+@pytest.mark.parametrize("key", ["map", "source", "schedule"])
+def test_config_kinds_are_their_tables(key):
+    table = {"map": config._MAPS, "source": config._SOURCES, "schedule": config._SCHEDULES}[key]
+    assert {kind for k, kind, _ in CONFIG_KINDS if k == key} == set(table)
+    with pytest.raises(ConfigError, match=f"unknown {key} kind 'nope'"):
+        with_overrides(ExperimentConfig(), **{key: "nope"})

@@ -220,9 +220,18 @@ def three_run_blocks(monkeypatch, T, d):
 BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
+def test_block_sizes_are_even_within_the_cap(monkeypatch):
+    # 100 runs at T = 2048, d = 3: the 4 MiB cap is 85 runs, so two blocks of 50.
+    assert engine._block_runs(2048, 3) == 85
+    assert engine._block_sizes(100, 2048, 3) == [50, 50]
+    three_run_blocks(monkeypatch, 32, 4)
+    assert engine._block_sizes(8, 32, 4) == [3, 3, 2]
+    assert engine._block_sizes(9, 32, 4) == [3, 3, 3]
+
+
 @pytest.mark.parametrize("mirror", BLOCK_MAPS, ids=repr)
 def test_extending_runs_reproduces_prefix(mirror, monkeypatch):
-    three_run_blocks(monkeypatch, 64, 4)  # run 9 is alone in its block at 10 runs, not at 20
+    three_run_blocks(monkeypatch, 64, 4)  # blocks of 3, 3, 2, 2 at 10 runs; of 3 and 2 at 20
     src = eight_atom_source(label_noise=0.5)
     w_star = minimizer(src, LS)
     common = (mirror, LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 64,
@@ -246,9 +255,9 @@ def test_worker_pool_matches_serial(mirror, monkeypatch):
 
 
 class _RaisingMap(EuclideanMap):
-    """A map whose batched inverse gradient raises inside the process that steps the block."""
+    """A map whose inverse gradient raises inside the process that steps the block."""
 
-    def grad_inv_rows(self, V):
+    def grad_inv(self, V):
         raise RuntimeError("grad_inv failed")
 
 

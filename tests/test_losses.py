@@ -146,12 +146,12 @@ def test_row_gradients_match_per_sample_gradient(loss):
     X = rng.standard_normal((6, 3))
     y = rng.uniform(-1.0, 1.0, 6)
     expected = np.array([model.gradient(w, x, float(yi)) for w, x, yi in zip(W, X, y)])
-    np.testing.assert_allclose(model.gradients(W, X, y), expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.gradient(W, X, y), expected, rtol=1e-12, atol=0.0)
     # one vector shared by every row
     shared = np.array([model.gradient(W[0], x, float(yi)) for x, yi in zip(X, y)])
-    np.testing.assert_allclose(model.gradients(W[0], X, y), shared, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.gradient(W[0], X, y), shared, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError):
-        model.gradients(W[:, :2], X, y)
+        model.gradient(W[:, :2], X, y)
 
 
 def test_gradient_matches_finite_difference_of_f_value():

@@ -172,7 +172,7 @@ def test_bregman_sum_identity(mirror):
         assert abs(lhs - rhs) < 1e-10
 
 
-# -- row-wise forms ----------------------------------------------------------------
+# -- stacked forms -----------------------------------------------------------------
 
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
 def test_row_forms_match_scalar_forms(mirror):
@@ -180,18 +180,16 @@ def test_row_forms_match_scalar_forms(mirror):
     W = rng.standard_normal((7, 3)) * np.array([[1e-3], [0.1], [1.0], [3.0], [10.0], [1.0], [1.0]])
     W[5] = 0.0  # a zero row maps to 0 under both gradients
     target = rng.standard_normal(3)
-    for rows, scalar in [(mirror.value_rows, mirror.value), (mirror.grad_rows, mirror.grad),
-                         (mirror.grad_inv_rows, mirror.grad_inv),
-                         (lambda A: mirror.bregman_rows(target, A), lambda w: mirror.bregman(target, w))]:
-        expected = np.array([scalar(w) for w in W])
-        np.testing.assert_allclose(rows(W), expected, rtol=1e-12, atol=0.0)
-    np.testing.assert_array_equal(mirror.grad_rows(W)[5], np.zeros(3))
-    np.testing.assert_array_equal(mirror.grad_inv_rows(W)[5], np.zeros(3))
+    for form in [mirror.value, mirror.grad, mirror.grad_inv, lambda A: mirror.bregman(target, A)]:
+        expected = np.array([form(w) for w in W])
+        np.testing.assert_allclose(form(W), expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(mirror.grad(W)[5], np.zeros(3))
+    np.testing.assert_array_equal(mirror.grad_inv(W)[5], np.zeros(3))
 
 
 def test_bregman_rows_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        EuclideanMap().bregman_rows(np.zeros(3), np.zeros((2, 4)))
+        EuclideanMap().bregman(np.zeros(3), np.zeros((2, 4)))
 
 
 # -- moduli ----------------------------------------------------------------------

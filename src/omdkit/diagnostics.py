@@ -254,16 +254,20 @@ def cocoercivity_margin(
     w_tilde,
     L: float,
     dual_norm: NormSpec = EUCLIDEAN,
-) -> float:
+) -> float | np.ndarray:
     """<w - wt, grad f(w,z) - grad f(wt,z)> - ||grad diff||_*^2 / L (>= 0 for
-    convex losses that are L-strongly smooth)."""
+    convex losses that are L-strongly smooth).
+
+    Takes one sample and two points, or acts row-wise on stacks: ``z.x`` a
+    stack of features, ``z.y`` their labels, and w, wt points or stacks.
+    """
     if not model.loss.convex:
         raise ValueError(f"co-coercivity needs a convex loss, got {model.loss!r}")
     if not L > 0.0:
         raise ValueError("L must be positive")
-    w, w_tilde = as_vector(w), as_vector(w_tilde)
+    w, w_tilde = as_points(w), as_points(w_tilde)
     dg = model.gradient(w, z.x, z.y) - model.gradient(w_tilde, z.x, z.y)
-    return float((w - w_tilde) @ dg) - p_norm(dg, dual_norm.p) ** 2 / L
+    return as_result(row_inner(w - w_tilde, dg) - p_norm(dg, dual_norm.p) ** 2 / L)
 
 
 # -- verdicts -----------------------------------------------------------------------

@@ -5,7 +5,8 @@ Derivative Lipschitz constants for the margin losses assume labels in
 [-1, 1]; sample sources enforce that range for classification data.  All
 value/derivative formulas accept scalars or numpy arrays in the first
 argument, and ``LossModel.gradient`` takes a point or a stack of points and
-samples.
+samples.  The logistic and sigmoid losses use ``_expit``, scipy's formula
+for the logistic function in numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .geometry import row_inner
 
@@ -27,6 +27,16 @@ __all__ = [
     "LossModel",
     "LOSSES",
 ]
+
+
+def _expit(x):
+    """The logistic function 1 / (1 + exp(-x)), scipy's formula for ``expit``.
+
+    exp(-x) overflows to inf for x below about -709, which gives the exact
+    limit 0, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class Loss:
@@ -66,7 +76,7 @@ class Logistic(Loss):
         return np.logaddexp(0.0, -a * y)
 
     def derivative(self, a, y):
-        return -y * expit(-a * y)
+        return -y * _expit(-a * y)
 
     def lipschitz(self) -> float:
         return 0.25
@@ -82,10 +92,10 @@ class Sigmoid(Loss):
     CURVATURE = 0.09622504486493762
 
     def value(self, a, y):
-        return expit(-a * y)
+        return _expit(-a * y)
 
     def derivative(self, a, y):
-        s = expit(-a * y)
+        s = _expit(-a * y)
         return -y * s * (1.0 - s)
 
     def lipschitz(self) -> float:

@@ -9,7 +9,9 @@ that norm.  Gradients and inverse gradients are exact closed forms; the
 inverse of the p-norm gradient is the gradient of the dual-exponent
 potential.  Every formula acts on the last axis, so it takes a point or a
 stack of points, one per row (what the batched Monte Carlo engine steps);
-the potential and the Bregman distance of a point are Python floats.
+the potential and the Bregman distance of a point are Python floats.  The
+Bregman distance is value(t) - value(b) - <t - b, grad(b)>, which cancels
+near t = b; the Euclidean map computes its own as (1/2) ||t - b||^2 instead.
 """
 
 from __future__ import annotations
@@ -43,11 +45,17 @@ __all__ = [
 ]
 
 
-def _bregman(value, grad, target, base):
-    """value(target) - value(base) - <target - base, grad(base)>; either argument may be a stack."""
+def _bregman_pair(target, base):
+    """The two arguments of a Bregman distance as points or stacks of one dimension."""
     t, b = as_points(target), as_points(base)
     if t.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {t.shape[-1]} vs {b.shape[-1]}")
+    return t, b
+
+
+def _bregman(value, grad, target, base):
+    """value(target) - value(base) - <target - base, grad(base)>; either argument may be a stack."""
+    t, b = _bregman_pair(target, base)
     return as_result(value(t) - value(b) - row_inner(t - b, grad(b)))
 
 
@@ -123,6 +131,13 @@ class EuclideanMap(MirrorMap):
 
     def grad_inv(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64)
+
+    def bregman(self, target, base):
+        """(1/2) ||target - base||_2^2, the generic difference without its
+        cancellation, so it is never negative, even next to the optimum."""
+        t, b = _bregman_pair(target, base)
+        diff = t - b
+        return as_result(0.5 * row_inner(diff, diff))
 
     def strong_convexity(self) -> float:
         return 1.0

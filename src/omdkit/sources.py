@@ -5,18 +5,19 @@ Discrete sources are the default for identity checks because every
 population quantity (gradient, minimizer, mean gradient norm) is an exact
 weighted sum.  The Gaussian source clips features to an l2 ball of the
 declared radius, which keeps sup ||x||_q <= radius for every dual exponent
-q >= 2 and leaves the second moments in closed form (chi-square tails), so
-its least-squares population quantities stay exact as well.
+q >= 2 and leaves the second moments in closed form (chi-square tails at
+integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
+``math.erfc``), so its least-squares population quantities stay exact as well.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import chdtr, chdtrc
 
 from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm
 from .losses import LeastSquares, LossModel
@@ -128,7 +129,7 @@ class GaussianLinearSource:
         # E[min(Q, rho^2)] = d F_{d+2}(rho^2) + rho^2 (1 - F_d(rho^2)), Q ~ chi2_d.
         d = self.d
         rho2 = (self._radius / self.feature_scale) ** 2
-        second_moment = d * chdtr(d + 2, rho2) + rho2 * chdtrc(d, rho2)
+        second_moment = d * _chi2_tails(d + 2, rho2)[0] + rho2 * _chi2_tails(d, rho2)[1]
         coef = self.feature_scale ** 2 * second_moment / d
         return coef * np.eye(d)
 
@@ -137,6 +138,43 @@ class GaussianLinearSource:
 
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource
+
+
+def _chi2_tails(k: int, x: float) -> tuple[float, float]:
+    """(F_k(x), 1 - F_k(x)) of the chi-square law with k >= 1 degrees of freedom at x >= 0.
+
+    With h = x/2, a = k/2 and t_i = e^{-h} h^i / Gamma(i + 1) for i = 1/2, 3/2,
+    ... (odd k) or i = 0, 1, ... (even k), the tails are
+    Q = [erfc(sqrt(h)) for odd k] + sum_{i < a} t_i and P = sum_{i >= a} t_i.
+    Below the mean (x < k) P comes from its series, since 1 - Q would cancel
+    there, and above it Q from its finite sum.  Both walk away from t_a, one
+    product per term, so each tail is good to a few ulps, plus about h ulps
+    from rounding sqrt(h) in erfc.  t_a is a chain of products from e^{-h}
+    while that is a normal float; past h = 700 it comes from logarithms and
+    is good to about h + a log(h) ulps.
+    """
+    h, a = 0.5 * x, 0.5 * k
+    odd = k % 2 == 1
+    if h < 700.0:
+        i, t = (0.5, 2.0 * math.exp(-h) * math.sqrt(h / math.pi)) if odd else (0.0, math.exp(-h))
+        while i < a:
+            i += 1.0
+            t *= h / i
+    else:
+        t = math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+    if x < k:
+        p, i = 0.0, a
+        while p + t != p:
+            p += t
+            i += 1.0
+            t *= h / i
+        return p, 1.0 - p
+    q, i = (math.erfc(math.sqrt(h)) if odd else 0.0), a
+    while i > 0.75:
+        t *= i / h
+        i -= 1.0
+        q += t
+    return 1.0 - q, q
 
 
 def orthonormal_atom_source(

@@ -184,10 +184,12 @@ def test_unknown_theorem_tag_is_a_schema_error(tmp_path, capsys):
 
 
 def test_run_verdict_at_precision_floor_exits_0(tmp_path, capsys):
-    # Zero variance and a constant step drive the mean curve to the float64 floor
-    # well before T = 2048, where the linear-rate fit cannot take logarithms.
+    # A zero-variance run started at w* never moves (w* is dyadic here, so the
+    # solve for it is exact), so its mean curve is 0.0 at every checkpoint,
+    # where the linear-rate fit cannot take logarithms.
     conf = tmp_path / "floor.conf"
-    conf.write_text(small_config_text(T=2048, n_runs=10))
+    conf.write_text(small_config_text(T=2048, n_runs=10, source_w_star=(0.5, -0.25, 0.125, 0.25),
+                                      w1="0.5 -0.25 0.125 0.25"))
     assert main(["run", str(conf), "--workers", "1"]) == 0
     assert "Thm3-linear-rate: Inconclusive" in capsys.readouterr().out
     report = conf.with_suffix(".report.txt").read_text()
@@ -310,3 +312,32 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
+    # The Gaussian source takes the chi-square covariance path, logistic the expit one.
+    confs = []
+    for name, overrides in [("gauss", dict(source="gaussian_linear")),
+                            ("logit", dict(loss="logistic", reg_lambda=0.1))]:
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(small_config_text(T=32, n_runs=4, theorem_tag="none", **overrides))
+        confs.append(str(conf))
+    code = ("import sys, omdkit, omdkit.cli; from omdkit.verification import run_verification; "
+            "assert all(r.passed for r in run_verification()); "
+            f"assert all(omdkit.cli.main(['run', c, '--workers', '1']) == 0 for c in {confs!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_euclidean_curve_is_nonnegative_down_to_the_floor(tmp_path):
+    # Zero variance and a constant step drive the mean below 1e-30 by T = 2048,
+    # where value(t) - value(b) - <t - b, b> cancels to about -6e-17.
+    conf = tmp_path / "floor.conf"
+    conf.write_text(small_config_text(T=2048, n_runs=10))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
+    means = [float(r.split(",")[1]) for r in rows]
+    assert [int(r.split(",")[0]) for r in rows][-1] == 2048
+    assert min(means) >= 0.0

@@ -306,6 +306,25 @@ def test_cocoercivity_margin_random_sweep():
             assert cocoercivity_margin(model, z, w, v, L) >= -1e-10
 
 
+@pytest.mark.parametrize("model", [LossModel(LeastSquares()), LossModel(Logistic(), lam=0.1), LossModel(Huber())],
+                         ids=lambda m: repr(m.loss))
+def test_cocoercivity_margin_of_a_stack_is_its_rows(model):
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((50, 3))
+    y = rng.uniform(-1.0, 1.0, 50)
+    W, V = rng.standard_normal((2, 50, 3)) * 2.0
+    L = model.sharp_smoothness_bound(float(np.sqrt((X * X).sum(axis=1)).max()))
+    stacked = cocoercivity_margin(model, Sample(X, y), W, V, L)
+    assert stacked.shape == (50,)
+    for i in range(50):
+        assert stacked[i] == cocoercivity_margin(model, Sample(X[i:i + 1], y[i:i + 1]), W[i:i + 1], V[i:i + 1], L)[0]
+        point = cocoercivity_margin(model, Sample(X[i], float(y[i])), W[i], V[i], L)
+        assert isinstance(point, float)
+        # a point's norm takes numpy's whole-vector path, a stack's the per-row one
+        assert stacked[i] == pytest.approx(point, rel=1e-12, abs=1e-12)
+    assert (stacked >= -1e-10).all()
+
+
 def test_cocoercivity_rejects_nonconvex_loss():
     z = Sample(np.array([1.0]), 1.0)
     with pytest.raises(ValueError, match="convex"):

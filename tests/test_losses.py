@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,3 +188,20 @@ def test_smoothness_bound_rejects_negative_radius():
 def test_negative_regularizer_rejected():
     with pytest.raises(ValueError):
         LossModel(LeastSquares(), lam=-0.1)
+
+
+def test_expit_matches_scipy_to_two_ulps_without_warnings():
+    special = pytest.importorskip("scipy.special")
+    from omdkit.losses import _expit
+
+    m = np.geomspace(1e-3, 800.0, 2001)
+    x = np.concatenate([m, -m])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _expit(x)
+        points = np.array([_expit(float(v)) for v in x])
+    # The formula is scipy's; numpy's exp may differ from libm's by one ulp,
+    # which the reciprocal turns into at most two.
+    np.testing.assert_array_max_ulp(stacked, special.expit(x), maxulp=2)
+    np.testing.assert_array_max_ulp(points, special.expit(x), maxulp=2)
+    assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0

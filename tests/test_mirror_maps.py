@@ -123,6 +123,19 @@ def test_bregman_euclidean_is_half_squared_distance():
     assert EuclideanMap().bregman([1.0, 0.0], [0.0, 0.0]) == 0.5
 
 
+def test_bregman_euclidean_keeps_its_digits_next_to_the_target():
+    # At offsets of 1e-9 the terms of value(t) - value(b) - <t - b, b> are ~0.5
+    # and cancel to ~1e-17, far above the ~1e-18 distance, and can go negative.
+    target = np.array([0.8, -0.45, 0.3, 0.25])
+    W = target + 1e-9 * np.random.default_rng(3).standard_normal((200, 4))
+    diff = target - W
+    exact = 0.5 * (diff * diff).sum(axis=1)
+    stacked = EuclideanMap().bregman(target, W)
+    np.testing.assert_allclose(stacked, exact, rtol=1e-15, atol=0.0)
+    assert [EuclideanMap().bregman(target, w) for w in W] == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert (stacked > 0.0).all()
+
+
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
 def test_bregman_to_self_is_zero(mirror):
     w = np.array([0.7, -1.3, 0.4])

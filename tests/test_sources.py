@@ -279,3 +279,41 @@ def test_classification_invariant_under_atom_permutation():
     model = LossModel(LeastSquares())
     w_star = minimizer(base, model)
     assert classify_variance(base, model, w_star) == classify_variance(permuted, model, w_star)
+
+
+# -- chi-square tails against scipy ----------------------------------------------------
+
+def test_chi2_tails_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    from omdkit.sources import _chi2_tails
+
+    xs = np.concatenate([[0.0, 1e-300, 1e-100, 1e-20, 1e-8], np.geomspace(1e-3, 1e3, 121)])
+    for k in range(1, 14):
+        tails = np.array([_chi2_tails(k, float(x)) for x in xs])
+        # Both sides are good to ~1e-13 here: scipy's tail at x = 1e-100 goes
+        # through logarithms, erfc(sqrt(x/2)) at x ~ 1e3 through a rounded sqrt.
+        np.testing.assert_allclose(tails[:, 0], special.chdtr(k, xs), rtol=2e-13, atol=0.0)
+        np.testing.assert_allclose(tails[:, 1], special.chdtrc(k, xs), rtol=2e-13, atol=0.0)
+        assert tails[0].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("k, x", [(1500, 1400.0), (1601, 1500.0), (1600, 1700.0), (3000, 3000.0)])
+def test_chi2_tails_match_scipy_past_the_exp_underflow(k, x):
+    # From h = x/2 = 700 on, e^{-h} nears underflow and t_a comes from logarithms,
+    # good to about h + (k/2) log(h) ulps.
+    special = pytest.importorskip("scipy.special")
+    from omdkit.sources import _chi2_tails
+
+    p, q = _chi2_tails(k, x)
+    assert p == pytest.approx(float(special.chdtr(k, x)), rel=1e-11)
+    assert q == pytest.approx(float(special.chdtrc(k, x)), rel=1e-11)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("radius", [0.1, 1.0, 2.0, 10.0])
+def test_gaussian_covariance_matches_scipy_formula(d, radius):
+    special = pytest.importorskip("scipy.special")
+    src = GaussianLinearSource(np.ones(d), noise_sd=0.1, feature_scale=0.8, radius=radius)
+    rho2 = (radius / 0.8) ** 2
+    second = d * special.chdtr(d + 2, rho2) + rho2 * special.chdtrc(d, rho2)
+    np.testing.assert_allclose(src.covariance(), 0.8 ** 2 * second / d * np.eye(d), rtol=1e-13, atol=0.0)

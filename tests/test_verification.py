@@ -48,3 +48,25 @@ def test_line_format(results):
         assert name == r.name
         assert status in ("pass", "fail")
         float(residual)  # parses back
+
+
+def test_fenchel_polish_closes_the_brute_force_gap():
+    # sup_w <w, v> - ||w||_p^kappa / kappa from a start 0.25 from the maximiser
+    # (0.67, -1.19): the local search must reach the closed form to float64 precision.
+    import numpy as np
+
+    from omdkit.geometry import NormSpec
+    from omdkit.mirror_maps import norm_power_conjugate
+    from omdkit.verification import _local_search
+
+    kappa, p, v = 3.0, 1.5, np.array([1.5, -2.0])
+    formula = norm_power_conjugate(kappa, v, NormSpec(p))
+
+    def objective(w):
+        return w @ v - (np.abs(w) ** p).sum(axis=-1) ** (kappa / p) / kappa
+
+    start = np.array([0.9, -1.1])
+    assert formula - float(objective(start)) > 1e-2
+    best = _local_search(objective, start, np.random.default_rng(0))
+    assert best == pytest.approx(formula, rel=1e-12)
+    assert best <= formula + 1e-9 * formula

@@ -56,6 +56,7 @@ from .diagnostics import (
     duality_residual,
     fit_decay_rate,
     fit_rate,
+    kaczmarz_moments,
     key_identity_residual,
     linear_rate_bracket,
     nonconvergence_floor,

@@ -7,6 +7,7 @@ errors; nothing is written when a config fails to validate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
@@ -148,6 +149,12 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if (f.type == "float" and not math.isfinite(value)) or (
+            f.type == "tuple[float, ...]" and not all(map(math.isfinite, value))
+        ):
+            raise ConfigError(f"{f.name} must be finite, got {_fmt(value)}")
     for key, table in (("map", _MAPS), ("loss", LOSSES), ("source", _SOURCES), ("schedule", _SCHEDULES)):
         if getattr(cfg, key) not in table:
             raise ConfigError(f"unknown {key} kind {getattr(cfg, key)!r}")
@@ -159,12 +166,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("T must be >= 1")
     if cfg.n_runs < 2:
         raise ConfigError("n_runs must be >= 2")
+    # Run i draws from a Philox stream keyed base_seed + i, and keys lie in [0, 2**128).
+    if cfg.base_seed < 0 or cfg.base_seed + cfg.n_runs > 2**128:
+        raise ConfigError("base_seed must be >= 0 with base_seed + n_runs - 1 < 2**128")
     if cfg.kappa <= 0.0:
         raise ConfigError("kappa must be positive")
     if cfg.sigma_f != "auto":
         try:
-            if float(cfg.sigma_f) <= 0.0:
-                raise ConfigError("sigma_f must be positive or 'auto'")
+            if not 0.0 < float(cfg.sigma_f) < math.inf:
+                raise ConfigError("sigma_f must be positive and finite or 'auto'")
         except ValueError:
             raise ConfigError(f"sigma_f must be a float or 'auto', got {cfg.sigma_f!r}") from None
 

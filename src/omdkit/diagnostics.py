@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import EUCLIDEAN, NormSpec, as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
-from .losses import LossModel
+from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
 from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer
 from .engine import (
@@ -34,6 +34,7 @@ from .engine import (
     ResolvedConstants,
     StepSchedule,
     TheoremRate,
+    _checked_checkpoints,
     omd_step,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "linear_rate_bracket",
     "nonconvergence_floor",
     "key_identity_residual",
+    "kaczmarz_moments",
     "duality_residual",
     "nonsmoothness_witness",
     "cocoercivity_margin",
@@ -205,6 +207,51 @@ def key_identity_residual(
     grad_f = source.probs @ model.gradient(W, source.X, source.y)
     rhs = eta * row_inner(w_star - w_t, grad_f) + e_move
     return as_result(abs(e_next - mirror.bregman(w_star, w_t) - rhs))
+
+
+def kaczmarz_moments(
+    source: DiscreteFiniteSource,
+    model: LossModel,
+    schedule: StepSchedule,
+    w1,
+    w_star,
+    T: int,
+    checkpoints,
+) -> np.ndarray:
+    """The exact E[D(w*, w_t)] at each checkpoint of least-squares OMD under
+    the Euclidean map (randomized Kaczmarz) on a discrete source.
+
+    The error e = w - w* takes the affine step e <- M_k e + c_k on atom k, with
+    M_k = (1 - 2 eta lam) I - eta x_k x_k^T, c_k = eta xi_k x_k - 2 eta lam w*
+    and xi_k = y_k - <x_k, w*>.  The mean m and the second moment S = E[e e^T]
+    follow as probability-weighted sums over the atoms, and
+    E[D(w*, w_t)] = (1/2) tr S_t carries no Monte Carlo error.
+    """
+    if not isinstance(source, DiscreteFiniteSource):
+        raise ValueError("the exact moments need a discrete source")
+    if not isinstance(model.loss, LeastSquares):
+        raise ValueError("the exact moments need the least-squares loss")
+    cps = _checked_checkpoints(checkpoints, int(T))
+    w1, w_star = as_vector(w1), as_vector(w_star)
+    X, probs = source.X, source.probs
+    xi = source.y - X @ w_star
+    outer = np.einsum("ki,kj->kij", X, X)
+    m = w1 - w_star
+    S = np.outer(m, m)
+    out = []
+    for t in range(1, cps[-1] + 1):
+        if t > 1:  # the step with eta_{t-1} that makes iterate t
+            eta = float(schedule(t - 1))
+            M = (1.0 - 2.0 * eta * model.lam) * np.eye(X.shape[1]) - eta * outer
+            c = eta * xi[:, None] * X - (2.0 * eta * model.lam) * w_star
+            Mm = M @ m
+            cross = np.einsum("k,ki,kj->ij", probs, Mm, c)
+            S = (np.einsum("k,kij,klj->il", probs, M @ S, M) + cross + cross.T
+                 + np.einsum("k,ki,kj->ij", probs, c, c))
+            m = probs @ (Mm + c)
+        if t in cps:
+            out.append(0.5 * np.trace(S))
+    return np.array(out)
 
 
 def duality_residual(p: float, w, w_tilde) -> float | np.ndarray:

@@ -11,8 +11,9 @@ which other runs share its block.  Worker processes only share out
 whole blocks, so the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
-explicitly excluded.  ``run_trajectory`` steps one run at a time and is the
-scalar reference for the batched engine.
+explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
+block of one row.  The tests check the engine against an exact oracle,
+``diagnostics.kaczmarz_moments``.
 
 The module also resolves the geometry and loss constants that a theorem's
 step-size regime is checked against; the regimes themselves are registered
@@ -26,11 +27,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import as_vector, row_inner
+from .geometry import as_vector, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
 from .sources import SampleSource, draw_arrays
@@ -222,48 +223,24 @@ def run_trajectory(
     w_star,
 ) -> Trajectory:
     """Iterate the dual update for T iterates (T - 1 samples), recording
-    the Bregman distance to w_star and the iterate norm at each checkpoint."""
+    the Bregman distance to w_star and the iterate norm at each checkpoint.
+
+    The run is a block of one row, so it takes exactly the steps that run
+    ``seed`` of a Monte Carlo curve takes."""
     T = int(T)
     if T < 1:
         raise ValueError("horizon must be >= 1")
     cps = _checked_checkpoints(checkpoints, T)
-    w_star = as_vector(w_star)
-    w = as_vector(w1).copy()
-    rng = _rng(seed)
-    if T > 1:
-        X, Y = draw_arrays(source, rng, T - 1)
-        etas = [float(schedule(t)) for t in range(1, T)]
-    bregs = np.empty(len(cps))
-    norms = np.empty(len(cps))
-    norm_p = mirror.norm.p
-    dual = mirror.grad(w)
-    diverged = False
-    diverged_at: int | None = None
-    ci = 0
-    gradient = model.gradient
-    grad_inv = mirror.grad_inv
-    for t in range(1, T + 1):
-        if ci < len(cps) and cps[ci] == t:
-            bregs[ci] = mirror.bregman(w_star, w)
-            norms[ci] = float(np.linalg.norm(w, ord=norm_p))
-            ci += 1
-        if t == T or diverged:
-            continue
-        g = gradient(w, X[t - 1], float(Y[t - 1]))
-        dual = dual - etas[t - 1] * g
-        w = grad_inv(dual)
-        peak = float(np.abs(w).max())
-        if not peak <= DIVERGENCE_LIMIT:  # catches NaN as well
-            diverged = True
-            diverged_at = t + 1
+    block = _run_block(mirror, model, source, schedule, w1, T, cps, w_star, range(seed, seed + 1))
+    diverged_at = int(block.diverged_at[0])
     return Trajectory(
         checkpoints=np.asarray(cps, dtype=np.int64),
-        bregman_to_optimum=bregs,
-        iterate_norm=norms,
+        bregman_to_optimum=block.values[0],
+        iterate_norm=block.norms[0],
         seed=int(seed),
-        final_iterate=w,
-        diverged=diverged,
-        diverged_at=diverged_at,
+        final_iterate=block.last[0],
+        diverged=diverged_at > 0,
+        diverged_at=diverged_at or None,
     )
 
 
@@ -322,6 +299,15 @@ def _block_sizes(n_runs: int, T: int, d: int) -> list[int]:
     return [size + 1] * extra + [size] * (n_blocks - extra)
 
 
+class _Block(NamedTuple):
+    """The runs of one block, one row each."""
+
+    values: np.ndarray  # Bregman distances to w_star at the checkpoints
+    norms: np.ndarray  # iterate norms at the checkpoints
+    last: np.ndarray  # final iterates
+    diverged_at: np.ndarray  # the iterate index that crossed the guard, 0 if none did
+
+
 def _run_block(
     mirror: MirrorMap,
     model: LossModel,
@@ -332,17 +318,19 @@ def _run_block(
     cps: list[int],
     w_star,
     seeds: range,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> _Block:
     """Step the runs seeded ``seeds`` together, one run per row.
 
-    Row r follows ``run_trajectory`` with seed ``seeds[r]``: the same draws,
-    the same update and the same divergence freeze.  Returns the per-run
-    Bregman distances at the checkpoints and the per-run divergence flags.
+    Row r draws its whole sample from its own stream, seeded ``seeds[r]``,
+    and the kernels act on each row alone, so a row's values do not depend
+    on the other rows of its block.  A row whose iterate crosses the
+    divergence guard keeps that iterate and steps no further.
     """
     w1, w_star = as_vector(w1), as_vector(w_star)
     B, d = len(seeds), w1.shape[0]
     values = np.empty((B, len(cps)))
-    diverged = np.zeros(B, dtype=bool)
+    norms = np.empty((B, len(cps)))
+    diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
         # Row r of X[t] is run r's sample for step t; filled one run at a time.
         X = np.empty((T - 1, B, d))
@@ -362,6 +350,7 @@ def _run_block(
         for t in range(1, T + 1):
             if ci < len(cps) and cps[ci] == t:
                 values[:, ci] = mirror.bregman(w_star, W)
+                norms[:, ci] = unchecked_p_norm(W, mirror.norm.p)
                 ci += 1
             if t == T:
                 break
@@ -378,10 +367,9 @@ def _run_block(
                 bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
             else:
                 continue  # every row has diverged
-            # A diverging row keeps the iterate that crossed the guard and steps no further.
-            diverged[live[bad]] = True
+            diverged_at[live[bad]] = t + 1
             live = live[~bad]
-    return values, diverged
+    return _Block(values, norms, W, diverged_at)
 
 
 def monte_carlo_curve(
@@ -418,13 +406,16 @@ def monte_carlo_curve(
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(block, blocks))
-    values = np.concatenate([vals for vals, _ in results])
-    diverged = np.flatnonzero(np.concatenate([flags for _, flags in results])).tolist()
+    values = np.concatenate([b.values for b in results])
+    diverged = np.flatnonzero(np.concatenate([b.diverged_at for b in results]) > 0).tolist()
     if len(diverged) == n_runs:
         raise AllRunsDiverged(f"all {n_runs} runs exceeded the divergence guard")
     keep = np.ones(n_runs, dtype=bool)
     if exclude_diverged and diverged:
         keep[diverged] = False
+        if n_runs - len(diverged) < 2:
+            raise AllRunsDiverged(f"{n_runs - 1} of {n_runs} runs exceeded the divergence guard, "
+                                  "and a standard error needs 2 that did not")
     kept = values[keep]
     with np.errstate(invalid="ignore", over="ignore"):
         mean = kept.mean(axis=0)

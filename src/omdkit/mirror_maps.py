@@ -11,7 +11,8 @@ potential.  Every formula acts on the last axis, so it takes a point or a
 stack of points, one per row (what the batched Monte Carlo engine steps);
 the potential and the Bregman distance of a point are Python floats.  The
 Bregman distance is value(t) - value(b) - <t - b, grad(b)>, which cancels
-near t = b; the Euclidean map computes its own as (1/2) ||t - b||^2 instead.
+near t = b; the Euclidean map, and the p-norm map at p = 2, whose potential
+is the Euclidean one, compute it as (1/2) ||t - b||^2 instead.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _bregman_pair(target, base):
     if t.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {t.shape[-1]} vs {b.shape[-1]}")
     return t, b
+
+
+def _half_squared_distance(target, base):
+    """(1/2) ||target - base||_2^2, the Bregman distance of (1/2) ||.||_2^2 without cancellation."""
+    t, b = _bregman_pair(target, base)
+    diff = t - b
+    return as_result(0.5 * row_inner(diff, diff))
 
 
 def _bregman(value, grad, target, base):
@@ -135,9 +143,7 @@ class EuclideanMap(MirrorMap):
     def bregman(self, target, base):
         """(1/2) ||target - base||_2^2, the generic difference without its
         cancellation, so it is never negative, even next to the optimum."""
-        t, b = _bregman_pair(target, base)
-        diff = t - b
-        return as_result(0.5 * row_inner(diff, diff))
+        return _half_squared_distance(target, base)
 
     def strong_convexity(self) -> float:
         return 1.0
@@ -170,6 +176,13 @@ class PNormMap(MirrorMap):
 
     def grad_inv(self, v) -> np.ndarray:
         return pnorm_gradient(v, self.dual_p)
+
+    def bregman(self, target, base):
+        """The generic difference for p < 2; at p = 2 the potential is the
+        Euclidean one, whose distance (1/2) ||target - base||_2^2 never cancels."""
+        if self.p == 2.0:
+            return _half_squared_distance(target, base)
+        return super().bregman(target, base)
 
     def strong_convexity(self) -> float:
         return self.p - 1.0

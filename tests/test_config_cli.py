@@ -68,6 +68,21 @@ def test_schema_violations_raise(text):
         parse_config(text)
 
 
+def test_overrides_reject_non_finite_floats():
+    with pytest.raises(ConfigError, match="eta must be finite"):
+        with_overrides(ExperimentConfig(), eta=float("inf"))
+    with pytest.raises(ConfigError, match="source_weights must be finite"):
+        with_overrides(ExperimentConfig(), source_weights=(0.15, 0.15, float("nan"), 0.1))
+
+
+def test_base_seed_range_ends_at_the_last_philox_key():
+    assert parse_config(f"n_runs = 4\nbase_seed = {2**128 - 4}").base_seed == 2**128 - 4
+    with pytest.raises(ConfigError, match="base_seed"):
+        parse_config(f"n_runs = 4\nbase_seed = {2**128 - 3}")
+    with pytest.raises(ConfigError, match="base_seed"):
+        parse_config("base_seed = -1")
+
+
 def test_build_experiment_default_config():
     exp = build_experiment(ExperimentConfig())
     assert exp.source.n_atoms == 8
@@ -163,6 +178,30 @@ def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     assert not conf.with_suffix(".curve.csv").exists()
     assert not conf.with_suffix(".report.txt").exists()
     assert main(["run", str(tmp_path / "missing.conf")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "eta = inf",
+        "eta = -inf",
+        "decay_theta = nan",
+        "kappa = nan",
+        "source_scale = inf",
+        "source_weights = 0.15 0.15 nan 0.1",
+        "source_w_star = 0.8 inf 0.3 0.25",
+        "sigma_f = inf",
+        "base_seed = -1",
+        f"base_seed = {2**128 - 1}",
+    ],
+)
+def test_run_out_of_range_value_exits_2_without_outputs(tmp_path, capsys, line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"T = 16\nn_runs = 4\n{line}\n")
+    assert main(["run", str(conf), "--workers", "1"]) == 2
+    assert f"{line.split()[0]} must" in capsys.readouterr().err
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
 
 
 def test_run_regime_violation_exits_3(tmp_path, capsys):
@@ -329,6 +368,15 @@ def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_pnorm_two_curve_is_nonnegative_down_to_the_floor(tmp_path):
+    # The same run under the p-norm map at p = 2, whose potential is the Euclidean one.
+    conf = tmp_path / "floor.conf"
+    conf.write_text(small_config_text(T=2048, n_runs=10, map="pnorm", map_p=2.0))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
+    assert min(float(r.split(",")[1]) for r in rows) >= 0.0
 
 
 def test_euclidean_curve_is_nonnegative_down_to_the_floor(tmp_path):

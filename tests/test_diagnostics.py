@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from omdkit.diagnostics import (
     duality_residual,
     fit_decay_rate,
     fit_rate,
+    kaczmarz_moments,
     key_identity_residual,
     linear_rate_bracket,
     nonconvergence_floor,
@@ -32,6 +34,7 @@ from omdkit.engine import (
     ResolvedConstants,
     TheoremRate,
     geometric_checkpoints,
+    omd_step,
 )
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid
 from omdkit.mirror_maps import EuclideanMap, PNormMap, SmoothedL1Map
@@ -220,6 +223,59 @@ def test_key_identity_rejects_continuous_source():
     with pytest.raises(ValueError, match="discrete"):
         key_identity_residual(EuclideanMap(), LossModel(LeastSquares()), src, np.zeros(1), 0.1,
                               np.array([1.0]))
+
+
+# -- the exact Kaczmarz oracle ------------------------------------------------------------
+
+def brute_force_distances(source, model, schedule, w1, w_star, T):
+    """E[D(w*, w_t)] for t = 1..T by stepping every atom sequence of length T - 1
+    and weighting it by its probability."""
+    seqs = np.array(list(itertools.product(range(source.n_atoms), repeat=T - 1)), dtype=np.intp)
+    seqs = seqs.reshape(len(seqs), T - 1)
+    weights = np.prod(source.probs[seqs], axis=1)
+    mirror = EuclideanMap()
+    W = np.tile(w1, (len(seqs), 1))
+    out = [math.fsum(weights * mirror.bregman(w_star, W))]
+    for t in range(1, T):
+        k = seqs[:, t - 1]
+        W = omd_step(mirror, model, W, source.X[k], source.y[k], schedule(t))
+        out.append(math.fsum(weights * mirror.bregman(w_star, W)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("schedule", [ConstantStep(0.3), TheoremRate(0.2)], ids=repr)
+@pytest.mark.parametrize("case", ["four_atoms", "rotated_noisy"])
+def test_kaczmarz_moments_match_brute_force(case, schedule):
+    if case == "four_atoms":
+        src, model = four_atom_source(), LossModel(LeastSquares(), lam=0.1)
+    else:
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        src = orthonormal_atom_source(q, [0.15, 0.15, 0.1, 0.1], np.array([0.8, -0.45, 0.3, 0.25]),
+                                      label_noise=0.5)
+        model = LossModel(LeastSquares())
+    w_star = minimizer(src, model)
+    w1 = np.linspace(-0.4, 0.3, src.d)
+    for T in range(1, 5):
+        exact = kaczmarz_moments(src, model, schedule, w1, w_star, T, list(range(1, T + 1)))
+        np.testing.assert_allclose(exact, brute_force_distances(src, model, schedule, w1, w_star, T),
+                                   rtol=2e-15, atol=0.0)
+
+
+def test_kaczmarz_moments_at_sparse_checkpoints_match_every_checkpoint():
+    src, model = four_atom_source(), LossModel(LeastSquares(), lam=0.1)
+    w_star = minimizer(src, model)
+    every = kaczmarz_moments(src, model, ConstantStep(0.3), np.zeros(3), w_star, 64, range(1, 65))
+    sparse = kaczmarz_moments(src, model, ConstantStep(0.3), np.zeros(3), w_star, 64, [1, 8, 64])
+    np.testing.assert_array_equal(sparse, every[[0, 7, 63]])
+
+
+def test_kaczmarz_moments_reject_other_losses_and_sources():
+    src = four_atom_source()
+    with pytest.raises(ValueError, match="least-squares"):
+        kaczmarz_moments(src, LossModel(Logistic()), ConstantStep(0.1), np.zeros(3), np.zeros(3), 4, [1, 4])
+    gauss = GaussianLinearSource(np.array([1.0]), noise_sd=0.0)
+    with pytest.raises(ValueError, match="discrete"):
+        kaczmarz_moments(gauss, LossModel(LeastSquares()), ConstantStep(0.1), np.zeros(1), np.ones(1), 4, [1, 4])
 
 
 # -- duality -----------------------------------------------------------------------------

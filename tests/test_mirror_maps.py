@@ -136,6 +136,17 @@ def test_bregman_euclidean_keeps_its_digits_next_to_the_target():
     assert (stacked > 0.0).all()
 
 
+def test_bregman_pnorm_at_two_is_the_euclidean_distance_and_never_negative():
+    # The p = 2 potential is (1/2) ||.||_2^2; next to the target the generic
+    # difference of its terms cancels and can go negative.
+    target = np.array([0.8, -0.45, 0.3, 0.25])
+    W = target + 1e-9 * np.random.default_rng(3).standard_normal((200, 4))
+    stacked = PNormMap(2.0).bregman(target, W)
+    np.testing.assert_array_equal(stacked, EuclideanMap().bregman(target, W))
+    assert [PNormMap(2.0).bregman(target, w) for w in W] == [EuclideanMap().bregman(target, w) for w in W]
+    assert (stacked > 0.0).all()
+
+
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
 def test_bregman_to_self_is_zero(mirror):
     w = np.array([0.7, -1.3, 0.4])

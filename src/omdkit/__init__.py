@@ -23,6 +23,7 @@ from .sources import (
     classify_variance,
     draw,
     draw_arrays,
+    draw_indices,
     mean_gradient_norm,
     minimizer,
     orthonormal_atom_source,

@@ -68,6 +68,7 @@ def run_experiment(exp: Experiment, workers: int | None = None) -> ExperimentRes
         schedule=exp.schedule,
         T=cfg.T,
         d1=exp.d1,
+        w_star=exp.w_star,
         kappa=cfg.kappa,
     )
 

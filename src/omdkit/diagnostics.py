@@ -341,6 +341,7 @@ class ExperimentResult:
     schedule: StepSchedule
     T: int
     d1: float
+    w_star: np.ndarray  # the minimizer the curve measures distance to
     kappa: float = 1.0
 
     @property
@@ -387,9 +388,17 @@ def _verdict_linear_rate(res: ExperimentResult) -> tuple[Verdict, dict]:
     lo_log = math.log(1.0 - 2.0 * c.smooth_L * eta1 / c.sigma_psi)
     hi_log = math.log(1.0 - 0.5 * c.sigma_f * eta1)
     fit = fit_decay_rate(res.curve, 8, res.T)
-    slope_ok = (lo_log - 0.02) <= fit.slope <= (hi_log + 0.02)
     mean = res.curve.mean[sel]
     se = res.curve.std_err[sel]
+    # An iterate within eps max(1, |w*|_inf) of w* in every coordinate, about
+    # as close as float64 resolves, is within (L_psi / 2) d (eps max(1, |w*|_inf))^2
+    # of it in Bregman distance; a window under twice that is rounding, not a rate.
+    w_star = as_vector(res.w_star)
+    resolution = float(np.finfo(np.float64).eps) * max(1.0, float(np.abs(w_star).max()))
+    floor = c.map_smoothness * w_star.size * resolution ** 2
+    if (mean <= floor).all():
+        raise ValueError(f"every mean in the window lies under the float64 floor {floor!r}")
+    slope_ok = (lo_log - 0.02) <= fit.slope <= (hi_log + 0.02)
     inside = (mean >= bracket.lower - 2.0 * se) & (mean <= bracket.upper + 2.0 * se)
     verdict = Verdict.PASS if (slope_ok and inside.all()) else Verdict.FAIL
     return verdict, {"slope": fit.slope, "slope_low": lo_log, "slope_high": hi_log,

@@ -4,11 +4,14 @@ deterministic Monte Carlo estimator of expected Bregman-distance curves.
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
 ``n_runs`` reproduces the existing runs exactly.  Runs step in even blocks,
-as few as a byte budget for each block's draw buffer allows: a block
+as few as a byte budget for each block's stored draws allows: a block
 advances as one ``(B, d)`` stack, one run per row, through the same map and
 loss kernels a single point takes, and a row's values do not depend on
-which other runs share its block.  Worker processes only share out
-whole blocks, so the artifacts are identical at any worker count.
+which other runs share its block.  A discrete source's draws are stored as
+atom indices, one byte per run and step below 257 atoms, so its runs
+usually make one block; a Gaussian source's draws are stored as feature
+rows.  Worker processes share out whole blocks, and only when there are
+two or more, so the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
@@ -23,7 +26,6 @@ in ``diagnostics.THEOREMS``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -34,7 +36,7 @@ import numpy as np
 from .geometry import as_vector, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import SampleSource, draw_arrays
+from .sources import DiscreteFiniteSource, SampleSource, draw_arrays, draw_indices
 
 __all__ = [
     "ConstantStep",
@@ -57,7 +59,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Byte budget for one block's (T - 1, B, d) feature draws: at most 64 runs at T = 2048, d = 4.
+# Byte budget for one block's stored draws: 85 Gaussian runs at T = 2048, d = 3,
+# or 2,049 runs of a discrete source with at most 256 atoms.
 BLOCK_BYTES = 4 << 20
 
 
@@ -287,14 +290,21 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _block_runs(T: int, d: int) -> int:
-    """The cap on runs per block: as many as fit one (T - 1, runs, d) draw buffer in BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * d * max(T - 1, 1)))
+def _block_runs(T: int, source: SampleSource) -> int:
+    """The cap on runs per block: as many as fit their stored draws in BLOCK_BYTES.
+
+    A block stores an atom index per run and step for a discrete source, and
+    a float64 feature row for a Gaussian one."""
+    if isinstance(source, DiscreteFiniteSource):
+        step_bytes = source.index_dtype.itemsize
+    else:
+        step_bytes = 8 * source.d
+    return max(1, BLOCK_BYTES // (step_bytes * max(T - 1, 1)))
 
 
-def _block_sizes(n_runs: int, T: int, d: int) -> list[int]:
+def _block_sizes(n_runs: int, T: int, source: SampleSource) -> list[int]:
     """The fewest blocks within the cap, their sizes differing by at most one."""
-    n_blocks = -(-n_runs // _block_runs(T, d))
+    n_blocks = -(-n_runs // _block_runs(T, source))
     size, extra = divmod(n_runs, n_blocks)
     return [size + 1] * extra + [size] * (n_blocks - extra)
 
@@ -332,11 +342,23 @@ def _run_block(
     norms = np.empty((B, len(cps)))
     diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
-        # Row r of X[t] is run r's sample for step t; filled one run at a time.
-        X = np.empty((T - 1, B, d))
-        Y = np.empty((T - 1, B))
-        for r, seed in enumerate(seeds):
-            X[:, r], Y[:, r] = draw_arrays(source, _rng(seed), T - 1)
+        # Column r holds run r's draws, row s those for step s + 1; filled one run at a time.
+        if isinstance(source, DiscreteFiniteSource):
+            idx = np.empty((T - 1, B), dtype=source.index_dtype)
+            for r, seed in enumerate(seeds):
+                idx[:, r] = draw_indices(source, _rng(seed), T - 1)
+
+            def sample(s, rows=slice(None)):
+                i = idx[s, rows]
+                return source.X.take(i, axis=0), source.y.take(i)
+        else:
+            X = np.empty((T - 1, B, d))
+            Y = np.empty((T - 1, B))
+            for r, seed in enumerate(seeds):
+                X[:, r], Y[:, r] = draw_arrays(source, _rng(seed), T - 1)
+
+            def sample(s, rows=slice(None)):
+                return X[s, rows], Y[s, rows]
         etas = [float(schedule(t)) for t in range(1, T)]
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
@@ -355,14 +377,14 @@ def _run_block(
             if t == T:
                 break
             if live is None:
-                dual = dual - etas[t - 1] * gradient(W, X[t - 1], Y[t - 1])
+                dual = dual - etas[t - 1] * gradient(W, *sample(t - 1))
                 W = grad_inv(dual)
                 if np.abs(W).max() <= DIVERGENCE_LIMIT:  # False on NaN as well
                     continue
                 bad = ~(np.abs(W).max(axis=1) <= DIVERGENCE_LIMIT)
                 live = np.arange(B)
             elif live.size:
-                dual[live] = dual[live] - etas[t - 1] * gradient(W[live], X[t - 1, live], Y[t - 1, live])
+                dual[live] = dual[live] - etas[t - 1] * gradient(W[live], *sample(t - 1, live))
                 W[live] = grad_inv(dual[live])
                 bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
             else:
@@ -389,8 +411,9 @@ def monte_carlo_curve(
     """Aggregate n_runs independent trajectories; run i is seeded base_seed + i.
 
     Runs step in blocks whose sizes depend only on n_runs, T and the
-    dimension; ``workers`` processes share out the blocks.  Aggregation is a
-    fold in run-index order, so the result is independent of the worker count.
+    source; when there are two or more blocks, ``workers`` processes share
+    them out.  Aggregation is a fold in run-index order, so the result is
+    independent of the worker count.
     """
     n_runs = int(n_runs)
     if n_runs < 2:
@@ -398,12 +421,16 @@ def monte_carlo_curve(
     T = int(T)
     cps = _checked_checkpoints(checkpoints, T)
     workers = default_workers() if workers is None else max(1, int(workers))
-    bounds = [0, *accumulate(_block_sizes(n_runs, T, as_vector(w1).shape[0]))]
+    bounds = [0, *accumulate(_block_sizes(n_runs, T, source))]
     blocks = [range(base_seed + lo, base_seed + hi) for lo, hi in zip(bounds, bounds[1:])]
     block = partial(_run_block, mirror, model, source, schedule, w1, T, cps, w_star)
-    if workers == 1:
+    if workers == 1 or len(blocks) == 1:
         results = list(map(block, blocks))
     else:
+        # Imported here: the pool's modules cost import time and memory that
+        # a run of one block never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(block, blocks))
     values = np.concatenate([b.values for b in results])

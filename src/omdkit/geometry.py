@@ -70,11 +70,9 @@ def row_inner(W, V) -> np.ndarray:
     """<w_i, v_i> along the last axis, broadcast over the leading ones, so a
     point pairs with every row of a stack.
 
-    Each entry is a 1-d product, so it equals ``float(w_i @ v_i)`` bit for bit.
+    Each entry equals ``float(w_i @ v_i)`` bit for bit.
     """
-    W = np.asarray(W, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    return (W[..., None, :] @ V[..., :, None])[..., 0, 0]
+    return np.vecdot(np.asarray(W, dtype=np.float64), np.asarray(V, dtype=np.float64))
 
 
 def p_norm(w, p: float):

@@ -32,6 +32,7 @@ __all__ = [
     "orthonormal_atom_source",
     "draw",
     "draw_arrays",
+    "draw_indices",
     "population_gradient",
     "minimizer",
     "mean_gradient_norm",
@@ -90,6 +91,11 @@ class DiscreteFiniteSource:
     @property
     def n_atoms(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned integer type that holds every atom index."""
+        return np.min_scalar_type(self.n_atoms - 1)
 
     def radius(self, dual_norm: NormSpec = EUCLIDEAN) -> float:
         return float(p_norm(self.X, dual_norm.p).max())
@@ -220,11 +226,17 @@ def orthonormal_atom_source(
 
 # -- sampling ------------------------------------------------------------------
 
+def draw_indices(source: DiscreteFiniteSource, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The atom indices of n i.i.d. draws, in ``source.index_dtype``; deterministic
+    given the generator state."""
+    u = rng.random(n)
+    return np.searchsorted(source._cum, u, side="right").astype(source.index_dtype)
+
+
 def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
     """n i.i.d. draws as (X, y) arrays; deterministic given the generator state."""
     if isinstance(source, DiscreteFiniteSource):
-        u = rng.random(n)
-        idx = np.searchsorted(source._cum, u, side="right")
+        idx = draw_indices(source, rng, n)
         return source.X[idx], source.y[idx]
     if isinstance(source, GaussianLinearSource):
         X = source.feature_scale * rng.standard_normal((n, source.d))

@@ -64,7 +64,7 @@ def theorem_rate_run(noisy_setup):
     schedule = k.TheoremRate(constants.sigma_f)
     mc, elapsed = timed_curve(EUCLID, MODEL, source, schedule, np.zeros(4), 2048, 1000, 2000, w_star)
     d1 = EUCLID.bregman(w_star, np.zeros(4))
-    res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=2048, d1=d1)
+    res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=2048, d1=d1, w_star=w_star)
     return res, elapsed
 
 
@@ -109,7 +109,7 @@ def test_criterion_2_linear_rate_bracket():
     assert (mean >= bracket.lower - 2.0 * se).all()
     assert (mean <= bracket.upper + 2.0 * se).all()
 
-    res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=100, d1=d1)
+    res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=100, d1=d1, w_star=w_star)
     assert theorem_verdict(res, "Thm3-linear-rate").verdict is Verdict.PASS
     report(2, f"slope {fit.slope:.4f} in [{lo:.4f}, {hi:.4f}] +- 0.02, curve inside bracket ({elapsed:.1f}s)")
 
@@ -149,7 +149,7 @@ def test_criterion_5_necessity_of_divergent_step_sum(noisy_setup):
     final_se = float(curve.std_err[-1])
     assert final >= 0.9 * floor - 2.0 * final_se
     res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=2048,
-                           d1=EUCLID.bregman(w_star, np.zeros(4)))
+                           d1=EUCLID.bregman(w_star, np.zeros(4)), w_star=w_star)
     assert theorem_verdict(res, "Thm2-necessity-sum").verdict is Verdict.PASS
     report(5, f"mean(T) = {final:.4f} above floor {floor:.4f} ({elapsed:.1f}s)")
 
@@ -164,7 +164,7 @@ def test_criterion_6_necessity_of_vanishing_steps(noisy_setup):
     window = curve.mean[curve.checkpoints >= 256]
     assert (window >= 0.25 * ref).all()  # never decays below a quarter of mean(8)
     res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=2048,
-                           d1=EUCLID.bregman(w_star, np.zeros(4)))
+                           d1=EUCLID.bregman(w_star, np.zeros(4)), w_star=w_star)
     assert theorem_verdict(res, "Thm2-necessity-limit").verdict is Verdict.PASS
     report(6, f"plateau min {window.min():.4f} >= 0.25 * mean(8) = {0.25 * ref:.4f} ({elapsed:.1f}s)")
 
@@ -183,7 +183,7 @@ def test_criterion_7_almost_sure_convergence(noisy_setup):
     assert per_run_ok.mean() >= 0.95
     assert mc.values[:, i1024].max() > mc.values[:, i4096].max()
     res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=4096,
-                           d1=EUCLID.bregman(w_star, w1))
+                           d1=EUCLID.bregman(w_star, w1), w_star=w_star)
     assert theorem_verdict(res, "Thm4-as").verdict is Verdict.PASS
     report(7, f"{per_run_ok.mean():.1%} of runs below 5% of their t=16 value ({elapsed:.1f}s)")
 
@@ -257,6 +257,6 @@ def test_criterion_11_pnorm_geometry_convergence():
     final = float(curve.mean[-1])
     assert final <= 0.1 * ref
     res = ExperimentResult(mc=mc, constants=constants, schedule=schedule, T=2048,
-                           d1=mirror.bregman(w_star, w1))
+                           d1=mirror.bregman(w_star, w1), w_star=w_star)
     assert theorem_verdict(res, "Thm1a-pnorm").verdict is Verdict.PASS
     report(11, f"mean(2048) = {final:.5f} <= 0.1 * mean(8) = {0.1 * ref:.5f} ({elapsed:.1f}s)")

@@ -370,6 +370,35 @@ def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):
+    # 4 discrete runs make one block, so even at 2 workers no pool starts.
+    conf = tmp_path / "one.conf"
+    conf.write_text(small_config_text(T=32, n_runs=4))
+    code = ("import sys, omdkit; pool = {'concurrent.futures.process', 'multiprocessing'}; "
+            "print(sorted(pool & set(sys.modules))); import omdkit.cli; "
+            f"assert omdkit.cli.main(['run', {str(conf)!r}, '--workers', '2']) == 0; "
+            "print(sorted(pool & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
+
+
+def test_run_verdict_under_the_float64_floor_is_inconclusive(tmp_path, capsys):
+    # Started at the config's w*, one ulp from the solved minimizer, the zero-variance
+    # iterate never moves: the curve is a flat 1.54e-33, which no rate fit can score.
+    conf = tmp_path / "floor.conf"
+    conf.write_text(small_config_text(T=2048, n_runs=10, w1="0.8 -0.45 0.3 0.25"))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    assert "Thm3-linear-rate: Inconclusive" in capsys.readouterr().out
+    rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
+    assert {float(r.split(",")[1]) for r in rows} == {1.5407439555097887e-33}
+    report = conf.with_suffix(".report.txt").read_text()
+    assert "verdict = Inconclusive" in report
+    assert ("detail.reason = 'every mean in the window lies under the float64 floor "
+            "1.9721522630525295e-31'") in report
+
+
 def test_pnorm_two_curve_is_nonnegative_down_to_the_floor(tmp_path):
     # The same run under the p-norm map at p = 2, whose potential is the Euclidean one.
     conf = tmp_path / "floor.conf"

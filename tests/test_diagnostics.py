@@ -54,7 +54,7 @@ def curve_from(checkpoints, means, std_errs=None, run_count=100):
     return ExpectationCurve(cps, means, se, run_count)
 
 
-def result_from(curve, values=None, schedule=None, T=None, constants=None, d1=1.0):
+def result_from(curve, values=None, schedule=None, T=None, constants=None, d1=1.0, w_star=np.zeros(4)):
     if values is None:
         values = np.tile(curve.mean, (curve.run_count, 1))
     if constants is None:
@@ -66,7 +66,7 @@ def result_from(curve, values=None, schedule=None, T=None, constants=None, d1=1.
     mc = MonteCarloResult(curve=curve, values=values)
     return ExperimentResult(
         mc=mc, constants=constants, schedule=schedule or ConstantStep(0.1),
-        T=int(curve.checkpoints[-1]) if T is None else T, d1=d1,
+        T=int(curve.checkpoints[-1]) if T is None else T, d1=d1, w_star=w_star,
     )
 
 
@@ -439,6 +439,22 @@ def test_verdict_at_precision_floor_is_inconclusive():
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.details == {"reason": "rate fits need strictly positive means in the window"}
 
+
+
+def test_linear_rate_verdict_under_the_float64_floor_is_inconclusive():
+    # The floor is L_psi d (eps max(1, |w*|_inf))^2: 4 eps^2 ~ 1.97e-31 at w* = 0 in d = 4.
+    t = geometric_checkpoints(2048)
+    floor = 4 * float(np.finfo(np.float64).eps) ** 2
+    report = theorem_verdict(result_from(curve_from(t, [1.5e-33] * len(t)), T=2048), "Thm3-linear-rate")
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.details == {"reason": f"every mean in the window lies under the float64 floor {floor!r}"}
+    # A window that rises above the floor anywhere is scored: flat is no linear rate.
+    means = [1.5e-33] * (len(t) - 1) + [2.0 * floor]
+    assert theorem_verdict(result_from(curve_from(t, means), T=2048), "Thm3-linear-rate").verdict is Verdict.FAIL
+    # |w*|_inf above 1 raises the floor with it.
+    report = theorem_verdict(result_from(curve_from(t, [1e-29] * len(t)), T=2048, w_star=np.full(4, 10.0)),
+                             "Thm3-linear-rate")
+    assert report.verdict is Verdict.INCONCLUSIVE
 
 
 def test_verdict_outside_the_bracket_names_the_condition():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 
 import numpy as np
@@ -29,6 +30,8 @@ from omdkit.sources import (
     GaussianLinearSource,
     Sample,
     VarianceRegime,
+    draw_arrays,
+    draw_indices,
     minimizer,
     orthonormal_atom_source,
 )
@@ -214,28 +217,34 @@ def test_first_checkpoint_mean_equals_initial_distance():
     assert mc.curve.std_err[0] == 0.0
 
 
-def three_run_blocks(monkeypatch, T, d):
-    """Shrink the draw-buffer budget so that a block holds 3 runs."""
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * d * (T - 1))
-    assert engine._block_runs(T, d) == 3
+def three_run_blocks(monkeypatch, T, source):
+    """Shrink the budget for stored draws so that a block holds 3 runs of a
+    discrete source with at most 256 atoms: one byte per run and step."""
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * (T - 1))
+    assert engine._block_runs(T, source) == 3
 
 
 BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # 100 runs at T = 2048, d = 3: the 4 MiB cap is 85 runs, so two blocks of 50.
-    assert engine._block_runs(2048, 3) == 85
-    assert engine._block_sizes(100, 2048, 3) == [50, 50]
-    three_run_blocks(monkeypatch, 32, 4)
-    assert engine._block_sizes(8, 32, 4) == [3, 3, 2]
-    assert engine._block_sizes(9, 32, 4) == [3, 3, 3]
+    # 100 Gaussian runs at T = 2048, d = 3: the 4 MiB cap is 85 runs, so two blocks of 50.
+    gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
+    assert engine._block_runs(2048, gauss) == 85
+    assert engine._block_sizes(100, 2048, gauss) == [50, 50]
+    # A discrete source stores one byte per run and step, so 2,000 runs make one block.
+    src = eight_atom_source()
+    assert engine._block_runs(2048, src) == 2049
+    assert engine._block_sizes(2000, 2048, src) == [2000]
+    three_run_blocks(monkeypatch, 32, src)
+    assert engine._block_sizes(8, 32, src) == [3, 3, 2]
+    assert engine._block_sizes(9, 32, src) == [3, 3, 3]
 
 
 @pytest.mark.parametrize("mirror", BLOCK_MAPS, ids=repr)
 def test_extending_runs_reproduces_prefix(mirror, monkeypatch):
-    three_run_blocks(monkeypatch, 64, 4)  # blocks of 3, 3, 2, 2 at 10 runs; of 3 and 2 at 20
     src = eight_atom_source(label_noise=0.5)
+    three_run_blocks(monkeypatch, 64, src)  # blocks of 3, 3, 2, 2 at 10 runs; of 3 and 2 at 20
     w_star = minimizer(src, LS)
     common = (mirror, LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 64,
               geometric_checkpoints(64))
@@ -246,8 +255,8 @@ def test_extending_runs_reproduces_prefix(mirror, monkeypatch):
 
 @pytest.mark.parametrize("mirror", BLOCK_MAPS, ids=repr)
 def test_worker_pool_matches_serial(mirror, monkeypatch):
-    three_run_blocks(monkeypatch, 32, 4)  # 8 runs make blocks of 3, 3 and 2
     src = eight_atom_source(label_noise=0.5)
+    three_run_blocks(monkeypatch, 32, src)  # 8 runs make blocks of 3, 3 and 2
     w_star = minimizer(src, LS)
     common = (mirror, LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 32,
               geometric_checkpoints(32))
@@ -264,13 +273,88 @@ class _RaisingMap(EuclideanMap):
         raise RuntimeError("grad_inv failed")
 
 
-def test_worker_error_reaches_caller_and_pool_closes():
+def test_worker_error_reaches_caller_and_pool_closes(monkeypatch):
     src = eight_atom_source()
     w_star = minimizer(src, LS)
+    three_run_blocks(monkeypatch, 16, src)  # 4 runs make two blocks, so the pool starts
     with pytest.raises(RuntimeError, match="grad_inv failed"):
         monte_carlo_curve(_RaisingMap(), LS, src, ConstantStep(0.1), np.zeros(4), 16,
                           [1, 16], n_runs=4, base_seed=0, w_star=w_star, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_single_block_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run of one block started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    src = eight_atom_source(label_noise=0.5)
+    w_star = minimizer(src, LS)
+    common = (EuclideanMap(), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(4), 64,
+              geometric_checkpoints(64))
+    assert engine._block_sizes(200, 64, src) == [200]
+    two_workers = monte_carlo_curve(*common, n_runs=200, base_seed=3, w_star=w_star, workers=2)
+    one_worker = monte_carlo_curve(*common, n_runs=200, base_seed=3, w_star=w_star, workers=1)
+    np.testing.assert_array_equal(two_workers.values, one_worker.values)
+    assert multiprocessing.active_children() == []
+
+
+def test_gaussian_blocks_share_out_over_the_pool(monkeypatch):
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    T = 32
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * 3 * (T - 1))  # 3 runs of d = 3 features
+    src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5, radius=1.5)
+    assert engine._block_sizes(8, T, src) == [3, 3, 2]
+    common = (PNormMap(1.5), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(3), T,
+              geometric_checkpoints(T))
+    serial = monte_carlo_curve(*common, n_runs=8, base_seed=50, w_star=REFERENCE_POINT[3], workers=1)
+    pooled = monte_carlo_curve(*common, n_runs=8, base_seed=50, w_star=REFERENCE_POINT[3], workers=2)
+    assert started == [2]
+    np.testing.assert_array_equal(serial.values, pooled.values)
+
+
+def random_atom_source(n_atoms, seed):
+    """A discrete source in d = 3 with random atoms in the unit ball and random probabilities."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n_atoms, 3)) / np.sqrt(3.0)
+    weights = rng.uniform(0.1, 1.0, n_atoms)
+    return DiscreteFiniteSource([Sample(x, float(y)) for x, y in zip(X, rng.standard_normal(n_atoms))],
+                                weights / weights.sum())
+
+
+@settings(max_examples=20, deadline=None)
+@given(src=st.builds(random_atom_source, st.integers(1, 600), st.integers(0, 2**32 - 1)),
+       seed=st.integers(0, 2**64), n=st.integers(1, 300))
+@example(src=random_atom_source(256, 1), seed=0, n=200)  # the most atoms uint8 indices hold
+@example(src=random_atom_source(300, 2), seed=2**64, n=200)  # uint16 indices
+def test_index_draws_gather_to_draw_arrays(src, seed, n):
+    idx = draw_indices(src, engine._rng(seed), n)
+    assert idx.dtype == (np.uint8 if src.n_atoms <= 256 else np.uint16)
+    # The searchsorted draw on the run's uniforms, in default integers.
+    u = engine._rng(seed).random(n)
+    np.testing.assert_array_equal(idx, np.searchsorted(src._cum, u, side="right"))
+    X, y = draw_arrays(src, engine._rng(seed), n)
+    np.testing.assert_array_equal(src.X[idx], X)
+    np.testing.assert_array_equal(src.y[idx], y)
+    # A block of three runs, which gathers its samples from stored indices, steps
+    # each row exactly as a one-row loop over that run's draw_arrays samples does.
+    mirror, schedule, w1 = PNormMap(1.5), ConstantStep(0.1), np.full(3, 0.1)
+    block = engine._run_block(mirror, LS, src, schedule, w1, n + 1, [n + 1], np.zeros(3),
+                              range(seed, seed + 3))
+    for r in range(3):
+        X, y = draw_arrays(src, engine._rng(seed + r), n)
+        W, dual = w1[None], mirror.grad(w1)[None]
+        for t in range(n):
+            dual = dual - schedule(t + 1) * LS.gradient(W, X[t:t + 1], y[t:t + 1])
+            W = mirror.grad_inv(dual)
+        np.testing.assert_array_equal(block.last[r], W[0])
 
 
 # -- the batched engine against the scalar reference -----------------------------------------
@@ -326,8 +410,8 @@ def mixed_divergence_source():
 @pytest.mark.parametrize("mirror, eta", MIXED_DIVERGENCE, ids=lambda v: repr(v))
 def test_batched_engine_mixed_divergence(mirror, eta, monkeypatch):
     T, n_runs, base_seed = 256, 12, 40
-    three_run_blocks(monkeypatch, T, 2)
     src = mixed_divergence_source()
+    three_run_blocks(monkeypatch, T, src)
     ref = np.array([0.3, -0.2])
     args = (mirror, LS, src, ConstantStep(eta), np.zeros(2), T, geometric_checkpoints(T))
     mc = monte_carlo_curve(*args, n_runs=n_runs, base_seed=base_seed, w_star=ref, workers=1)
@@ -349,7 +433,7 @@ def test_block_rows_diverge_like_their_one_row_runs(mirror, eta, base_seed):
     ref = np.array([0.3, -0.2])
     args = (mirror, LS, src, ConstantStep(eta), np.zeros(2), T, geometric_checkpoints(T))
     with pytest.MonkeyPatch.context() as mp:
-        three_run_blocks(mp, T, 2)  # 12 runs make four blocks of 3
+        three_run_blocks(mp, T, src)  # 12 runs make four blocks of 3
         blocks = [engine._run_block(*args, ref, range(base_seed + lo, base_seed + lo + 3))
                   for lo in range(0, n_runs, 3)]
         diverged_at = np.concatenate([block.diverged_at for block in blocks])

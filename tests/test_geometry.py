@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omdkit.geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm
+from omdkit.geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm, row_inner
 
 
 def test_inner_orthogonal_axes():
@@ -21,6 +21,15 @@ def test_inner_zero_vector_annihilates():
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         inner([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_row_inner_is_the_1d_product_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    W = rng.standard_normal((200, d)) * 10.0 ** rng.integers(-8, 9, (200, 1))
+    V = rng.standard_normal((200, d))
+    assert row_inner(W, V).tolist() == [float(w @ v) for w, v in zip(W, V)]
+    assert row_inner(W[0], V[0]) == float(W[0] @ V[0])
 
 
 def test_p_norm_pythagorean():

@@ -343,12 +343,10 @@ def test_norm_power_conjugate_fractional_power():
 def test_norm_power_conjugate_matches_grid_maximization():
     # coarse independent maximization of <w, v> - (1/kappa)||w||^kappa
     kappa, v = 1.5, np.array([1.0, 0.0])
-    best = -np.inf
-    for theta in np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False):
-        u = np.array([np.cos(theta), np.sin(theta)])
-        for r in np.linspace(0.0, 3.0, 3001):
-            val = r * float(u @ v) - (r ** kappa) / kappa
-            best = max(best, val)
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    U = np.column_stack([np.cos(theta), np.sin(theta)])
+    r = np.linspace(0.0, 3.0, 3001)
+    best = float((r * (U @ v)[:, None] - r ** kappa / kappa).max())
     formula = norm_power_conjugate(kappa, v, NormSpec(2.0))
     assert best <= formula + 1e-12
     assert formula - best < 1e-4 * formula

@@ -17,6 +17,7 @@ the artifacts).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
 from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
-from .engine import AllRunsDiverged, RegimeError, default_workers, monte_carlo_curve
+from .engine import AllRunsDiverged, RegimeError, ResolvedConstants, default_workers, monte_carlo_curve
 from .mirror_maps import omega_p
 from .verification import run_verification
 
@@ -69,7 +70,6 @@ def run_experiment(exp: Experiment, workers: int | None = None) -> ExperimentRes
         T=cfg.T,
         d1=exp.d1,
         w_star=exp.w_star,
-        kappa=cfg.kappa,
     )
 
 
@@ -90,19 +90,9 @@ def format_report(exp: Experiment, result: ExperimentResult, verdicts) -> str:
     c = result.constants
     out = ["# omdkit experiment report", "", "[config]"]
     out.append(dump_config(cfg).rstrip("\n"))
+    out += ["", "[constants]"]
+    out += [f"{f.name} = {_opt(getattr(c, f.name))}" for f in dataclasses.fields(ResolvedConstants)]
     out += [
-        "",
-        "[constants]",
-        f"sigma_psi = {c.sigma_psi!r}",
-        f"smooth_L = {c.smooth_L!r}",
-        f"smooth_L_generic = {c.smooth_L_generic!r}",
-        f"risk_L = {c.risk_L!r}",
-        f"sigma_f_norm = {c.sigma_f_norm!r}",
-        f"sigma_f = {_opt(c.sigma_f)}",
-        f"lambda_min = {_opt(c.lambda_min)}",
-        f"radius = {c.radius!r}",
-        f"growth_a = {c.growth_a!r}",
-        f"map_smoothness = {_opt(c.map_smoothness)}",
         f"d1 = {result.d1!r}",
         f"variance = {exp.variance.value}",
         "w_star = " + " ".join(repr(float(v)) for v in exp.w_star),

@@ -114,17 +114,16 @@ class BoundBracket:
     """Geometric lower/upper envelopes for the zero-variance constant-step regime.
 
     ``steps`` counts update steps, so an iterate with index t corresponds to
-    steps = t - 1.
+    steps = t - 1.  ``lo_factor`` = 1 - 2 L eta1 / sigma_psi and ``hi_factor``
+    = 1 - sigma_f eta1 / 2 are the per-step contraction factors of the lower
+    and upper envelopes.
     """
 
     steps: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    sigma_psi: float
-    smooth_L: float
-    sigma_f: float
-    eta1: float
-    d1: float
+    lo_factor: float
+    hi_factor: float
 
 
 def linear_rate_bracket(
@@ -152,7 +151,7 @@ def linear_rate_bracket(
     upper = hi_factor ** steps * d1
     if (lower > upper + 1e-15 * max(d1, 1.0)).any():
         raise ValueError("inconsistent constants: lower envelope exceeds upper")
-    return BoundBracket(steps, lower, upper, sigma_psi, smooth_L, sigma_f, eta1, d1)
+    return BoundBracket(steps, lower, upper, lo_factor, hi_factor)
 
 
 def nonconvergence_floor(
@@ -342,7 +341,6 @@ class ExperimentResult:
     T: int
     d1: float
     w_star: np.ndarray  # the minimizer the curve measures distance to
-    kappa: float = 1.0
 
     @property
     def curve(self) -> ExpectationCurve:
@@ -383,10 +381,10 @@ def _verdict_linear_rate(res: ExperimentResult) -> tuple[Verdict, dict]:
     eta1 = res.schedule(1)
     sel = res.curve.checkpoints >= 8
     ts = res.curve.checkpoints[sel]
-    # The bracket refuses a step outside its conditions, which the logs below rely on.
+    # The bracket refuses a step outside its conditions, so both factors lie in (0, 1].
     bracket = linear_rate_bracket(c.sigma_psi, c.smooth_L, c.sigma_f, eta1, res.d1, ts - 1)
-    lo_log = math.log(1.0 - 2.0 * c.smooth_L * eta1 / c.sigma_psi)
-    hi_log = math.log(1.0 - 0.5 * c.sigma_f * eta1)
+    lo_log = math.log(bracket.lo_factor)
+    hi_log = math.log(bracket.hi_factor)
     fit = fit_decay_rate(res.curve, 8, res.T)
     mean = res.curve.mean[sel]
     se = res.curve.std_err[sel]

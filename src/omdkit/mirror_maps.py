@@ -10,6 +10,8 @@ inverse of the p-norm gradient is the gradient of the dual-exponent
 potential.  Every formula acts on the last axis, so it takes a point or a
 stack of points, one per row (what the batched Monte Carlo engine steps);
 the potential and the Bregman distance of a point are Python floats.  The
+control functions ``omega_p`` and ``b_p_constant`` take a number, giving a
+Python float, or an array, taken entry by entry.  The
 Bregman distance is value(t) - value(b) - <t - b, grad(b)>, which cancels
 near t = b; the Euclidean map, and the p-norm map at p = 2, whose potential
 is the Euclidean one, compute it as (1/2) ||t - b||^2 instead.
@@ -253,28 +255,34 @@ def tau(p: float) -> float:
     return 2.0 / min(p, 3.0 - p)
 
 
-def omega_p(p: float, u: float) -> float:
-    """Huber-like control function: u + 1/tau_p - 1 for u >= 1, u^tau_p / tau_p below."""
+def _nonnegative(x, what: str):
+    """x as float64: a number stays a numpy scalar, whose power is libm's, as a
+    Python float's is; an array's power may differ from it in the last digit."""
+    x = np.asarray(x, dtype=np.float64)[()]
+    if (x < 0.0).any():
+        raise ValueError(f"{what} must be nonnegative, got {np.min(x)}")
+    return x
+
+
+def omega_p(p: float, u):
+    """Huber-like control function: u + 1/tau_p - 1 for u >= 1, u^tau_p / tau_p
+    below; u is a number or an array, taken entry by entry."""
     t = tau(p)
-    u = float(u)
-    if u < 0.0:
-        raise ValueError(f"control function argument must be nonnegative, got {u}")
-    if u >= 1.0:
-        return u + 1.0 / t - 1.0
-    return (u ** t) / t
+    u = _nonnegative(u, "control function argument")
+    # np.where evaluates both branches; u capped at 1 keeps the unused power finite.
+    return as_result(np.where(u >= 1.0, u + 1.0 / t - 1.0, np.minimum(u, 1.0) ** t / t))
 
 
-def b_p_constant(p: float, target_norm: float) -> float:
-    """min(C, C^tau_p) with C = (2 (2 r)^{2-p} + 2 r^{p-1} + 2)^{-1}, r = target_norm."""
+def b_p_constant(p: float, target_norm):
+    """min(C, C^tau_p) with C = (2 (2 r)^{2-p} + 2 r^{p-1} + 2)^{-1}, r = target_norm,
+    a number or an array, taken entry by entry."""
     p = float(p)
     if not (1.0 < p < 2.0):
         raise ValueError(f"b_p_constant requires p in (1, 2), got {p}")
-    r = float(target_norm)
-    if r < 0.0:
-        raise ValueError(f"target_norm must be nonnegative, got {r}")
+    r = _nonnegative(target_norm, "target_norm")
     # 0^s = 0 for s > 0, so r = 0 gives C = 1/2 continuously.
     c = 1.0 / (2.0 * (2.0 * r) ** (2.0 - p) + 2.0 * r ** (p - 1.0) + 2.0)
-    return min(c, c ** tau(p))
+    return as_result(np.minimum(c, c ** tau(p)))
 
 
 def norm_power_conjugate(kappa: float, v, norm: NormSpec = EUCLIDEAN) -> float:

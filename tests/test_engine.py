@@ -504,25 +504,45 @@ def zero_gradient_or_blow_up_source():
                                 [0.5, 0.5])
 
 
-def test_non_finite_curve_raises_naming_runs():
+@settings(max_examples=25, deadline=None)
+@example(base_seed=100, n_runs=16)
+@example(base_seed=16, n_runs=2)  # both runs stay finite
+@example(base_seed=0, n_runs=2)  # one run survives
+@example(base_seed=1, n_runs=2)  # no run survives
+@given(base_seed=st.integers(0, 2**32), n_runs=st.integers(2, 24))
+def test_non_finite_curve_raises_naming_runs(base_seed, n_runs):
     src = zero_gradient_or_blow_up_source()
     args = (EuclideanMap(), LS, src, ConstantStep(1e200), np.zeros(2), 4, [1, 2, 4])
     ref = np.array([0.0, 1.0])
-    with pytest.raises(NonFiniteCurve) as info:
-        monte_carlo_curve(*args, n_runs=16, base_seed=100, w_star=ref, workers=1)
-    assert isinstance(info.value, AllRunsDiverged)
-    # the runs that drew only the zero-gradient atom stay finite and are not named
+    # the runs that draw only the zero-gradient atom stay finite
     with np.errstate(over="ignore", invalid="ignore"):
-        survivors = [i for i in range(16)
-                     if not run_trajectory(*args, seed=100 + i, w_star=ref).diverged]
-    assert survivors
-    assert info.value.runs == [i for i in range(16) if i not in survivors]
-    assert str(info.value.runs) in str(info.value)
-    # excluding the diverged runs leaves a finite curve of the survivors
-    mc = monte_carlo_curve(*args, n_runs=16, base_seed=100, w_star=ref, workers=1,
-                           exclude_diverged=True)
-    assert mc.curve.run_count == len(survivors)
-    assert np.isfinite(mc.curve.mean).all()
+        diverged = [i for i in range(n_runs)
+                    if run_trajectory(*args, seed=base_seed + i, w_star=ref).diverged]
+    survivors = n_runs - len(diverged)
+
+    def curve(**kw):
+        return monte_carlo_curve(*args, n_runs=n_runs, base_seed=base_seed, w_star=ref, workers=1, **kw)
+
+    if not diverged:
+        assert curve().curve.run_count == n_runs
+    elif not survivors:
+        with pytest.raises(AllRunsDiverged):
+            curve()
+    else:
+        with pytest.raises(NonFiniteCurve) as info:
+            curve()
+        assert isinstance(info.value, AllRunsDiverged)
+        assert info.value.runs == diverged
+        assert str(info.value.runs) in str(info.value)
+    # excluding the diverged runs leaves a finite curve of the survivors, if
+    # enough survive for a standard error
+    if survivors >= 2:
+        mc = curve(exclude_diverged=True)
+        assert mc.curve.run_count == survivors
+        assert np.isfinite(mc.curve.mean).all() and np.isfinite(mc.curve.std_err).all()
+    else:
+        with pytest.raises(AllRunsDiverged):
+            curve(exclude_diverged=True)
 
 
 def test_diverged_runs_reported_and_excludable():

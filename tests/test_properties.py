@@ -14,7 +14,16 @@ from hypothesis.extra.numpy import arrays
 
 from omdkit.geometry import row_inner
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
-from omdkit.mirror_maps import EuclideanMap, PNormMap, SmoothedL1Map, pnorm_bregman, pnorm_gradient
+from omdkit.mirror_maps import (
+    EuclideanMap,
+    PNormMap,
+    SmoothedL1Map,
+    b_p_constant,
+    omega_p,
+    pnorm_bregman,
+    pnorm_gradient,
+    tau,
+)
 
 MAPS = [EuclideanMap(), PNormMap(1.2), PNormMap(1.5), PNormMap(2.0), SmoothedL1Map(0.5, 1.0),
         SmoothedL1Map(0.1, 2.0)]
@@ -100,3 +109,35 @@ def test_loss_gradient_acts_row_wise(model, data):
     assert_row_wise(lambda R: model.gradient(R[..., :d], R[..., d:2 * d], R[..., 2 * d]), rows)
     with pytest.raises(ValueError, match="mismatch"):
         model.gradient(W, np.column_stack([X, X[:, :1]]), y)
+
+
+@pytest.mark.parametrize("p", [1.2, 4.0 / 3.0, 1.5, 1.9, 2.0])
+@PROPERTY
+@given(data=st.data())
+def test_control_functions_act_entry_wise(p, data):
+    # Omega_p and B_p take a number or an array; an array of numbers is a stack of points.
+    n = data.draw(st.integers(1, 8))
+    u = np.abs(data.draw(arrays(np.float64, n, elements=UNIT)))
+    u *= np.array(data.draw(st.lists(st.sampled_from(SCALES + [2.0]), min_size=n, max_size=n)))
+    forms = [lambda v: omega_p(p, v)] + ([lambda r: b_p_constant(p, r)] if p < 2.0 else [])
+    negative = u.copy()
+    negative[data.draw(st.integers(0, n - 1))] = -data.draw(st.sampled_from(SCALES))
+    for form in forms:
+        assert_row_wise(form, u)
+        with pytest.raises(ValueError, match="nonnegative"):
+            form(negative)
+
+
+def test_control_function_points_are_the_closed_form_bit_for_bit():
+    # A number stays on libm's power, so a point call is the scalar closed form
+    # exactly; the grid is the one `omdkit omega` tabulates by default.
+    grid = [i * 0.01 for i in range(301)]
+    for p in (4.0 / 3.0, 1.5, 2.0):
+        t = tau(p)
+        expected = [u + 1.0 / t - 1.0 if u >= 1.0 else u ** t / t for u in grid]
+        got = [omega_p(p, u) for u in grid]
+        assert got == expected and all(type(v) is float for v in got)
+    for p in (1.2, 4.0 / 3.0, 1.5, 1.9):
+        cs = [1.0 / (2.0 * (2.0 * r) ** (2.0 - p) + 2.0 * r ** (p - 1.0) + 2.0) for r in grid]
+        got = [b_p_constant(p, r) for r in grid]
+        assert got == [min(c, c ** tau(p)) for c in cs] and all(type(v) is float for v in got)

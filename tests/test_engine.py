@@ -228,10 +228,12 @@ BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # 100 Gaussian runs at T = 2048, d = 3: the 4 MiB cap is 85 runs, so two blocks of 50.
+    # A Gaussian block stores one chunk of 64 steps, d + 1 normals per run and step:
+    # at d = 3 the 4 MiB cap is 2,048 runs, so 100 runs make one block and 5,000 three.
     gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
-    assert engine._block_runs(2048, gauss) == 85
-    assert engine._block_sizes(100, 2048, gauss) == [50, 50]
+    assert engine._block_runs(2048, gauss) == 2048
+    assert engine._block_sizes(100, 2048, gauss) == [100]
+    assert engine._block_sizes(5000, 2048, gauss) == [1667, 1667, 1666]
     # A discrete source stores one byte per run and step, so 2,000 runs make one block.
     src = eight_atom_source()
     assert engine._block_runs(2048, src) == 2049
@@ -309,7 +311,8 @@ def test_gaussian_blocks_share_out_over_the_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     T = 32
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * 3 * (T - 1))  # 3 runs of d = 3 features
+    # 3 runs of d = 3 feature normals and a noise value per step, over one chunk of T - 1 steps
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * (3 + 1) * (T - 1))
     src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5, radius=1.5)
     assert engine._block_sizes(8, T, src) == [3, 3, 2]
     common = (PNormMap(1.5), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(3), T,
@@ -318,6 +321,75 @@ def test_gaussian_blocks_share_out_over_the_pool(monkeypatch):
     pooled = monte_carlo_curve(*common, n_runs=8, base_seed=50, w_star=REFERENCE_POINT[3], workers=2)
     assert started == [2]
     np.testing.assert_array_equal(serial.values, pooled.values)
+
+
+def test_large_gaussian_runs_split_over_the_workers(monkeypatch):
+    # A Gaussian run is shared out among the workers that would each step at
+    # least GAUSSIAN_SHARE_STEPS (2^17) run-steps, the same number of blocks
+    # each; a discrete run keeps its layout.
+    gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
+    assert engine._block_sizes(100, 2048, gauss, workers=2) == [100]
+    assert engine._block_sizes(1000, 2048, gauss, workers=1) == [1000]
+    assert engine._block_sizes(1000, 2048, gauss, workers=2) == [500, 500]
+    assert engine._block_sizes(1000, 2048, gauss, workers=8) == [125] * 8
+    assert engine._block_sizes(5000, 2048, gauss, workers=1) == [1667, 1667, 1666]
+    assert engine._block_sizes(5000, 2048, gauss, workers=2) == [1250] * 4
+    assert engine._block_sizes(3, 10**6, gauss, workers=8) == [1, 1, 1]
+    wide = GaussianLinearSource(np.ones(629), noise_sd=0.3)  # 13 runs fill a block
+    assert engine._block_runs(2048, wide) == 13
+    assert engine._block_sizes(400, 2048, wide, workers=1) == [13] * 28 + [12] * 3
+    assert engine._block_sizes(400, 2048, wide, workers=2) == [13] * 16 + [12] * 16
+    assert engine._block_sizes(400, 2048, wide, workers=3) == [13] * 4 + [12] * 29
+    widest = GaussianLinearSource(np.ones(9000), noise_sd=0.3)  # a run fills a block
+    assert engine._block_sizes(5, 2**20, widest, workers=2) == [1] * 5
+    assert engine._block_sizes(2000, 2048, eight_atom_source(), workers=2) == [2000]
+    # The layout follows the worker count; the values do not.
+    T = 32
+    monkeypatch.setattr(engine, "GAUSSIAN_SHARE_STEPS", 4 * (T - 1))
+    src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5, radius=1.5)
+    assert engine._block_sizes(8, T, src, workers=1) == [8]
+    assert engine._block_sizes(8, T, src, workers=2) == [4, 4]
+    common = (PNormMap(1.5), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(3), T,
+              geometric_checkpoints(T))
+    serial = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=REFERENCE_POINT[3], workers=1)
+    pooled = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=REFERENCE_POINT[3], workers=2)
+    np.testing.assert_array_equal(serial.values, pooled.values)
+    assert multiprocessing.active_children() == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(chunk=st.sampled_from([1, 3, 64]), T=st.integers(1, 140), d=st.integers(1, 12),
+       seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
+@example(chunk=3, T=1, d=3, seed=0, B=2)
+@example(chunk=3, T=2, d=3, seed=1, B=2)
+@example(chunk=3, T=12, d=9, seed=5, B=4)  # T - 1 = 11: three full chunks and two steps
+@example(chunk=64, T=131, d=3, seed=2**64 - 4, B=3)  # T - 1 = 130: two full chunks and two steps
+def test_streamed_gaussian_block_draws_as_draw_arrays(chunk, T, d, seed, B):
+    seen = []
+
+    class RecordingModel(LossModel):
+        def gradient(self, W, X, y):
+            seen.append((X.copy(), y.copy()))
+            return super().gradient(W, X, y)
+
+    w_true = np.linspace(0.9, -0.6, d)
+    src = GaussianLinearSource(w_true, noise_sd=0.3, feature_scale=0.8, radius=1.2)  # clips some rows
+    args = (EuclideanMap(), RecordingModel(LeastSquares()), src, ConstantStep(0.05), np.zeros(d), T,
+            sorted({1, T}), w_true)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "GAUSSIAN_CHUNK", chunk)
+        block = engine._run_block(*args, range(seed, seed + B))
+        X = np.array([x for x, _ in seen]).reshape(T - 1, B, d)
+        y = np.array([y for _, y in seen]).reshape(T - 1, B)
+        for r in range(B):
+            # Each row steps on exactly the samples draw_arrays gives its stream ...
+            X_r, y_r = draw_arrays(src, engine._rng(seed + r), T - 1)
+            np.testing.assert_array_equal(X[:, r], X_r)
+            np.testing.assert_array_equal(y[:, r], y_r)
+            # ... and ends where the one-row block of its seed does.
+            one = engine._run_block(*args, range(seed + r, seed + r + 1))
+            np.testing.assert_array_equal(one.values[0], block.values[r])
+            np.testing.assert_array_equal(one.last[0], block.last[r])
 
 
 def random_atom_source(n_atoms, seed):

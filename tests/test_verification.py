@@ -70,3 +70,19 @@ def test_fenchel_polish_closes_the_brute_force_gap():
     best = _local_search(objective, start, np.random.default_rng(0))
     assert best == pytest.approx(formula, rel=1e-12)
     assert best <= formula + 1e-9 * formula
+
+
+@pytest.mark.parametrize("kernel", ["b_p_constant", "omega_p"])
+def test_pnorm_lower_control_sees_a_scaled_control(kernel, monkeypatch):
+    # The residual is the largest B_p Omega_p(D) / ||w~ - w||_p^2 over the sweep.  No
+    # pair pushes it past 2^-(tau_p + 1), 0.198 at p = 1.5 (tau = 4/3), and the sweep's
+    # pairs near w~ = 0 reach that, so either control scaled by 5.1 > 1 / 0.198 fails.
+    from omdkit import verification
+
+    seed = CHECK_NAMES.index("pnorm_lower_control")
+    passed, ratio, _ = verification._check_pnorm_lower_control(seed)
+    assert passed
+    assert ratio == pytest.approx(0.5 ** (7 / 3), rel=1e-9)
+    scaled = getattr(verification, kernel)
+    monkeypatch.setattr(verification, kernel, lambda p, x: 5.1 * scaled(p, x))
+    assert not verification._check_pnorm_lower_control(seed)[0]

@@ -27,7 +27,6 @@ from .mirror_maps import (
 from .losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
 from .sources import (
     DiscreteFiniteSource,
-    Estimate,
     GaussianLinearSource,
     Sample,
     VarianceRegime,

@@ -8,11 +8,11 @@ omega            tabulate the Huber-like control function over a grid
 --dump-defaults  print the default experiment config
 
 Exit codes: 0 success, 1 failed verification, 2 schema violation (also an
-unknown theorem_tag, a non-integer OMDKIT_WORKERS, a config that cannot be read
-or decoded, or an output path that cannot be written), 3 step-size regime
-violation, 4 all Monte Carlo runs diverged or the curve is not finite.  Curve
-and report bytes depend only on the config (timings go to stdout, not into
-the artifacts).
+unknown theorem_tag, a --workers or OMDKIT_WORKERS count that is not a
+positive integer, a config that cannot be read or decoded, or an output path
+that cannot be written), 3 step-size regime violation, 4 all Monte Carlo runs
+diverged or the curve is not finite.  Curve and report bytes depend only on
+the config (timings go to stdout, not into the artifacts).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from pathlib import Path
 
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
 from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
-from .engine import AllRunsDiverged, RegimeError, ResolvedConstants, default_workers, monte_carlo_curve
+from .engine import (AllRunsDiverged, RegimeError, ResolvedConstants, checked_workers, default_workers,
+                     monte_carlo_curve)
 from .mirror_maps import omega_p
 from .verification import run_verification
 
@@ -142,7 +143,7 @@ def _cmd_run(args) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        workers = default_workers() if args.workers is None else args.workers
+        workers = default_workers() if args.workers is None else checked_workers(args.workers, "--workers")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="Monte Carlo worker processes (default: OMDKIT_WORKERS or cpu count)",
+        help="Monte Carlo worker processes (default: OMDKIT_WORKERS or the usable cores)",
     )
 
     p_verify = sub.add_parser("verify", help="run the identity/property suite")

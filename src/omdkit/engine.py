@@ -4,18 +4,17 @@ deterministic Monte Carlo estimator of expected Bregman-distance curves.
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
 ``n_runs`` reproduces the existing runs exactly.  Runs step in even blocks,
-as few as a byte budget for each block's stored draws allows: a block
-advances as one ``(B, d)`` stack, one run per row, through the same map and
-loss kernels a single point takes, and a row's values do not depend on
-which other runs share its block.  A discrete source's draws are stored as
-atom indices, one byte per run and step below 257 atoms, so its runs
-usually make one block.  A Gaussian source's draws come one chunk of
-``GAUSSIAN_CHUNK`` steps at a time, bit for bit those ``draw_arrays`` gives
-each run's stream, so what a block stores does not grow with T and up to
-2,048 runs at d = 3 fit one block; a Gaussian run large enough to be worth
-sharing out is cut into blocks that the workers share evenly.  Worker processes share out
-whole blocks, and only when there are two or more.  A row's values do not
-depend on its block, so the artifacts are identical at any worker count.
+as few as a byte budget for one chunk of each block's samples allows: a
+block advances as one ``(B, d)`` stack, one run per row, through the same
+map and loss kernels a single point takes, and a row's values do not depend
+on which other runs share its block.  The source's ``stream`` method yields
+a block's draws one chunk of ``CHUNK`` steps at a time, bit for bit those
+``draw_arrays`` gives each run's stream, so what a block holds does not
+grow with T: up to 2,048 runs at d = 4 fit one block.  A Gaussian run
+large enough to be worth sharing out is cut into blocks that the workers
+share evenly.  Worker processes share out whole blocks, and only when there
+are two or more.  A row's values do not depend on its block, so the
+artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
@@ -40,7 +39,7 @@ import numpy as np
 from .geometry import as_vector, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import DiscreteFiniteSource, SampleSource, draw_indices
+from .sources import DiscreteFiniteSource, SampleSource
 # perfbench's tracer wraps ``engine.draw_arrays``, so the engine keeps the name.
 from .sources import draw_arrays  # noqa: F401
 
@@ -65,12 +64,12 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Byte budget for one block's stored draws: 2,049 runs of a discrete source with
-# at most 256 atoms at T = 2048, or 2,048 Gaussian runs at d = 3 and any T >= 65.
-BLOCK_BYTES = 4 << 20
-# Steps of Gaussian draws a block stores at once.  At 256 steps, 100 runs of
-# the Gaussian benchmark workload took 7 % more peak memory and no less time.
-GAUSSIAN_CHUNK = 64
+# Byte budget for one chunk of a block's samples: 2,048 runs at d = 4, or
+# 2,560 at d = 3, for any T >= 65.
+BLOCK_BYTES = 5 << 20
+# Steps of draws a block holds at once.  At 256 steps, 100 runs of the
+# Gaussian benchmark workload took 7 % more peak memory and no less time.
+CHUNK = 64
 # Run-steps of Gaussian work worth a worker process of their own: 64 runs at
 # T = 2048.  Past about twice that, two processes stepping half the p-norm
 # runs each, pool start included, finish before one process stepping all.
@@ -214,10 +213,6 @@ class Trajectory:
     diverged_at: int | None = None
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
 def _checked_checkpoints(checkpoints, T: int) -> list[int]:
     cps = [int(t) for t in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -293,28 +288,32 @@ class NonFiniteCurve(AllRunsDiverged):
         super().__init__(f"the curve is not finite: runs {runs} diverged to non-finite distances")
 
 
+def checked_workers(value, name: str = "workers") -> int:
+    """``value`` as a worker count, an integer of at least 1; ValueError naming ``name`` otherwise."""
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def default_workers() -> int:
+    """OMDKIT_WORKERS when it is set, else the number of cores this process may run on."""
     env = os.environ.get("OMDKIT_WORKERS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"OMDKIT_WORKERS must be an integer, got {env!r}") from None
+        return checked_workers(env, "OMDKIT_WORKERS")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _block_runs(T: int, source: SampleSource) -> int:
-    """The cap on runs per block: as many as fit their stored draws in BLOCK_BYTES.
+    """The cap on runs per block: as many as fit one chunk of their samples in BLOCK_BYTES.
 
-    A block stores an atom index per run and step of the horizon for a
-    discrete source.  For a Gaussian one it stores d feature normals and a
-    noise value per run and step of one chunk of at most GAUSSIAN_CHUNK steps,
-    so its cap does not fall as T grows."""
-    if isinstance(source, DiscreteFiniteSource):
-        step_bytes, steps = source.index_dtype.itemsize, T - 1
-    else:
-        step_bytes, steps = 8 * (source.d + 1), min(T - 1, GAUSSIAN_CHUNK)
-    return max(1, BLOCK_BYTES // (step_bytes * max(steps, 1)))
+    A chunk holds d features and a label per run and step, for at most CHUNK
+    steps, so the cap does not fall as T grows."""
+    return max(1, BLOCK_BYTES // (8 * (source.d + 1) * max(min(T - 1, CHUNK), 1)))
 
 
 def _block_sizes(n_runs: int, T: int, source: SampleSource, workers: int = 1) -> list[int]:
@@ -356,54 +355,29 @@ def _run_block(
 ) -> _Block:
     """Step the runs seeded ``seeds`` together, one run per row.
 
-    Row r draws its whole sample from its own stream, seeded ``seeds[r]``
-    (a Gaussian sample one chunk of steps at a time), and the kernels act on
-    each row alone, so a row's values do not depend on the other rows of its
-    block.  A row whose iterate crosses the divergence guard keeps that
-    iterate and steps no further.
+    Row r draws its whole sample from its own stream, seeded ``seeds[r]``,
+    one chunk of steps at a time, and the kernels act on each row alone, so a
+    row's values do not depend on the other rows of its block.  A row whose
+    iterate crosses the divergence guard keeps that iterate and steps no
+    further.
     """
     w1, w_star = as_vector(w1), as_vector(w_star)
-    B, d = len(seeds), w1.shape[0]
+    B = len(seeds)
     values = np.empty((B, len(cps)))
     norms = np.empty((B, len(cps)))
     diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
-        # Column r holds run r's draws, row s those for step s + 1; filled one run at a time.
-        if isinstance(source, DiscreteFiniteSource):
-            idx = np.empty((T - 1, B), dtype=source.index_dtype)
-            for r, seed in enumerate(seeds):
-                idx[:, r] = draw_indices(source, _rng(seed), T - 1)
+        chunks = source.stream(seeds, T - 1, CHUNK)
+        chunk = None
 
-            def sample(s, rows=slice(None)):
-                i = idx[s, rows]
-                return source.X.take(i, axis=0), source.y.take(i)
-        else:
-            # Run r reads its stream through two cursors: one at its feature
-            # normals, one past them at its noise, which draw_arrays draws after
-            # every feature.  The draws come one chunk of at most C steps at a
-            # time; row r of the buffers holds run r's, entry i those for step
-            # c + i + 1 of the chunk starting at step c + 1.
-            C = min(GAUSSIAN_CHUNK, T - 1)
-            features = [_rng(seed) for seed in seeds]
-            noises = [_rng(seed) for seed in seeds]
-            for rng in noises:
-                for c in range(0, T - 1, C):
-                    rng.standard_normal(min(C, T - 1 - c) * d)
-            normals = np.empty((B, C, d))
-            noise = np.empty((B, C))
-            chunk = None
+        def sample(s, rows=slice(None)):
+            # Called once per step, in order, while any row is live.
+            nonlocal chunk
+            i = s % CHUNK
+            if i == 0:
+                chunk = next(chunks)
+            return chunk[0][i, rows], chunk[1][i, rows]
 
-            def sample(s, rows=slice(None)):
-                # Called once per step, in order, while any row is live.
-                nonlocal chunk
-                i = s % C
-                if i == 0:
-                    n = min(C, T - 1 - s)
-                    for r in range(B):
-                        features[r].standard_normal(out=normals[r, :n])
-                        noises[r].standard_normal(out=noise[r, :n])
-                    chunk = source.clip_and_label(normals[:, :n], noise[:, :n])
-                return chunk[0][rows, i], chunk[1][rows, i]
         etas = [float(schedule(t)) for t in range(1, T)]
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
@@ -466,7 +440,7 @@ def monte_carlo_curve(
         raise ValueError("need at least 2 runs for a standard error")
     T = int(T)
     cps = _checked_checkpoints(checkpoints, T)
-    workers = default_workers() if workers is None else max(1, int(workers))
+    workers = default_workers() if workers is None else checked_workers(workers)
     bounds = [0, *accumulate(_block_sizes(n_runs, T, source, workers))]
     blocks = [range(base_seed + lo, base_seed + hi) for lo, hi in zip(bounds, bounds[1:])]
     block = partial(_run_block, mirror, model, source, schedule, w1, T, cps, w_star)

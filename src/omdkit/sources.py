@@ -8,6 +8,10 @@ declared radius, which keeps sup ||x||_q <= radius for every dual exponent
 q >= 2 and leaves the second moments in closed form (chi-square tails at
 integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
 ``math.erfc``), so its least-squares population quantities stay exact as well.
+
+Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
+the layout ``draw_arrays`` defines.  Each source's ``stream`` yields a block
+of runs' draws in that layout one chunk of steps at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +28,6 @@ from .losses import LeastSquares, LossModel
 
 __all__ = [
     "Sample",
-    "Estimate",
     "VarianceRegime",
     "DiscreteFiniteSource",
     "GaussianLinearSource",
@@ -49,13 +52,6 @@ _ZERO_VARIANCE_TOL = 1e-10
 class Sample:
     x: np.ndarray
     y: float
-
-
-class Estimate(NamedTuple):
-    """A population quantity with its standard error (0 when exact)."""
-
-    value: float
-    std_err: float
 
 
 class VarianceRegime(enum.Enum):
@@ -92,11 +88,6 @@ class DiscreteFiniteSource:
     def n_atoms(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def index_dtype(self) -> np.dtype:
-        """The smallest unsigned integer type that holds every atom index."""
-        return np.min_scalar_type(self.n_atoms - 1)
-
     def radius(self, dual_norm: NormSpec = EUCLIDEAN) -> float:
         return float(p_norm(self.X, dual_norm.p).max())
 
@@ -105,6 +96,20 @@ class DiscreteFiniteSource:
 
     def mean_xy(self) -> np.ndarray:
         return self.X.T @ (self.probs * self.y)
+
+    def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The first n draws of the runs seeded ``seeds``, one chunk of at most
+        ``chunk`` steps at a time: (X, y) with X[i, r] and y[i, r] run r's draw
+        for the chunk's step i.  Each uniform takes one Philox word, so a run's
+        chunks of uniforms are the ones ``draw_indices`` takes at once."""
+        rngs = [_rng(seed) for seed in seeds]
+        u = np.empty((len(rngs), min(chunk, n)))
+        for c in range(0, n, chunk):
+            m = min(chunk, n - c)
+            for r, rng in enumerate(rngs):
+                rng.random(out=u[r, :m])
+            idx = np.searchsorted(self._cum, u[:, :m].T, side="right")
+            yield self.X.take(idx, axis=0), self.y.take(idx)
 
 
 class GaussianLinearSource:
@@ -151,6 +156,26 @@ class GaussianLinearSource:
         norms = np.sqrt((X * X).sum(axis=-1))
         X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
         return X, row_inner(X, self.w_true) + self.noise_sd * noise
+
+    def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """As ``DiscreteFiniteSource.stream``.  Run r reads its stream through two
+        cursors: one at its feature normals, one past them at its noise, which
+        ``draw_arrays`` draws after every feature."""
+        d, B, C = self.d, len(seeds), min(chunk, n)
+        features = [_rng(seed) for seed in seeds]
+        noises = [_rng(seed) for seed in seeds]
+        for rng in noises:
+            for c in range(0, n, chunk):
+                rng.standard_normal(min(chunk, n - c) * d)
+        normals = np.empty((B, C, d))
+        noise = np.empty((B, C))
+        for c in range(0, n, chunk):
+            m = min(chunk, n - c)
+            for r in range(B):
+                features[r].standard_normal(out=normals[r, :m])
+                noises[r].standard_normal(out=noise[r, :m])
+            X, y = self.clip_and_label(normals[:, :m], noise[:, :m])
+            yield X.swapaxes(0, 1), y.T
 
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource
@@ -236,11 +261,14 @@ def orthonormal_atom_source(
 
 # -- sampling ------------------------------------------------------------------
 
+def _rng(seed: int) -> np.random.Generator:
+    """The Philox stream of run ``seed``."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
 def draw_indices(source: DiscreteFiniteSource, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The atom indices of n i.i.d. draws, in ``source.index_dtype``; deterministic
-    given the generator state."""
-    u = rng.random(n)
-    return np.searchsorted(source._cum, u, side="right").astype(source.index_dtype)
+    """The atom indices of n i.i.d. draws; deterministic given the generator state."""
+    return np.searchsorted(source._cum, rng.random(n), side="right")
 
 
 def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
@@ -323,23 +351,16 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
 
 
 def mean_gradient_norm(
-    source: SampleSource,
+    source: DiscreteFiniteSource,
     model: LossModel,
     w,
     dual_norm: NormSpec = EUCLIDEAN,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Estimate:
-    """E ||grad f(w, Z)||_* — exact on discrete supports, Monte Carlo otherwise."""
-    w = as_vector(w)
-    if isinstance(source, DiscreteFiniteSource):
-        norms = p_norm(model.gradient(w, source.X, source.y), dual_norm.p)
-        return Estimate(float(source.probs @ norms), 0.0)
-    if mc_samples is None or rng is None:
-        raise ValueError("continuous sources need mc_samples and an rng")
-    X, y = draw_arrays(source, rng, mc_samples)
-    norms = p_norm(model.gradient(w, X, y), dual_norm.p)
-    return Estimate(float(norms.mean()), float(norms.std(ddof=1) / np.sqrt(mc_samples)))
+) -> float:
+    """E ||grad f(w, Z)||_*, an exact weighted sum over a discrete support."""
+    if not isinstance(source, DiscreteFiniteSource):
+        raise TypeError(f"the mean gradient norm is exact only on a discrete source, not {type(source).__name__}")
+    norms = p_norm(model.gradient(as_vector(w), source.X, source.y), dual_norm.p)
+    return float(source.probs @ norms)
 
 
 def classify_variance(
@@ -354,7 +375,7 @@ def classify_variance(
     if float(np.sqrt(g @ g)) > _OPTIMALITY_TOL:
         raise ValueError("w_star fails the optimality check ||grad F(w_star)|| <= 1e-8")
     if isinstance(source, DiscreteFiniteSource):
-        value = mean_gradient_norm(source, model, w_star, dual_norm).value
+        value = mean_gradient_norm(source, model, w_star, dual_norm)
         return VarianceRegime.ZERO if value <= _ZERO_VARIANCE_TOL else VarianceRegime.POSITIVE
     # Gaussian linear + least squares (population_gradient already enforced this):
     # the gradient at the minimizer vanishes almost surely only in the

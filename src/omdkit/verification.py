@@ -393,7 +393,7 @@ def _check_mean_gradient_zero(seed: int) -> Outcome:
     source = orthonormal_atom_source(U, [1 / 6] * 3, w_star=np.array([1.0, -0.5, 0.25]))
     model = LossModel(LeastSquares())
     w_star = minimizer(source, model)
-    value = mean_gradient_norm(source, model, w_star).value
+    value = mean_gradient_norm(source, model, w_star)
     return value <= 1e-10, value, 1e-10
 
 

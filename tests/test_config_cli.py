@@ -272,10 +272,21 @@ def test_run_non_finite_curve_exits_4(tmp_path, capsys):
 def test_run_bad_workers_env_exits_2(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "exp.conf"
     conf.write_text(small_config_text())
-    monkeypatch.setenv("OMDKIT_WORKERS", "abc")
-    assert main(["run", str(conf)]) == 2
-    assert "OMDKIT_WORKERS" in capsys.readouterr().err
+    for value in ("abc", "0", "-1"):
+        monkeypatch.setenv("OMDKIT_WORKERS", value)
+        assert main(["run", str(conf)]) == 2
+        assert "OMDKIT_WORKERS" in capsys.readouterr().err
+        assert not conf.with_suffix(".curve.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_workers_below_one_exits_2(tmp_path, capsys, workers):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(small_config_text())
+    assert main(["run", str(conf), "--workers", workers]) == 2
+    assert "--workers must be a positive integer" in capsys.readouterr().err
     assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
 
 
 def test_run_violation_probe_necessity(tmp_path, capsys):

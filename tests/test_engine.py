@@ -30,6 +30,7 @@ from omdkit.sources import (
     GaussianLinearSource,
     Sample,
     VarianceRegime,
+    _rng,
     draw_arrays,
     draw_indices,
     minimizer,
@@ -218,9 +219,9 @@ def test_first_checkpoint_mean_equals_initial_distance():
 
 
 def three_run_blocks(monkeypatch, T, source):
-    """Shrink the budget for stored draws so that a block holds 3 runs of a
-    discrete source with at most 256 atoms: one byte per run and step."""
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * (T - 1))
+    """Shrink the budget for a chunk of samples so that a block holds 3 runs:
+    d features and a label per run and step of one chunk."""
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * (source.d + 1) * min(T - 1, engine.CHUNK))
     assert engine._block_runs(T, source) == 3
 
 
@@ -228,15 +229,15 @@ BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # A Gaussian block stores one chunk of 64 steps, d + 1 normals per run and step:
-    # at d = 3 the 4 MiB cap is 2,048 runs, so 100 runs make one block and 5,000 three.
+    # A block holds one chunk of 64 steps, d features and a label per run and step:
+    # at d = 3 the 5 MiB cap is 2,560 runs, so 100 runs make one block and 5,000 two.
     gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
-    assert engine._block_runs(2048, gauss) == 2048
+    assert engine._block_runs(2048, gauss) == 2560
     assert engine._block_sizes(100, 2048, gauss) == [100]
-    assert engine._block_sizes(5000, 2048, gauss) == [1667, 1667, 1666]
-    # A discrete source stores one byte per run and step, so 2,000 runs make one block.
+    assert engine._block_sizes(5000, 2048, gauss) == [2500, 2500]
+    # At d = 4 the cap is 2,048 runs, so 2,000 runs make one block.
     src = eight_atom_source()
-    assert engine._block_runs(2048, src) == 2049
+    assert engine._block_runs(2048, src) == 2048
     assert engine._block_sizes(2000, 2048, src) == [2000]
     three_run_blocks(monkeypatch, 32, src)
     assert engine._block_sizes(8, 32, src) == [3, 3, 2]
@@ -311,9 +312,8 @@ def test_gaussian_blocks_share_out_over_the_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     T = 32
-    # 3 runs of d = 3 feature normals and a noise value per step, over one chunk of T - 1 steps
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * (3 + 1) * (T - 1))
     src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5, radius=1.5)
+    three_run_blocks(monkeypatch, T, src)
     assert engine._block_sizes(8, T, src) == [3, 3, 2]
     common = (PNormMap(1.5), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(3), T,
               geometric_checkpoints(T))
@@ -332,14 +332,14 @@ def test_large_gaussian_runs_split_over_the_workers(monkeypatch):
     assert engine._block_sizes(1000, 2048, gauss, workers=1) == [1000]
     assert engine._block_sizes(1000, 2048, gauss, workers=2) == [500, 500]
     assert engine._block_sizes(1000, 2048, gauss, workers=8) == [125] * 8
-    assert engine._block_sizes(5000, 2048, gauss, workers=1) == [1667, 1667, 1666]
-    assert engine._block_sizes(5000, 2048, gauss, workers=2) == [1250] * 4
+    assert engine._block_sizes(5000, 2048, gauss, workers=1) == [2500, 2500]
+    assert engine._block_sizes(5000, 2048, gauss, workers=2) == [2500, 2500]
     assert engine._block_sizes(3, 10**6, gauss, workers=8) == [1, 1, 1]
-    wide = GaussianLinearSource(np.ones(629), noise_sd=0.3)  # 13 runs fill a block
-    assert engine._block_runs(2048, wide) == 13
-    assert engine._block_sizes(400, 2048, wide, workers=1) == [13] * 28 + [12] * 3
-    assert engine._block_sizes(400, 2048, wide, workers=2) == [13] * 16 + [12] * 16
-    assert engine._block_sizes(400, 2048, wide, workers=3) == [13] * 4 + [12] * 29
+    wide = GaussianLinearSource(np.ones(629), noise_sd=0.3)  # 16 runs fill a block
+    assert engine._block_runs(2048, wide) == 16
+    assert engine._block_sizes(400, 2048, wide, workers=1) == [16] * 25
+    assert engine._block_sizes(400, 2048, wide, workers=2) == [16] * 10 + [15] * 16
+    assert engine._block_sizes(400, 2048, wide, workers=3) == [15] * 22 + [14] * 5
     widest = GaussianLinearSource(np.ones(9000), noise_sd=0.3)  # a run fills a block
     assert engine._block_sizes(5, 2**20, widest, workers=2) == [1] * 5
     assert engine._block_sizes(2000, 2048, eight_atom_source(), workers=2) == [2000]
@@ -357,14 +357,30 @@ def test_large_gaussian_runs_split_over_the_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@settings(max_examples=30, deadline=None)
-@given(chunk=st.sampled_from([1, 3, 64]), T=st.integers(1, 140), d=st.integers(1, 12),
-       seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
-@example(chunk=3, T=1, d=3, seed=0, B=2)
-@example(chunk=3, T=2, d=3, seed=1, B=2)
-@example(chunk=3, T=12, d=9, seed=5, B=4)  # T - 1 = 11: three full chunks and two steps
-@example(chunk=64, T=131, d=3, seed=2**64 - 4, B=3)  # T - 1 = 130: two full chunks and two steps
-def test_streamed_gaussian_block_draws_as_draw_arrays(chunk, T, d, seed, B):
+def streamed_source(kind, d):
+    """A source in dimension d whose samples tell its draws apart: a discrete
+    one with 4d atoms, or a Gaussian one that clips some rows."""
+    w_true = np.linspace(0.9, -0.6, d)
+    if kind == "discrete":
+        return orthonormal_atom_source(np.eye(d), np.full(d, 0.5 / d), w_true, label_noise=0.3)
+    return GaussianLinearSource(w_true, noise_sd=0.3, feature_scale=0.8, radius=1.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["discrete", "gaussian"]), chunk=st.sampled_from([1, 3, 64]),
+       T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
+@example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2)
+@example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2)
+@example(kind="gaussian", chunk=3, T=12, d=9, seed=5, B=4)  # T - 1 = 11: three full chunks and two steps
+@example(kind="gaussian", chunk=64, T=131, d=3, seed=2**64 - 4, B=3)  # T - 1 = 130: two full chunks and two steps
+@example(kind="discrete", chunk=3, T=1, d=4, seed=0, B=2)
+@example(kind="discrete", chunk=3, T=2, d=4, seed=1, B=2)
+@example(kind="discrete", chunk=1, T=6, d=2, seed=2, B=3)  # T - 1 = 5 chunks of one step
+@example(kind="discrete", chunk=3, T=13, d=4, seed=3, B=4)  # T - 1 = 12: four full chunks
+@example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3)  # T - 1 = 64: one full chunk
+@example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2)  # T - 1 = 65: one full chunk and a step
+@example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4)  # T - 1 = 128: two full chunks
+def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
     seen = []
 
     class RecordingModel(LossModel):
@@ -372,18 +388,17 @@ def test_streamed_gaussian_block_draws_as_draw_arrays(chunk, T, d, seed, B):
             seen.append((X.copy(), y.copy()))
             return super().gradient(W, X, y)
 
-    w_true = np.linspace(0.9, -0.6, d)
-    src = GaussianLinearSource(w_true, noise_sd=0.3, feature_scale=0.8, radius=1.2)  # clips some rows
+    src = streamed_source(kind, d)
     args = (EuclideanMap(), RecordingModel(LeastSquares()), src, ConstantStep(0.05), np.zeros(d), T,
-            sorted({1, T}), w_true)
+            sorted({1, T}), np.zeros(d))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "GAUSSIAN_CHUNK", chunk)
+        mp.setattr(engine, "CHUNK", chunk)
         block = engine._run_block(*args, range(seed, seed + B))
         X = np.array([x for x, _ in seen]).reshape(T - 1, B, d)
         y = np.array([y for _, y in seen]).reshape(T - 1, B)
         for r in range(B):
             # Each row steps on exactly the samples draw_arrays gives its stream ...
-            X_r, y_r = draw_arrays(src, engine._rng(seed + r), T - 1)
+            X_r, y_r = draw_arrays(src, _rng(seed + r), T - 1)
             np.testing.assert_array_equal(X[:, r], X_r)
             np.testing.assert_array_equal(y[:, r], y_r)
             # ... and ends where the one-row block of its seed does.
@@ -404,24 +419,23 @@ def random_atom_source(n_atoms, seed):
 @settings(max_examples=20, deadline=None)
 @given(src=st.builds(random_atom_source, st.integers(1, 600), st.integers(0, 2**32 - 1)),
        seed=st.integers(0, 2**64), n=st.integers(1, 300))
-@example(src=random_atom_source(256, 1), seed=0, n=200)  # the most atoms uint8 indices hold
-@example(src=random_atom_source(300, 2), seed=2**64, n=200)  # uint16 indices
+@example(src=random_atom_source(256, 1), seed=0, n=200)
+@example(src=random_atom_source(300, 2), seed=2**64, n=200)
 def test_index_draws_gather_to_draw_arrays(src, seed, n):
-    idx = draw_indices(src, engine._rng(seed), n)
-    assert idx.dtype == (np.uint8 if src.n_atoms <= 256 else np.uint16)
+    idx = draw_indices(src, _rng(seed), n)
     # The searchsorted draw on the run's uniforms, in default integers.
-    u = engine._rng(seed).random(n)
+    u = _rng(seed).random(n)
     np.testing.assert_array_equal(idx, np.searchsorted(src._cum, u, side="right"))
-    X, y = draw_arrays(src, engine._rng(seed), n)
+    X, y = draw_arrays(src, _rng(seed), n)
     np.testing.assert_array_equal(src.X[idx], X)
     np.testing.assert_array_equal(src.y[idx], y)
-    # A block of three runs, which gathers its samples from stored indices, steps
+    # A block of three runs, which streams its samples one chunk at a time, steps
     # each row exactly as a one-row loop over that run's draw_arrays samples does.
     mirror, schedule, w1 = PNormMap(1.5), ConstantStep(0.1), np.full(3, 0.1)
     block = engine._run_block(mirror, LS, src, schedule, w1, n + 1, [n + 1], np.zeros(3),
                               range(seed, seed + 3))
     for r in range(3):
-        X, y = draw_arrays(src, engine._rng(seed + r), n)
+        X, y = draw_arrays(src, _rng(seed + r), n)
         W, dual = w1[None], mirror.grad(w1)[None]
         for t in range(n):
             dual = dual - schedule(t + 1) * LS.gradient(W, X[t:t + 1], y[t:t + 1])
@@ -672,6 +686,31 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 3
     monkeypatch.delenv("OMDKIT_WORKERS")
     assert default_workers() >= 1
+
+
+def test_default_workers_counts_usable_cores(monkeypatch):
+    # A process pinned to one of two cores gets one worker, not the machine's two.
+    monkeypatch.delenv("OMDKIT_WORKERS", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert engine.default_workers() == 1
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert engine.default_workers() == 3
+    # Where the process cannot read its affinity, the CPU count stands in.
+    monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    assert engine.default_workers() == 2
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    assert engine.default_workers() == 1
+
+
+@pytest.mark.parametrize("workers", [0, -2, "0", "x"])
+def test_worker_count_below_one_is_refused(monkeypatch, workers):
+    monkeypatch.setenv("OMDKIT_WORKERS", str(workers))
+    with pytest.raises(ValueError, match="OMDKIT_WORKERS must be a positive integer"):
+        engine.default_workers()
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        monte_carlo_curve(EuclideanMap(), LS, eight_atom_source(), ConstantStep(0.1), np.zeros(4), 4,
+                          [1, 4], n_runs=2, base_seed=0, w_star=np.zeros(4), workers=workers)
 
 
 # -- one-step distance contract ----------------------------------------------------------

@@ -75,6 +75,5 @@ from .diagnostics import (
     theorem_verdict,
 )
 from .config import ConfigError, Experiment, ExperimentConfig, build_experiment, dump_config, parse_config
-from .verification import CheckResult, run_verification
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ omega            tabulate the Huber-like control function over a grid
 
 Exit codes: 0 success, 1 failed verification, 2 schema violation (also an
 unknown theorem_tag, a --workers or OMDKIT_WORKERS count that is not a
-positive integer, a config that cannot be read or decoded, or an output path
-that cannot be written), 3 step-size regime violation, 4 all Monte Carlo runs
+positive integer, an omega exponent or grid that cannot be parsed, lies out
+of range or overflows a float, a config that cannot be read or decoded, or an
+output path that cannot be written), 3 step-size regime violation, 4 all Monte Carlo runs
 diverged or the curve is not finite.  Curve and report bytes depend only on
 the config (timings go to stdout, not into the artifacts).
 """
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
@@ -29,7 +30,6 @@ from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
 from .engine import (AllRunsDiverged, RegimeError, ResolvedConstants, checked_workers, default_workers,
                      monte_carlo_curve)
 from .mirror_maps import omega_p
-from .verification import run_verification
 
 __all__ = ["main", "run_experiment", "format_report", "format_curve", "omega_table"]
 
@@ -171,6 +171,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def run_verification():
+    """``omdkit.verification.run_verification``, imported on the first call so
+    that ``run`` never loads the suite."""
+    from .verification import run_verification as suite
+
+    return suite()
+
+
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     results = run_verification()
@@ -185,10 +193,14 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_p_token(token: str) -> float:
+    from fractions import Fraction
+
     try:
         return float(Fraction(token))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse exponent {token!r}") from None
+        raise ValueError(f"cannot parse exponent {token!r}") from None
+    except OverflowError:
+        raise ValueError(f"exponent {token} overflows a float") from None
 
 
 def omega_table(p_tokens: list[str], grid_max: float, grid_step: float) -> str:
@@ -196,8 +208,10 @@ def omega_table(p_tokens: list[str], grid_max: float, grid_step: float) -> str:
     for tok, p in ps:
         if not (1.0 < p <= 2.0):
             raise ValueError(f"exponent {tok} outside (1, 2]")
-    if grid_max <= 0.0 or grid_step <= 0.0:
-        raise ValueError("grid max and step must be positive")
+    if not (0.0 < grid_max < math.inf and 0.0 < grid_step < math.inf):
+        raise ValueError("grid max and step must be positive and finite")
+    if grid_max / grid_step == math.inf:
+        raise ValueError(f"grid {grid_max!r} / {grid_step!r} has too many points")
     n = int(round(grid_max / grid_step))
     header = "u," + ",".join(f"omega_{tok}" for tok, _ in ps)
     lines = [header]

@@ -86,10 +86,19 @@ def p_norm(w, p: float):
 def unchecked_p_norm(w: np.ndarray, p: float):
     """p_norm without the checks, so non-finite entries pass through.
 
-    A point keeps numpy's whole-vector path (a dot product at p = 2), whose
-    digits differ from the per-row reduction a stack takes.
+    Each result equals ``np.linalg.norm(w, ord=p)`` of the point or of each
+    row bit for bit.  For p != 2 this is numpy's general-order branch, written
+    out to skip the dispatch; at p = 2 a point keeps numpy's whole-vector path
+    (a dot product), whose digits differ from the per-row reduction a stack
+    takes.
     """
-    return np.linalg.norm(w, ord=p, axis=-1 if w.ndim > 1 else None)
+    if p == 2.0:
+        return np.linalg.norm(w, ord=p, axis=-1 if w.ndim > 1 else None)
+    a = np.abs(w)
+    a **= p
+    s = np.add.reduce(a, axis=-1)
+    s **= 1.0 / p
+    return s
 
 
 def dual_exponent(p: float) -> float:

@@ -86,7 +86,13 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
     # and, unlike np.where, keeps a point's norm a numpy scalar, whose power
     # is libm's; an array's power may differ from it in the last digit.
     scale = (n + (n == 0.0)) ** (2.0 - q)
-    return scale[..., None] * np.sign(w) * np.abs(w) ** (q - 1.0)
+    # The same three factors as scale * sgn(w) * |w|^{q-1}, in place; the sign
+    # factor is exact, so the order does not move a bit.
+    a = np.abs(w)
+    a **= q - 1.0
+    a *= np.sign(w)
+    a *= scale[..., None]
+    return a
 
 
 def pnorm_bregman(target, base, q: float):

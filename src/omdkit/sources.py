@@ -47,6 +47,10 @@ _MINIMIZER_TOL = 1e-10
 _OPTIMALITY_TOL = 1e-8
 _ZERO_VARIANCE_TOL = 1e-10
 
+# The most normals a Gaussian noise cursor skips in one call: one call a run
+# at the benchmark horizons, and bounded memory at long ones.
+SKIP_NORMALS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -160,13 +164,17 @@ class GaussianLinearSource:
     def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """As ``DiscreteFiniteSource.stream``.  Run r reads its stream through two
         cursors: one at its feature normals, one past them at its noise, which
-        ``draw_arrays`` draws after every feature."""
+        ``draw_arrays`` draws after every feature.  The noise cursor skips the
+        n·d feature normals by drawing them into one reused buffer of at most
+        ``SKIP_NORMALS``; a normal's words do not depend on how the draws are
+        split into calls, so any split leaves the cursor at the same place."""
         d, B, C = self.d, len(seeds), min(chunk, n)
         features = [_rng(seed) for seed in seeds]
         noises = [_rng(seed) for seed in seeds]
+        skip = np.empty(min(n * d, SKIP_NORMALS))
         for rng in noises:
-            for c in range(0, n, chunk):
-                rng.standard_normal(min(chunk, n - c) * d)
+            for s in range(0, n * d, SKIP_NORMALS):
+                rng.standard_normal(out=skip[:min(SKIP_NORMALS, n * d - s)])
         normals = np.empty((B, C, d))
         noise = np.empty((B, C))
         for c in range(0, n, chunk):

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import omdkit
+from omdkit import cli
 from omdkit.cli import main, omega_table
 from omdkit.config import (
     ConfigError,
@@ -366,6 +368,21 @@ def test_omega_rejects_bad_exponent(tmp_path, capsys):
     assert main(["omega", "--p", "3", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--p", "abc"], "cannot parse exponent 'abc'"),
+    (["--p", "nan"], "cannot parse exponent 'nan'"),
+    (["--p", "1e400"], "exponent 1e400 overflows a float"),
+    (["--grid", "inf", "0.1"], "grid max and step must be positive and finite"),
+    (["--grid", "nan", "0.1"], "grid max and step must be positive and finite"),
+    (["--grid", "1e308", "1e-300"], "grid 1e+308 / 1e-300 has too many points"),
+], ids=["p-abc", "p-nan", "p-overflow", "grid-inf", "grid-nan", "grid-overflow"])
+def test_omega_bad_argument_is_an_error_line_and_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert main(["omega", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_omega_unwritable_out_exits_2(tmp_path, capsys):
     assert main(["omega", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
@@ -453,6 +470,33 @@ def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(tmp_path):
         source_noise_sd=0.3, source_radius=2.0, schedule="polynomial", decay_c=1.0,
         decay_theta=1.0, T=2048, n_runs=100, theorem_tag="Thm1a-pnorm"))
     assert pool_modules_around_run(conf) == ("[]", "[]")
+
+
+def test_run_leaves_the_verify_suite_and_fractions_unloaded(tmp_path):
+    # verify and omega load them when called, and still work.
+    conf = tmp_path / "gauss.conf"
+    conf.write_text(small_config_text(map="pnorm", map_p=1.5, source="gaussian_linear", T=32, n_runs=4,
+                                      theorem_tag="none"))
+    code = ("import sys, omdkit.cli; lazy = {'omdkit.verification', 'fractions'}; "
+            f"assert omdkit.cli.main(['run', {str(conf)!r}, '--workers', '1']) == 0; "
+            "print(sorted(lazy & set(sys.modules))); "
+            "assert omdkit.cli.main(['verify']) == 0; "
+            f"assert omdkit.cli.main(['omega', '--p', '4/3', '--out', {str(tmp_path / 'omega.csv')!r}]) == 0; "
+            "print(sorted(lazy & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "['fractions', 'omdkit.verification']"]
+    assert "21/21 checks passed" in out.stderr
+    assert (tmp_path / "omega.csv").read_text().startswith("u,omega_4/3\n")
+
+
+def test_verify_calls_the_module_level_suite(monkeypatch, capsys):
+    # A wrapper set on cli.run_verification is the suite that verify runs.
+    fake = SimpleNamespace(passed=True, line=lambda: "fake,pass,0.0")
+    monkeypatch.setattr(cli, "run_verification", lambda: [fake])
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == "fake,pass,0.0\n"
 
 
 def test_run_verdict_under_the_float64_floor_is_inconclusive(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omdkit import engine
+from omdkit import engine, sources
 from omdkit.config import build_experiment, parse_config
 from omdkit.diagnostics import assert_step_regime, kaczmarz_moments
 from omdkit.engine import (
@@ -368,19 +368,24 @@ def streamed_source(kind, d):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["discrete", "gaussian"]), chunk=st.sampled_from([1, 3, 64]),
-       T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
-@example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2)
-@example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2)
-@example(kind="gaussian", chunk=3, T=12, d=9, seed=5, B=4)  # T - 1 = 11: three full chunks and two steps
-@example(kind="gaussian", chunk=64, T=131, d=3, seed=2**64 - 4, B=3)  # T - 1 = 130: two full chunks and two steps
-@example(kind="discrete", chunk=3, T=1, d=4, seed=0, B=2)
-@example(kind="discrete", chunk=3, T=2, d=4, seed=1, B=2)
-@example(kind="discrete", chunk=1, T=6, d=2, seed=2, B=3)  # T - 1 = 5 chunks of one step
-@example(kind="discrete", chunk=3, T=13, d=4, seed=3, B=4)  # T - 1 = 12: four full chunks
-@example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3)  # T - 1 = 64: one full chunk
-@example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2)  # T - 1 = 65: one full chunk and a step
-@example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4)  # T - 1 = 128: two full chunks
-def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
+       T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4),
+       skip=st.sampled_from([None, 5]))
+@example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2, skip=None)
+@example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2, skip=None)
+@example(kind="gaussian", chunk=3, T=12, d=9, seed=5, B=4, skip=None)  # T - 1 = 11: three full chunks and two steps
+@example(kind="gaussian", chunk=64, T=131, d=3, seed=2**64 - 4, B=3, skip=None)  # T - 1 = 130: two full chunks and two steps
+@example(kind="discrete", chunk=3, T=1, d=4, seed=0, B=2, skip=None)
+@example(kind="discrete", chunk=3, T=2, d=4, seed=1, B=2, skip=None)
+@example(kind="discrete", chunk=1, T=6, d=2, seed=2, B=3, skip=None)  # T - 1 = 5 chunks of one step
+@example(kind="discrete", chunk=3, T=13, d=4, seed=3, B=4, skip=None)  # T - 1 = 12: four full chunks
+@example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3, skip=None)  # T - 1 = 64: one full chunk
+@example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2, skip=None)  # T - 1 = 65: one full chunk and a step
+@example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4, skip=None)  # T - 1 = 128: two full chunks
+# A noise cursor skipping 5 normals a call, a multiple of neither d nor the chunk:
+@example(kind="gaussian", chunk=3, T=2, d=3, seed=4, B=2, skip=5)  # 3 normals, one short call
+@example(kind="gaussian", chunk=3, T=12, d=3, seed=5, B=4, skip=5)  # 33 normals: six calls of 5 and one of 3
+@example(kind="gaussian", chunk=64, T=131, d=3, seed=6, B=3, skip=5)  # 390 normals: 78 calls of 5
+def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B, skip):
     seen = []
 
     class RecordingModel(LossModel):
@@ -393,6 +398,8 @@ def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
             sorted({1, T}), np.zeros(d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "CHUNK", chunk)
+        if skip is not None:
+            mp.setattr(sources, "SKIP_NORMALS", skip)
         block = engine._run_block(*args, range(seed, seed + B))
         X = np.array([x for x, _ in seen]).reshape(T - 1, B, d)
         y = np.array([y for _, y in seen]).reshape(T - 1, B)

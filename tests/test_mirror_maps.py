@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omdkit.geometry import NormSpec, dual_exponent, p_norm
+from omdkit.geometry import NormSpec, dual_exponent, p_norm, unchecked_p_norm
 from omdkit.mirror_maps import (
     EuclideanMap,
     PNormMap,
@@ -59,6 +59,34 @@ def test_pnorm_gradient_symmetric_point():
 
 def test_pnorm_gradient_at_origin_is_zero():
     np.testing.assert_array_equal(PNormMap(1.3).grad([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
+
+
+def kernel_rows(d, scale, seed):
+    """Random rows of dimension d at the given scale, then rows of signed
+    zeros and rows holding an inf or a nan."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal((12, d)) * scale, np.zeros((1, d)), np.full((1, d), -0.0)]
+    for special in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        row = rng.standard_normal(d) * scale
+        row[rng.integers(d)] = special
+        rows.append(row[None])
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 5.0 / 3.0, 1.9, 2.0, 3.0, 6.0])
+def test_pnorm_kernels_equal_the_numpy_forms_bit_for_bit(p):
+    # unchecked_p_norm against np.linalg.norm, pnorm_gradient against the
+    # out-of-place product, on each row as a point and on the stack.
+    for d in (1, 2, 3, 5, 11):
+        for k, scale in enumerate((1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150)):
+            W = kernel_rows(d, scale, seed=1000 * d + k)
+            with np.errstate(all="ignore"):
+                for w, axis in [(W, -1), *((row, None) for row in W)]:
+                    n = np.linalg.norm(w, ord=p, axis=axis)
+                    assert unchecked_p_norm(w, p).tobytes() == n.tobytes()
+                    scale_ref = (n + (n == 0.0)) ** (2.0 - p)
+                    grad_ref = scale_ref[..., None] * np.sign(w) * np.abs(w) ** (p - 1.0)
+                    assert pnorm_gradient(w, p).tobytes() == grad_ref.tobytes()
 
 
 def test_smoothed_l1_gradient_linear_branch():

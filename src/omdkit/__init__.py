@@ -33,7 +33,6 @@ from .sources import (
     classify_variance,
     draw,
     draw_arrays,
-    draw_indices,
     mean_gradient_norm,
     minimizer,
     orthonormal_atom_source,

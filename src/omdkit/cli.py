@@ -8,12 +8,13 @@ omega            tabulate the Huber-like control function over a grid
 --dump-defaults  print the default experiment config
 
 Exit codes: 0 success, 1 failed verification, 2 schema violation (also an
-unknown theorem_tag, a --workers or OMDKIT_WORKERS count that is not a
-positive integer, an omega exponent or grid that cannot be parsed, lies out
-of range or overflows a float, a config that cannot be read or decoded, or an
-output path that cannot be written), 3 step-size regime violation, 4 all Monte Carlo runs
-diverged or the curve is not finite.  Curve and report bytes depend only on
-the config (timings go to stdout, not into the artifacts).
+unknown theorem_tag, a --workers count that is not a positive integer, an
+omega exponent or grid that cannot be parsed, lies out of range, overflows a
+float or has more than a million points, a config that cannot be read or
+decoded, or an output path that cannot be written), 3 step-size regime
+violation, 4 all Monte Carlo runs diverged or the curve is not finite.
+Curve and report bytes depend only on the config (timings go to stdout, not
+into the artifacts).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from pathlib import Path
 
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
 from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
-from .engine import (AllRunsDiverged, RegimeError, ResolvedConstants, checked_workers, default_workers,
-                     monte_carlo_curve)
+from .engine import AllRunsDiverged, RegimeError, ResolvedConstants, checked_workers, monte_carlo_curve
 from .mirror_maps import omega_p
 
 __all__ = ["main", "run_experiment", "format_report", "format_curve", "omega_table"]
@@ -38,6 +38,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_REGIME = 3
 EXIT_DIVERGED = 4
+
+# The most points an omega table may have, so that every grid it accepts is
+# tabulated in well under a minute: a million points of three columns take
+# tens of seconds.
+OMEGA_MAX_POINTS = 10**6
 
 
 def run_experiment(exp: Experiment, workers: int | None = None) -> ExperimentResult:
@@ -142,14 +147,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    try:
-        workers = default_workers() if args.workers is None else checked_workers(args.workers, "--workers")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     started = time.perf_counter()
     try:
-        result = run_experiment(exp, workers=workers)
+        result = run_experiment(exp, workers=args.workers)
     except RegimeError as exc:
         print(f"error: step-size regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
@@ -210,9 +210,10 @@ def omega_table(p_tokens: list[str], grid_max: float, grid_step: float) -> str:
             raise ValueError(f"exponent {tok} outside (1, 2]")
     if not (0.0 < grid_max < math.inf and 0.0 < grid_step < math.inf):
         raise ValueError("grid max and step must be positive and finite")
-    if grid_max / grid_step == math.inf:
+    n = grid_max / grid_step  # the table has n + 1 points
+    if n + 1 > OMEGA_MAX_POINTS:
         raise ValueError(f"grid {grid_max!r} / {grid_step!r} has too many points")
-    n = int(round(grid_max / grid_step))
+    n = int(round(n))
     header = "u," + ",".join(f"omega_{tok}" for tok, _ in ps)
     lines = [header]
     for i in range(n + 1):
@@ -235,6 +236,14 @@ def _cmd_omega(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    """``checked_workers`` as an argparse type, so a bad count is a usage error naming --workers."""
+    try:
+        return checked_workers(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="omdkit",
@@ -253,9 +262,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--report", default=None, help="report output path")
     p_run.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=None,
-        help="Monte Carlo worker processes (default: OMDKIT_WORKERS or the usable cores)",
+        help="Monte Carlo worker processes, at least 1 (default: the usable cores)",
     )
 
     p_verify = sub.add_parser("verify", help="run the identity/property suite")

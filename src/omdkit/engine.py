@@ -7,14 +7,14 @@ Each Monte Carlo run owns a counter-based random stream keyed by
 as few as a byte budget for one chunk of each block's samples allows: a
 block advances as one ``(B, d)`` stack, one run per row, through the same
 map and loss kernels a single point takes, and a row's values do not depend
-on which other runs share its block.  The source's ``stream`` method yields
-a block's draws one chunk of ``CHUNK`` steps at a time, bit for bit those
-``draw_arrays`` gives each run's stream, so what a block holds does not
-grow with T: up to 2,048 runs at d = 4 fit one block.  A Gaussian run
-large enough to be worth sharing out is cut into blocks that the workers
-share evenly.  Worker processes share out whole blocks, and only when there
-are two or more.  A row's values do not depend on its block, so the
-artifacts are identical at any worker count.
+on which other runs share its block.  The source's ``stream`` method draws
+a block's samples ``CHUNK`` steps at a time and hands them over one step at
+a time, bit for bit those ``draw_arrays`` gives each run's stream, so what a
+block holds does not grow with T: up to 2,048 runs at d = 4 fit one block.
+A Gaussian run large enough to be worth sharing out is cut into blocks that
+the workers share evenly.  Worker processes share out whole blocks, and only
+when there are two or more.  A row's values do not depend on its block, so
+the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
@@ -288,21 +288,18 @@ class NonFiniteCurve(AllRunsDiverged):
         super().__init__(f"the curve is not finite: runs {runs} diverged to non-finite distances")
 
 
-def checked_workers(value, name: str = "workers") -> int:
-    """``value`` as a worker count, an integer of at least 1; ValueError naming ``name`` otherwise."""
+def checked_workers(value) -> int:
+    """``value`` as a worker count, an integer of at least 1; ValueError otherwise."""
     try:
         if int(value) >= 1:
             return int(value)
     except ValueError:
         pass
-    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    raise ValueError(f"workers must be a positive integer, got {value!r}")
 
 
 def default_workers() -> int:
-    """OMDKIT_WORKERS when it is set, else the number of cores this process may run on."""
-    env = os.environ.get("OMDKIT_WORKERS")
-    if env:
-        return checked_workers(env, "OMDKIT_WORKERS")
+    """The number of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -367,17 +364,7 @@ def _run_block(
     norms = np.empty((B, len(cps)))
     diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
-        chunks = source.stream(seeds, T - 1, CHUNK)
-        chunk = None
-
-        def sample(s, rows=slice(None)):
-            # Called once per step, in order, while any row is live.
-            nonlocal chunk
-            i = s % CHUNK
-            if i == 0:
-                chunk = next(chunks)
-            return chunk[0][i, rows], chunk[1][i, rows]
-
+        steps = source.stream(seeds, T - 1, CHUNK)
         etas = [float(schedule(t)) for t in range(1, T)]
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
@@ -395,19 +382,20 @@ def _run_block(
                 ci += 1
             if t == T:
                 break
+            if live is not None and not live.size:
+                continue  # every row has diverged, so no more samples are drawn
+            x, y = next(steps)
             if live is None:
-                dual = dual - etas[t - 1] * gradient(W, *sample(t - 1))
+                dual = dual - etas[t - 1] * gradient(W, x, y)
                 W = grad_inv(dual)
                 if np.abs(W).max() <= DIVERGENCE_LIMIT:  # False on NaN as well
                     continue
                 bad = ~(np.abs(W).max(axis=1) <= DIVERGENCE_LIMIT)
                 live = np.arange(B)
-            elif live.size:
-                dual[live] = dual[live] - etas[t - 1] * gradient(W[live], *sample(t - 1, live))
+            else:
+                dual[live] = dual[live] - etas[t - 1] * gradient(W[live], x[live], y[live])
                 W[live] = grad_inv(dual[live])
                 bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
-            else:
-                continue  # every row has diverged
             diverged_at[live[bad]] = t + 1
             live = live[~bad]
     return _Block(values, norms, W, diverged_at)

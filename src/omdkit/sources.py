@@ -10,8 +10,9 @@ integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
 ``math.erfc``), so its least-squares population quantities stay exact as well.
 
 Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
-the layout ``draw_arrays`` defines.  Each source's ``stream`` yields a block
-of runs' draws in that layout one chunk of steps at a time.
+the layout ``draw_arrays`` defines.  Each source's ``stream`` draws a block
+of runs' samples in that layout one chunk of steps at a time and hands them
+over one step at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "orthonormal_atom_source",
     "draw",
     "draw_arrays",
-    "draw_indices",
     "population_gradient",
     "minimizer",
     "mean_gradient_norm",
@@ -46,10 +46,6 @@ _PROB_TOL = 1e-12
 _MINIMIZER_TOL = 1e-10
 _OPTIMALITY_TOL = 1e-8
 _ZERO_VARIANCE_TOL = 1e-10
-
-# The most normals a Gaussian noise cursor skips in one call: one call a run
-# at the benchmark horizons, and bounded memory at long ones.
-SKIP_NORMALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,10 @@ class DiscreteFiniteSource:
         return self.X.T @ (self.probs * self.y)
 
     def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The first n draws of the runs seeded ``seeds``, one chunk of at most
-        ``chunk`` steps at a time: (X, y) with X[i, r] and y[i, r] run r's draw
-        for the chunk's step i.  Each uniform takes one Philox word, so a run's
-        chunks of uniforms are the ones ``draw_indices`` takes at once."""
+        """The first n draws of the runs seeded ``seeds``, drawn ``chunk`` steps
+        at a time and yielded one step at a time: (X, y) with X[r] and y[r] run
+        r's draw for that step.  Each uniform takes one Philox word, so a run's
+        chunks of uniforms are the ones ``draw_arrays`` takes at once."""
         rngs = [_rng(seed) for seed in seeds]
         u = np.empty((len(rngs), min(chunk, n)))
         for c in range(0, n, chunk):
@@ -113,7 +109,7 @@ class DiscreteFiniteSource:
             for r, rng in enumerate(rngs):
                 rng.random(out=u[r, :m])
             idx = np.searchsorted(self._cum, u[:, :m].T, side="right")
-            yield self.X.take(idx, axis=0), self.y.take(idx)
+            yield from zip(self.X.take(idx, axis=0), self.y.take(idx))
 
 
 class GaussianLinearSource:
@@ -165,25 +161,25 @@ class GaussianLinearSource:
         """As ``DiscreteFiniteSource.stream``.  Run r reads its stream through two
         cursors: one at its feature normals, one past them at its noise, which
         ``draw_arrays`` draws after every feature.  The noise cursor skips the
-        n·d feature normals by drawing them into one reused buffer of at most
-        ``SKIP_NORMALS``; a normal's words do not depend on how the draws are
-        split into calls, so any split leaves the cursor at the same place."""
+        n·d feature normals by drawing them into the chunk buffer before its
+        first fill; a normal's words do not depend on how the draws are split
+        into calls, so any split leaves the cursor at the same place."""
         d, B, C = self.d, len(seeds), min(chunk, n)
         features = [_rng(seed) for seed in seeds]
         noises = [_rng(seed) for seed in seeds]
-        skip = np.empty(min(n * d, SKIP_NORMALS))
-        for rng in noises:
-            for s in range(0, n * d, SKIP_NORMALS):
-                rng.standard_normal(out=skip[:min(SKIP_NORMALS, n * d - s)])
         normals = np.empty((B, C, d))
         noise = np.empty((B, C))
+        flat = normals.reshape(-1)
+        for rng in noises:
+            for s in range(0, n * d, max(flat.size, 1)):  # flat is empty only when n = 0
+                rng.standard_normal(out=flat[:min(flat.size, n * d - s)])
         for c in range(0, n, chunk):
             m = min(chunk, n - c)
             for r in range(B):
                 features[r].standard_normal(out=normals[r, :m])
                 noises[r].standard_normal(out=noise[r, :m])
             X, y = self.clip_and_label(normals[:, :m], noise[:, :m])
-            yield X.swapaxes(0, 1), y.T
+            yield from zip(X.swapaxes(0, 1), y.T)
 
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource
@@ -274,15 +270,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def draw_indices(source: DiscreteFiniteSource, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The atom indices of n i.i.d. draws; deterministic given the generator state."""
-    return np.searchsorted(source._cum, rng.random(n), side="right")
-
-
 def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
     """n i.i.d. draws as (X, y) arrays; deterministic given the generator state."""
     if isinstance(source, DiscreteFiniteSource):
-        idx = draw_indices(source, rng, n)
+        idx = np.searchsorted(source._cum, rng.random(n), side="right")
         return source.X[idx], source.y[idx]
     if isinstance(source, GaussianLinearSource):
         # Every feature normal first, then every noise value.

@@ -271,22 +271,14 @@ def test_run_non_finite_curve_exits_4(tmp_path, capsys):
     assert not conf.with_suffix(".report.txt").exists()
 
 
-def test_run_bad_workers_env_exits_2(tmp_path, capsys, monkeypatch):
-    conf = tmp_path / "exp.conf"
-    conf.write_text(small_config_text())
-    for value in ("abc", "0", "-1"):
-        monkeypatch.setenv("OMDKIT_WORKERS", value)
-        assert main(["run", str(conf)]) == 2
-        assert "OMDKIT_WORKERS" in capsys.readouterr().err
-        assert not conf.with_suffix(".curve.csv").exists()
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("workers", ["0", "-1", "abc"])
 def test_run_workers_below_one_exits_2(tmp_path, capsys, workers):
     conf = tmp_path / "exp.conf"
     conf.write_text(small_config_text())
-    assert main(["run", str(conf), "--workers", workers]) == 2
-    assert "--workers must be a positive integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(conf), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not conf.with_suffix(".curve.csv").exists()
     assert not conf.with_suffix(".report.txt").exists()
 
@@ -375,7 +367,8 @@ def test_omega_rejects_bad_exponent(tmp_path, capsys):
     (["--grid", "inf", "0.1"], "grid max and step must be positive and finite"),
     (["--grid", "nan", "0.1"], "grid max and step must be positive and finite"),
     (["--grid", "1e308", "1e-300"], "grid 1e+308 / 1e-300 has too many points"),
-], ids=["p-abc", "p-nan", "p-overflow", "grid-inf", "grid-nan", "grid-overflow"])
+    (["--grid", "1e12", "1"], "grid 1000000000000.0 / 1.0 has too many points"),
+], ids=["p-abc", "p-nan", "p-overflow", "grid-inf", "grid-nan", "grid-overflow", "grid-too-many"])
 def test_omega_bad_argument_is_an_error_line_and_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"
     assert main(["omega", *args, "--out", str(out)]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omdkit import engine, sources
+from omdkit import engine
 from omdkit.config import build_experiment, parse_config
 from omdkit.diagnostics import assert_step_regime, kaczmarz_moments
 from omdkit.engine import (
@@ -32,7 +32,6 @@ from omdkit.sources import (
     VarianceRegime,
     _rng,
     draw_arrays,
-    draw_indices,
     minimizer,
     orthonormal_atom_source,
 )
@@ -368,24 +367,22 @@ def streamed_source(kind, d):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["discrete", "gaussian"]), chunk=st.sampled_from([1, 3, 64]),
-       T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4),
-       skip=st.sampled_from([None, 5]))
-@example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2, skip=None)
-@example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2, skip=None)
-@example(kind="gaussian", chunk=3, T=12, d=9, seed=5, B=4, skip=None)  # T - 1 = 11: three full chunks and two steps
-@example(kind="gaussian", chunk=64, T=131, d=3, seed=2**64 - 4, B=3, skip=None)  # T - 1 = 130: two full chunks and two steps
-@example(kind="discrete", chunk=3, T=1, d=4, seed=0, B=2, skip=None)
-@example(kind="discrete", chunk=3, T=2, d=4, seed=1, B=2, skip=None)
-@example(kind="discrete", chunk=1, T=6, d=2, seed=2, B=3, skip=None)  # T - 1 = 5 chunks of one step
-@example(kind="discrete", chunk=3, T=13, d=4, seed=3, B=4, skip=None)  # T - 1 = 12: four full chunks
-@example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3, skip=None)  # T - 1 = 64: one full chunk
-@example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2, skip=None)  # T - 1 = 65: one full chunk and a step
-@example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4, skip=None)  # T - 1 = 128: two full chunks
-# A noise cursor skipping 5 normals a call, a multiple of neither d nor the chunk:
-@example(kind="gaussian", chunk=3, T=2, d=3, seed=4, B=2, skip=5)  # 3 normals, one short call
-@example(kind="gaussian", chunk=3, T=12, d=3, seed=5, B=4, skip=5)  # 33 normals: six calls of 5 and one of 3
-@example(kind="gaussian", chunk=64, T=131, d=3, seed=6, B=3, skip=5)  # 390 normals: 78 calls of 5
-def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B, skip):
+       T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
+@example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2)
+@example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2)
+@example(kind="gaussian", chunk=3, T=12, d=9, seed=5, B=4)  # T - 1 = 11: three full chunks and two steps
+@example(kind="gaussian", chunk=64, T=131, d=3, seed=2**64 - 4, B=3)  # T - 1 = 130: two full chunks and two steps
+# A noise cursor skipping its feature normals in several calls through the chunk buffer:
+@example(kind="gaussian", chunk=1, T=40, d=3, seed=4, B=1)  # 117 normals through a buffer of 3
+@example(kind="gaussian", chunk=3, T=60, d=5, seed=6, B=2)  # 295 normals through a buffer of 30
+@example(kind="discrete", chunk=3, T=1, d=4, seed=0, B=2)
+@example(kind="discrete", chunk=3, T=2, d=4, seed=1, B=2)
+@example(kind="discrete", chunk=1, T=6, d=2, seed=2, B=3)  # T - 1 = 5 chunks of one step
+@example(kind="discrete", chunk=3, T=13, d=4, seed=3, B=4)  # T - 1 = 12: four full chunks
+@example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3)  # T - 1 = 64: one full chunk
+@example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2)  # T - 1 = 65: one full chunk and a step
+@example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4)  # T - 1 = 128: two full chunks
+def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
     seen = []
 
     class RecordingModel(LossModel):
@@ -394,12 +391,14 @@ def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B, skip):
             return super().gradient(W, X, y)
 
     src = streamed_source(kind, d)
+    # The stream hands over exactly T - 1 steps, one (B, d) and (B,) pair each.
+    steps = list(src.stream(range(seed, seed + B), T - 1, chunk))
+    assert len(steps) == T - 1
+    assert all(x.shape == (B, d) and y.shape == (B,) for x, y in steps)
     args = (EuclideanMap(), RecordingModel(LeastSquares()), src, ConstantStep(0.05), np.zeros(d), T,
             sorted({1, T}), np.zeros(d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "CHUNK", chunk)
-        if skip is not None:
-            mp.setattr(sources, "SKIP_NORMALS", skip)
         block = engine._run_block(*args, range(seed, seed + B))
         X = np.array([x for x, _ in seen]).reshape(T - 1, B, d)
         y = np.array([y for _, y in seen]).reshape(T - 1, B)
@@ -429,10 +428,8 @@ def random_atom_source(n_atoms, seed):
 @example(src=random_atom_source(256, 1), seed=0, n=200)
 @example(src=random_atom_source(300, 2), seed=2**64, n=200)
 def test_index_draws_gather_to_draw_arrays(src, seed, n):
-    idx = draw_indices(src, _rng(seed), n)
-    # The searchsorted draw on the run's uniforms, in default integers.
-    u = _rng(seed).random(n)
-    np.testing.assert_array_equal(idx, np.searchsorted(src._cum, u, side="right"))
+    # The searchsorted draw on the run's uniforms.
+    idx = np.searchsorted(src._cum, _rng(seed).random(n), side="right")
     X, y = draw_arrays(src, _rng(seed), n)
     np.testing.assert_array_equal(src.X[idx], X)
     np.testing.assert_array_equal(src.y[idx], y)
@@ -525,10 +522,23 @@ def test_block_rows_diverge_like_their_one_row_runs(mirror, eta, base_seed):
     src = mixed_divergence_source()
     ref = np.array([0.3, -0.2])
     args = (mirror, LS, src, ConstantStep(eta), np.zeros(2), T, geometric_checkpoints(T))
+    drawn = []  # the steps each block takes from its stream
+    stream = src.stream
+
+    def counted_stream(seeds, n, chunk):
+        drawn.append(0)
+        for step in stream(seeds, n, chunk):
+            drawn[-1] += 1
+            yield step
+
     with pytest.MonkeyPatch.context() as mp:
         three_run_blocks(mp, T, src)  # 12 runs make four blocks of 3
+        mp.setattr(src, "stream", counted_stream)
         blocks = [engine._run_block(*args, ref, range(base_seed + lo, base_seed + lo + 3))
                   for lo in range(0, n_runs, 3)]
+        # A block draws no step after its last row has diverged.
+        assert drawn == [T - 1 if (b.diverged_at == 0).any() else int(b.diverged_at.max()) - 1
+                         for b in blocks]
         diverged_at = np.concatenate([block.diverged_at for block in blocks])
         values = np.concatenate([block.values for block in blocks])
         for i in range(n_runs):
@@ -686,18 +696,8 @@ def test_trajectory_on_gaussian_source_converges():
     assert traj.bregman_to_optimum[-1] < 0.01 * traj.bregman_to_optimum[0]
 
 
-def test_default_workers_env(monkeypatch):
-    from omdkit.engine import default_workers
-
-    monkeypatch.setenv("OMDKIT_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.delenv("OMDKIT_WORKERS")
-    assert default_workers() >= 1
-
-
 def test_default_workers_counts_usable_cores(monkeypatch):
     # A process pinned to one of two cores gets one worker, not the machine's two.
-    monkeypatch.delenv("OMDKIT_WORKERS", raising=False)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert engine.default_workers() == 1
@@ -711,10 +711,7 @@ def test_default_workers_counts_usable_cores(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [0, -2, "0", "x"])
-def test_worker_count_below_one_is_refused(monkeypatch, workers):
-    monkeypatch.setenv("OMDKIT_WORKERS", str(workers))
-    with pytest.raises(ValueError, match="OMDKIT_WORKERS must be a positive integer"):
-        engine.default_workers()
+def test_worker_count_below_one_is_refused(workers):
     with pytest.raises(ValueError, match="workers must be a positive integer"):
         monte_carlo_curve(EuclideanMap(), LS, eight_atom_source(), ConstantStep(0.1), np.zeros(4), 4,
                           [1, 4], n_runs=2, base_seed=0, w_star=np.zeros(4), workers=workers)

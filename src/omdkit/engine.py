@@ -84,28 +84,6 @@ def _check_iteration(t: int) -> int:
 
 
 @dataclass(frozen=True)
-class ConstantStep:
-    kind: ClassVar[str] = "constant"
-    limit_zero: ClassVar[bool] = False
-    sum_infinite: ClassVar[bool] = True
-    sum_squares_finite: ClassVar[bool] = False
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError("step size must be positive")
-
-    def __call__(self, t: int) -> float:
-        _check_iteration(t)
-        return self.eta
-
-    @property
-    def max_step(self) -> float:
-        return self.eta
-
-
-@dataclass(frozen=True)
 class PolynomialDecay:
     """eta_t = c * t^(-theta)."""
 
@@ -138,6 +116,26 @@ class PolynomialDecay:
     @property
     def max_step(self) -> float:
         return self.c
+
+
+@dataclass(frozen=True)
+class ConstantStep(PolynomialDecay):
+    """eta_t = eta, the polynomial decay at theta = 0: t^(-0.0) is exactly 1."""
+
+    kind: ClassVar[str] = "constant"
+
+    theta: float = field(default=0.0, init=False)
+
+    def __post_init__(self):
+        if not self.c > 0.0:
+            raise ValueError("step size must be positive")
+
+    @property
+    def eta(self) -> float:
+        return self.c
+
+    def __repr__(self) -> str:
+        return f"ConstantStep(eta={self.c!r})"
 
 
 @dataclass(frozen=True)
@@ -289,12 +287,15 @@ class NonFiniteCurve(AllRunsDiverged):
 
 
 def checked_workers(value) -> int:
-    """``value`` as a worker count, an integer of at least 1; ValueError otherwise."""
-    try:
-        if int(value) >= 1:
-            return int(value)
-    except ValueError:
-        pass
+    """``value`` as a worker count: an integer of at least 1, or its string
+    (what ``--workers`` passes); ValueError for anything else, a bool or a
+    float included."""
+    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
+        try:
+            if int(value) >= 1:
+                return int(value)
+        except ValueError:
+            pass
     raise ValueError(f"workers must be a positive integer, got {value!r}")
 
 

@@ -1,20 +1,21 @@
 """Mirror-map potentials, their gradients and inverses, and Bregman distances.
 
-Three potentials are provided: the Euclidean half-squared norm, the squared
-p-norm potential (1 < p <= 2), and a smoothed-l1 potential built from a
-Huber-type scalar penalty.  Each map fixes its natural reference norm (the
-p-norm for the p-norm potential, the Euclidean norm otherwise), and exposes
-the strong-convexity / strong-smoothness moduli it attains with respect to
-that norm.  Gradients and inverse gradients are exact closed forms; the
-inverse of the p-norm gradient is the gradient of the dual-exponent
-potential.  Every formula acts on the last axis, so it takes a point or a
-stack of points, one per row (what the batched Monte Carlo engine steps);
-the potential and the Bregman distance of a point are Python floats.  The
+Two families of potentials are provided: the squared p-norm potential
+(1 < p <= 2), whose p = 2 member is the Euclidean half-squared norm
+(``EuclideanMap`` is ``PNormMap(2.0)``), and a smoothed-l1 potential built
+from a Huber-type scalar penalty.  Each map fixes its natural reference norm
+(the p-norm for the p-norm potential, the Euclidean norm otherwise), and
+exposes the strong-convexity / strong-smoothness moduli it attains with
+respect to that norm.  Gradients and inverse gradients are exact closed
+forms; the inverse of the p-norm gradient is the gradient of the
+dual-exponent potential, and at exponent 2 the gradient is the identity.
+Every formula acts on the last axis, so it takes a point or a stack of
+points, one per row (what the batched Monte Carlo engine steps); the
+potential and the Bregman distance of a point are Python floats.  The
 control functions ``omega_p`` and ``b_p_constant`` take a number, giving a
-Python float, or an array, taken entry by entry.  The
-Bregman distance is value(t) - value(b) - <t - b, grad(b)>, which cancels
-near t = b; the Euclidean map, and the p-norm map at p = 2, whose potential
-is the Euclidean one, compute it as (1/2) ||t - b||^2 instead.
+Python float, or an array, taken entry by entry.  The Bregman distance is
+value(t) - value(b) - <t - b, grad(b)>, which cancels near t = b; at
+exponent 2 ``pnorm_bregman`` computes it as (1/2) ||t - b||^2 instead.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ def _bregman_pair(target, base):
     return t, b
 
 
-def _half_squared_distance(target, base):
-    """(1/2) ||target - base||_2^2, the Bregman distance of (1/2) ||.||_2^2 without cancellation."""
-    t, b = _bregman_pair(target, base)
-    diff = t - b
-    return as_result(0.5 * row_inner(diff, diff))
-
-
 def _bregman(value, grad, target, base):
     """value(target) - value(base) - <target - base, grad(base)>; either argument may be a stack."""
     t, b = _bregman_pair(target, base)
@@ -77,9 +71,13 @@ def pnorm_potential(w, q: float):
 
 
 def pnorm_gradient(w, q: float) -> np.ndarray:
-    """Gradient ||w||_q^{2-q} (sgn(w_j) |w_j|^{q-1})_j, with value 0 at w = 0."""
+    """Gradient ||w||_q^{2-q} (sgn(w_j) |w_j|^{q-1})_j, with value 0 at w = 0.
+
+    At q = 2 that is w itself, which is returned (a -0.0 entry stays -0.0)."""
     q = check_exponent(q)
     w = np.asarray(w, dtype=np.float64)
+    if q == 2.0:
+        return w
     n = unchecked_p_norm(w, q)
     # A zero row has sign 0 in every coordinate, so any finite scale keeps it
     # at 0, the limit along every ray.  n + (n == 0) puts in 1 for a zero norm
@@ -96,6 +94,13 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
 
 
 def pnorm_bregman(target, base, q: float):
+    """The Bregman distance of (1/2) ||.||_q^2; at q = 2 it is (1/2) ||target - base||_2^2,
+    computed without the generic difference's cancellation, so it is never
+    negative, even next to the optimum."""
+    if check_exponent(q) == 2.0:
+        t, b = _bregman_pair(target, base)
+        diff = t - b
+        return as_result(0.5 * row_inner(diff, diff))
     return _bregman(lambda w: pnorm_potential(w, q), lambda w: pnorm_gradient(w, q), target, base)
 
 
@@ -134,38 +139,13 @@ class MirrorMap:
         return f"{type(self).__name__}()"
 
 
-class EuclideanMap(MirrorMap):
-    """(1/2) ||w||_2^2; the gradient is the identity, so mirror steps are plain steps."""
-
-    norm = EUCLIDEAN
-
-    def value(self, w):
-        return as_result(0.5 * row_inner(w, w))
-
-    def grad(self, w) -> np.ndarray:
-        return np.asarray(w, dtype=np.float64)
-
-    def grad_inv(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64)
-
-    def bregman(self, target, base):
-        """(1/2) ||target - base||_2^2, the generic difference without its
-        cancellation, so it is never negative, even next to the optimum."""
-        return _half_squared_distance(target, base)
-
-    def strong_convexity(self) -> float:
-        return 1.0
-
-    def smoothness(self) -> float | None:
-        return 1.0
-
-
 class PNormMap(MirrorMap):
     """(1/2) ||w||_p^2 with 1 < p <= 2, measured in its own p-norm.
 
     Strongly convex with modulus p - 1; not strongly smooth for p < 2 in
-    dimension > 1.  The inverse gradient is the gradient of the dual
-    potential (1/2) ||.||_q^2 with 1/p + 1/q = 1.
+    dimension > 1, and 1-smooth at p = 2, the Euclidean potential, where the
+    gradient and its inverse are the identity.  The inverse gradient is the
+    gradient of the dual potential (1/2) ||.||_q^2 with 1/p + 1/q = 1.
     """
 
     def __init__(self, p: float):
@@ -186,11 +166,7 @@ class PNormMap(MirrorMap):
         return pnorm_gradient(v, self.dual_p)
 
     def bregman(self, target, base):
-        """The generic difference for p < 2; at p = 2 the potential is the
-        Euclidean one, whose distance (1/2) ||target - base||_2^2 never cancels."""
-        if self.p == 2.0:
-            return _half_squared_distance(target, base)
-        return super().bregman(target, base)
+        return pnorm_bregman(target, base, self.p)
 
     def strong_convexity(self) -> float:
         return self.p - 1.0
@@ -200,6 +176,16 @@ class PNormMap(MirrorMap):
 
     def __repr__(self) -> str:
         return f"PNormMap(p={self.p!r})"
+
+
+class EuclideanMap(PNormMap):
+    """(1/2) ||w||_2^2, the p-norm potential at p = 2: mirror steps are plain steps."""
+
+    def __init__(self):
+        super().__init__(2.0)
+
+    def __repr__(self) -> str:
+        return "EuclideanMap()"
 
 
 class SmoothedL1Map(MirrorMap):

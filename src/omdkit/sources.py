@@ -248,6 +248,8 @@ def orthonormal_atom_source(
     if not np.allclose(gram, np.eye(U.shape[0]), atol=1e-12):
         raise ValueError("directions must be orthonormal")
     w_star = as_vector(w_star)
+    if label_noise < 0.0:
+        raise ValueError("label_noise must be nonnegative")
     atoms, probs = [], []
     for u, wt in zip(U, wts):
         for sign in (1.0, -1.0):

@@ -73,6 +73,20 @@ def test_schedule_predicates():
     assert thm.max_step == 5.0
 
 
+def test_constant_step_is_the_polynomial_decay_at_theta_zero():
+    for eta in (0.1, 0.37, 2.0 / 3.0, 5.0):
+        c, poly = ConstantStep(eta), PolynomialDecay(eta, 0.0)
+        assert isinstance(c, PolynomialDecay)
+        assert c.eta == eta and c.kind == "constant" and repr(c) == f"ConstantStep(eta={eta!r})"
+        assert [c(t).hex() for t in range(1, 4097)] == [poly(t).hex() for t in range(1, 4097)]
+        assert c(1) == eta
+        assert (c.limit_zero, c.sum_infinite, c.sum_squares_finite) == (
+            poly.limit_zero, poly.sum_infinite, poly.sum_squares_finite)
+        assert c.max_step == poly.max_step == eta
+    with pytest.raises(ValueError, match="step size must be positive"):
+        ConstantStep(0.0)
+
+
 def test_schedule_parameter_validation():
     with pytest.raises(ValueError):
         ConstantStep(0.0)
@@ -710,7 +724,7 @@ def test_default_workers_counts_usable_cores(monkeypatch):
     assert engine.default_workers() == 1
 
 
-@pytest.mark.parametrize("workers", [0, -2, "0", "x"])
+@pytest.mark.parametrize("workers", [0, -2, "0", "x", 2.7, 1.0, True])
 def test_worker_count_below_one_is_refused(workers):
     with pytest.raises(ValueError, match="workers must be a positive integer"):
         monte_carlo_curve(EuclideanMap(), LS, eight_atom_source(), ConstantStep(0.1), np.zeros(4), 4,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from omdkit.geometry import NormSpec, dual_exponent, p_norm, unchecked_p_norm
+from omdkit.diagnostics import duality_residual
+from omdkit.geometry import NormSpec, dual_exponent, p_norm, row_inner, unchecked_p_norm
 from omdkit.mirror_maps import (
     EuclideanMap,
     PNormMap,
@@ -11,6 +12,7 @@ from omdkit.mirror_maps import (
     b_p_constant,
     norm_power_conjugate,
     omega_p,
+    pnorm_bregman,
     pnorm_gradient,
     tau,
 )
@@ -76,7 +78,9 @@ def kernel_rows(d, scale, seed):
 @pytest.mark.parametrize("p", [1.2, 1.5, 5.0 / 3.0, 1.9, 2.0, 3.0, 6.0])
 def test_pnorm_kernels_equal_the_numpy_forms_bit_for_bit(p):
     # unchecked_p_norm against np.linalg.norm, pnorm_gradient against the
-    # out-of-place product, on each row as a point and on the stack.
+    # out-of-place product, on each row as a point and on the stack.  At p = 2
+    # the gradient is its argument, bit for bit: the product's value there,
+    # except that the product turns a -0.0 into +0.0.
     for d in (1, 2, 3, 5, 11):
         for k, scale in enumerate((1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150)):
             W = kernel_rows(d, scale, seed=1000 * d + k)
@@ -86,7 +90,11 @@ def test_pnorm_kernels_equal_the_numpy_forms_bit_for_bit(p):
                     assert unchecked_p_norm(w, p).tobytes() == n.tobytes()
                     scale_ref = (n + (n == 0.0)) ** (2.0 - p)
                     grad_ref = scale_ref[..., None] * np.sign(w) * np.abs(w) ** (p - 1.0)
-                    assert pnorm_gradient(w, p).tobytes() == grad_ref.tobytes()
+                    if p == 2.0:
+                        assert pnorm_gradient(w, p).tobytes() == w.tobytes()
+                        np.testing.assert_array_equal(pnorm_gradient(w, p), grad_ref)
+                    else:
+                        assert pnorm_gradient(w, p).tobytes() == grad_ref.tobytes()
 
 
 def test_smoothed_l1_gradient_linear_branch():
@@ -173,6 +181,24 @@ def test_bregman_pnorm_at_two_is_the_euclidean_distance_and_never_negative():
     np.testing.assert_array_equal(stacked, EuclideanMap().bregman(target, W))
     assert [PNormMap(2.0).bregman(target, w) for w in W] == [EuclideanMap().bregman(target, w) for w in W]
     assert (stacked > 0.0).all()
+
+
+def test_pnorm_bregman_at_two_is_the_half_squared_distance_bit_for_bit():
+    # Rows a 1e-9 offset apart at scales up to 100: the generic difference of
+    # the potential's terms would cancel there, and the duality residual, two
+    # such differences, would not vanish.
+    rng = np.random.default_rng(21)
+    T = rng.standard_normal((300, 5)) * rng.choice([0.01, 1.0, 100.0], size=(300, 1))
+    B = T + 1e-9 * rng.standard_normal((300, 5))
+    assert pnorm_bregman(T, B, 2.0).tobytes() == (0.5 * row_inner(T - B, T - B)).tobytes()
+    assert (duality_residual(2.0, T, B) == 0.0).all()
+
+
+def test_euclidean_map_is_the_pnorm_map_at_two():
+    m = EuclideanMap()
+    assert isinstance(m, PNormMap)
+    assert m.p == 2.0 and m.dual_p == 2.0 and m.norm == NormSpec(2.0)
+    assert repr(m) == "EuclideanMap()"
 
 
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)

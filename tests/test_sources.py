@@ -51,6 +51,8 @@ def test_orthonormal_source_validation():
         orthonormal_atom_source(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.25, 0.25], [1.0, 1.0])
     with pytest.raises(ValueError, match="sum"):
         orthonormal_atom_source(np.eye(2), [0.3, 0.3], [1.0, 1.0])
+    with pytest.raises(ValueError, match="label_noise must be nonnegative"):
+        orthonormal_atom_source(np.eye(2), [0.25, 0.25], [1.0, 1.0], label_noise=-1.0)
 
 
 def test_label_noise_preserves_second_moments():

@@ -516,10 +516,23 @@ def test_run_verdict_under_the_float64_floor_is_inconclusive(tmp_path, capsys):
             "1.9721522630525295e-31'") in report
 
 
+def test_pnorm_two_curve_is_nonnegative_down_to_the_floor(tmp_path):
+    # The same run under the p-norm map at p = 2, which is the Euclidean map,
+    # so it writes the Euclidean curve byte for byte.
+    conf = tmp_path / "floor.conf"
+    conf.write_text(small_config_text(T=2048, n_runs=10, map="pnorm", map_p=2.0))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
+    assert min(float(r.split(",")[1]) for r in rows) >= 0.0
+    euclid = tmp_path / "euclid.conf"
+    euclid.write_text(small_config_text(T=2048, n_runs=10))
+    assert main(["run", str(euclid), "--workers", "1"]) == 0
+    assert conf.with_suffix(".curve.csv").read_bytes() == euclid.with_suffix(".curve.csv").read_bytes()
+
+
 def test_euclidean_curve_is_nonnegative_down_to_the_floor(tmp_path):
     # Zero variance and a constant step drive the mean below 1e-30 by T = 2048,
-    # where value(t) - value(b) - <t - b, b> cancels to about -6e-17.  The
-    # p-norm map at p = 2 is the same map, so it writes the same curve.
+    # where value(t) - value(b) - <t - b, b> cancels to about -6e-17.
     conf = tmp_path / "floor.conf"
     conf.write_text(small_config_text(T=2048, n_runs=10))
     assert main(["run", str(conf), "--workers", "1"]) == 0
@@ -527,7 +540,3 @@ def test_euclidean_curve_is_nonnegative_down_to_the_floor(tmp_path):
     means = [float(r.split(",")[1]) for r in rows]
     assert [int(r.split(",")[0]) for r in rows][-1] == 2048
     assert min(means) >= 0.0
-    pnorm = tmp_path / "pnorm.conf"
-    pnorm.write_text(small_config_text(T=2048, n_runs=10, map="pnorm", map_p=2.0))
-    assert main(["run", str(pnorm), "--workers", "1"]) == 0
-    assert pnorm.with_suffix(".curve.csv").read_bytes() == conf.with_suffix(".curve.csv").read_bytes()

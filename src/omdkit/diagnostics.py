@@ -27,7 +27,6 @@ from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
 from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer
 from .engine import (
-    ConstantStep,
     ExpectationCurve,
     MonteCarloResult,
     RegimeError,
@@ -485,13 +484,16 @@ def _require_positive_variance(tag: str, variance: VarianceRegime | None) -> Non
 
 
 def _regime_linear_rate(tag, schedule, c, kappa, variance) -> None:
-    if not isinstance(schedule, ConstantStep):
+    # Judged by the step sequence, not the schedule's class: every schedule
+    # that does not vanish is constant (a polynomial decay at theta = 0 too).
+    if schedule.limit_zero:
         raise RegimeError(f"{tag} needs a constant schedule")
+    eta = schedule(1)
     limit = c.sigma_psi / (2.0 * c.smooth_L)
-    if not schedule.eta < limit:
+    if not eta < limit:
         raise RegimeError(f"{tag} needs eta < sigma_psi/(2L) = {limit!r}")
     cap = c.sigma_psi / ((2.0 + kappa) * c.smooth_L)
-    if schedule.eta > cap + 1e-12:
+    if eta > cap + 1e-12:
         raise RegimeError(f"{tag} needs eta <= sigma_psi/((2+kappa)L) = {cap!r}")
     if variance is not None and variance is not VarianceRegime.ZERO:
         raise RegimeError(f"{tag} needs a zero-variance source")
@@ -536,6 +538,7 @@ def _regime_summable(tag, schedule, c, kappa, variance) -> None:
 def _regime_nonvanishing(tag, schedule, c, kappa, variance) -> None:
     if schedule.limit_zero:
         raise RegimeError(f"{tag} needs a schedule with lim eta_t != 0")
+    _require_positive_variance(tag, variance)
 
 
 def _regime_almost_sure(tag, schedule, c, kappa, variance) -> None:

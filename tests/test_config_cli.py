@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -233,6 +234,32 @@ def test_run_regime_violation_exits_3(tmp_path, capsys):
     conf.write_text(small_config_text(eta=0.6))
     assert main(["run", str(conf)]) == 3
     assert not conf.with_suffix(".curve.csv").exists()
+
+
+def test_linear_rate_takes_a_constant_step_in_its_polynomial_spelling(tmp_path, capsys):
+    # A polynomial decay at theta = 0 is the constant step bit for bit, so the
+    # regime check, the verdict and the curve are those of schedule = constant.
+    outs = {}
+    for name, overrides in [("constant", dict(schedule="constant", eta=0.1)),
+                            ("polynomial", dict(schedule="polynomial", decay_c=0.1, decay_theta=0.0))]:
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(small_config_text(**overrides))
+        assert main(["run", str(conf), "--workers", "1"]) == 0
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        outs[name] = verdict, conf.with_suffix(".curve.csv").read_bytes()
+    assert outs["polynomial"] == outs["constant"]
+    assert outs["constant"][0] == "Thm3-linear-rate: Pass"
+
+
+def test_necessity_limit_on_a_zero_variance_source_exits_3(tmp_path, capsys):
+    # With zero variance a constant step converges linearly, outside the theorem.
+    conf = tmp_path / "limit.conf"
+    conf.write_text(small_config_text(T=512, theorem_tag="Thm2-necessity-limit", violation_probe=True))
+    assert main(["run", str(conf), "--workers", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: step-size regime violation: Thm2-necessity-limit needs a positive-variance source\n")
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
 
 
 def test_unknown_theorem_tag_is_a_schema_error(tmp_path, capsys):
@@ -491,6 +518,44 @@ def test_run_leaves_the_verify_suite_and_fractions_unloaded(tmp_path):
     assert loaded == ["[]", "['fractions', 'omdkit.verification']"]
     assert "21/21 checks passed" in out.stderr
     assert (tmp_path / "omega.csv").read_text().startswith("u,omega_4/3\n")
+
+
+def test_exit_freezes_the_heap_after_the_artifacts_are_written(tmp_path):
+    # atexit runs the last-registered hook first, so a hook registered before
+    # cli.main runs after omdkit's gc.freeze and sees the frozen heap.
+    conf = tmp_path / "exp.conf"
+    conf.write_text(small_config_text())
+    curve, report = tmp_path / "out.curve.csv", tmp_path / "out.report.txt"
+    code = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            "import omdkit.cli; "
+            f"sys.exit(omdkit.cli.main(['run', {str(conf)!r}, '--workers', '1', "
+            f"'--curve', {str(curve)!r}, '--report', {str(report)!r}]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "True"
+    exp = build_experiment(parse_config(conf.read_text()))
+    result = cli.run_experiment(exp, workers=1)
+    verdicts = [cli.theorem_verdict(result, "Thm3-linear-rate")]
+    assert curve.read_text() == cli.format_curve(result)
+    assert report.read_text() == cli.format_report(exp, result, verdicts)
+
+
+def test_main_registers_one_exit_hook_and_leaves_the_collector_alone():
+    # Calling main twice, as a library caller may, leaves one hook, and neither
+    # freezes nor disables the collector while the caller runs.  The hook is
+    # counted by its calls: atexit._ncallbacks() also counts unregistered slots.
+    code = ("import gc, json, sys; freeze = gc.freeze; "
+            "gc.freeze = lambda: (print('freeze'), freeze()); import omdkit.cli; "
+            "state = lambda: [gc.get_freeze_count(), gc.isenabled()]; "
+            "before = state(); "
+            "assert omdkit.cli.main(['--dump-defaults']) == 0; "
+            "assert omdkit.cli.main(['--dump-defaults']) == 0; "
+            "print(json.dumps([before, state()]), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(out.stderr) == [[0, True], [0, True]]
+    assert out.stdout.splitlines().count("freeze") == 1
+    assert out.stdout.endswith("freeze\n")
 
 
 def test_verify_calls_the_module_level_suite(monkeypatch, capsys):

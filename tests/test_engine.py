@@ -780,8 +780,12 @@ def test_regime_linear_rate():
     src = eight_atom_source()
     c = resolve_constants(EuclideanMap(), LS, src)
     assert_step_regime("Thm3-linear-rate", ConstantStep(0.1), c, variance=VarianceRegime.ZERO)
+    # judged by the step sequence: the polynomial decay at theta = 0 is a constant step
+    assert_step_regime("Thm3-linear-rate", PolynomialDecay(0.1, 0.0), c, variance=VarianceRegime.ZERO)
     with pytest.raises(RegimeError):
         assert_step_regime("Thm3-linear-rate", ConstantStep(0.6), c)
+    with pytest.raises(RegimeError, match="needs eta < "):
+        assert_step_regime("Thm3-linear-rate", PolynomialDecay(0.6, 0.0), c)
     with pytest.raises(RegimeError):
         assert_step_regime("Thm3-linear-rate", PolynomialDecay(0.1, 1.0), c)
     with pytest.raises(RegimeError):
@@ -815,7 +819,11 @@ def test_regime_probe_tags_require_flag():
         assert_step_regime("Thm2-necessity-sum", PolynomialDecay(0.9, 2.0), c, violation_probe=True)
     with pytest.raises(RegimeError):
         assert_step_regime("Thm2-necessity-limit", PolynomialDecay(0.1, 1.0), c, violation_probe=True)
-    assert_step_regime("Thm2-necessity-limit", ConstantStep(0.2), c, violation_probe=True)
+    assert_step_regime("Thm2-necessity-limit", ConstantStep(0.2), c, violation_probe=True,
+                       variance=VarianceRegime.POSITIVE)
+    with pytest.raises(RegimeError, match="positive-variance"):
+        assert_step_regime("Thm2-necessity-limit", ConstantStep(0.2), c, violation_probe=True,
+                           variance=VarianceRegime.ZERO)
 
 
 def test_regime_almost_sure_and_unknown_tags():

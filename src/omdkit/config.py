@@ -233,9 +233,9 @@ _SOURCES: dict[str, Callable[[ExperimentConfig], SampleSource]] = {
     "gaussian_linear": _gaussian_source,
 }
 _SCHEDULES: dict[str, Callable[[ExperimentConfig, ResolvedConstants], StepSchedule]] = {
-    ConstantStep.kind: lambda cfg, constants: ConstantStep(cfg.eta),
-    PolynomialDecay.kind: lambda cfg, constants: PolynomialDecay(cfg.decay_c, cfg.decay_theta),
-    TheoremRate.kind: _theorem_rate,
+    "constant": lambda cfg, constants: ConstantStep(cfg.eta),
+    "polynomial": lambda cfg, constants: PolynomialDecay(cfg.decay_c, cfg.decay_theta),
+    "theorem_rate": _theorem_rate,
 }
 
 

@@ -32,7 +32,6 @@ from .engine import (
     RegimeError,
     ResolvedConstants,
     StepSchedule,
-    TheoremRate,
     _checked_checkpoints,
     omd_step,
 )
@@ -484,8 +483,7 @@ def _require_positive_variance(tag: str, variance: VarianceRegime | None) -> Non
 
 
 def _regime_linear_rate(tag, schedule, c, kappa, variance) -> None:
-    # Judged by the step sequence, not the schedule's class: every schedule
-    # that does not vanish is constant (a polynomial decay at theta = 0 too).
+    # Every schedule whose steps do not vanish (theta = 0) is constant.
     if schedule.limit_zero:
         raise RegimeError(f"{tag} needs a constant schedule")
     eta = schedule(1)
@@ -500,13 +498,14 @@ def _regime_linear_rate(tag, schedule, c, kappa, variance) -> None:
 
 
 def _regime_one_over_t(tag, schedule, c, kappa, variance) -> None:
-    if not isinstance(schedule, TheoremRate):
+    # The theorem rate is the member c = 4, theta = 1, shift = 1, scale = sigma_f.
+    if (schedule.c, schedule.theta, schedule.shift) != (4.0, 1.0, 1.0):
         raise RegimeError(f"{tag} needs the 4/((t+1) sigma_f) schedule")
     if c.sigma_f is None:
         raise RegimeError(f"{tag} needs a strongly smooth map with a resolvable sigma_f")
-    if schedule.sigma_f > c.sigma_f * (1.0 + 1e-9):
+    if schedule.scale > c.sigma_f * (1.0 + 1e-9):
         raise RegimeError(
-            f"schedule sigma_f {schedule.sigma_f!r} exceeds the resolved value {c.sigma_f!r}"
+            f"schedule sigma_f {schedule.scale!r} exceeds the resolved value {c.sigma_f!r}"
         )
     _require_positive_variance(tag, variance)
 
@@ -528,10 +527,11 @@ def _regime_summable(tag, schedule, c, kappa, variance) -> None:
     if schedule.sum_infinite:
         raise RegimeError(f"{tag} needs a summable schedule (sum eta_t < inf)")
     bound = 1.0 / (3.0 * c.growth_a)
-    if schedule.max_step > bound + 1e-12:
+    first = schedule(1)  # every schedule is nonincreasing: its largest step
+    if first > bound + 1e-12:
         raise RegimeError(
             f"{tag} needs eta_t <= 1/(3a) = {bound!r} for the floor bound, "
-            f"got max step {schedule.max_step!r}"
+            f"got max step {first!r}"
         )
 
 

@@ -1,5 +1,10 @@
-"""The online mirror-descent iteration, step-size schedules, and a
+"""The online mirror-descent iteration, the step-size family, and a
 deterministic Monte Carlo estimator of expected Bregman-distance curves.
+
+Every step-size schedule is one ``StepSchedule``,
+``eta_t = c * (scale * (t + shift))^(-theta)``, judged by its parameters
+alone; ``ConstantStep``, ``PolynomialDecay`` and ``TheoremRate`` build its
+three config spellings.
 
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
@@ -28,11 +33,12 @@ in ``diagnostics.THEOREMS``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,23 +89,42 @@ def _check_iteration(t: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class PolynomialDecay:
-    """eta_t = c * t^(-theta)."""
+def _positive(what: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return value
 
-    kind: ClassVar[str] = "polynomial"
+
+def _nonnegative(what: str, value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{what} must be nonnegative and finite, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class StepSchedule:
+    """eta_t = c * (scale * (t + shift))^(-theta), a nonincreasing step sequence.
+
+    The predicates read ``theta`` alone and the largest step is
+    ``schedule(1)``.  ``kind`` is the config spelling that made the schedule;
+    it takes no part in equality, so ``ConstantStep(0.1) ==
+    PolynomialDecay(0.1, 0.0)``.
+    """
 
     c: float
     theta: float
+    shift: float = 0.0
+    scale: float = 1.0
+    kind: str = field(default="polynomial", compare=False)
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("decay coefficient must be positive")
-        if self.theta < 0.0:
-            raise ValueError("decay exponent must be nonnegative")
+        _positive("step coefficient", self.c)
+        _nonnegative("decay exponent", self.theta)
+        _nonnegative("step shift", self.shift)
+        _positive("step scale", self.scale)
 
     def __call__(self, t: int) -> float:
-        return self.c * float(_check_iteration(t)) ** (-self.theta)
+        return self.c * (self.scale * (_check_iteration(t) + self.shift)) ** (-self.theta)
 
     @property
     def limit_zero(self) -> bool:
@@ -113,55 +138,23 @@ class PolynomialDecay:
     def sum_squares_finite(self) -> bool:
         return self.theta > 0.5
 
-    @property
-    def max_step(self) -> float:
-        return self.c
+
+def ConstantStep(eta: float) -> StepSchedule:
+    """eta_t = eta: theta = 0, and x^(-0.0) is exactly 1."""
+    return StepSchedule(_positive("step size", eta), 0.0, kind="constant")
 
 
-@dataclass(frozen=True)
-class ConstantStep(PolynomialDecay):
-    """eta_t = eta, the polynomial decay at theta = 0: t^(-0.0) is exactly 1."""
-
-    kind: ClassVar[str] = "constant"
-
-    theta: float = field(default=0.0, init=False)
-
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("step size must be positive")
-
-    @property
-    def eta(self) -> float:
-        return self.c
-
-    def __repr__(self) -> str:
-        return f"ConstantStep(eta={self.c!r})"
+def PolynomialDecay(c: float, theta: float) -> StepSchedule:
+    """eta_t = c * t^(-theta)."""
+    return StepSchedule(_positive("decay coefficient", c), theta)
 
 
-@dataclass(frozen=True)
-class TheoremRate:
-    """eta_t = 4 / ((t + 1) sigma_f), the rate-optimal schedule under a linear control."""
+def TheoremRate(sigma_f: float) -> StepSchedule:
+    """eta_t = 4 / ((t + 1) sigma_f), the rate-optimal schedule under a linear control.
 
-    kind: ClassVar[str] = "theorem_rate"
-    limit_zero: ClassVar[bool] = True
-    sum_infinite: ClassVar[bool] = True
-    sum_squares_finite: ClassVar[bool] = True
-
-    sigma_f: float
-
-    def __post_init__(self):
-        if not self.sigma_f > 0.0:
-            raise ValueError("sigma_f must be positive")
-
-    def __call__(self, t: int) -> float:
-        return 4.0 / ((_check_iteration(t) + 1) * self.sigma_f)
-
-    @property
-    def max_step(self) -> float:
-        return 2.0 / self.sigma_f
-
-
-StepSchedule = ConstantStep | PolynomialDecay | TheoremRate
+    Stepped as 4 ((t + 1) sigma_f)^(-1), which libm's pow may round one ulp
+    away from the quotient at rare t."""
+    return StepSchedule(4.0, 1.0, 1.0, _positive("sigma_f", sigma_f), kind="theorem_rate")
 
 
 # -- single steps ---------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_4_lower_rate(theorem_rate_run):
 def test_criterion_5_necessity_of_divergent_step_sum(noisy_setup):
     source, w_star, constants = noisy_setup
     schedule = k.PolynomialDecay(0.05, 2.0)
-    assert schedule.max_step <= 1.0 / (3.0 * constants.growth_a)
+    assert schedule(1) <= 1.0 / (3.0 * constants.growth_a)
     k.assert_step_regime("Thm2-necessity-sum", schedule, constants, violation_probe=True)
     mc, elapsed = timed_curve(EUCLID, MODEL, source, schedule, np.zeros(4), 2048, 500, 3000, w_star)
     assert elapsed < 60.0

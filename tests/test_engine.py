@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import multiprocessing
 
 import numpy as np
@@ -15,6 +16,7 @@ from omdkit.engine import (
     NonFiniteCurve,
     PolynomialDecay,
     RegimeError,
+    StepSchedule,
     TheoremRate,
     geometric_checkpoints,
     kaczmarz_step,
@@ -68,21 +70,28 @@ def test_schedule_predicates():
     assert (harmonic.limit_zero, harmonic.sum_infinite, harmonic.sum_squares_finite) == (True, True, True)
     fast = PolynomialDecay(1.0, 2.0)
     assert (fast.limit_zero, fast.sum_infinite, fast.sum_squares_finite) == (True, False, True)
+    half = PolynomialDecay(1.0, 0.5)  # the boundary of sum eta_t^2 < inf: sum 1/t diverges
+    assert (half.limit_zero, half.sum_infinite, half.sum_squares_finite) == (True, True, False)
     thm = TheoremRate(0.4)
     assert (thm.limit_zero, thm.sum_infinite, thm.sum_squares_finite) == (True, True, True)
-    assert thm.max_step == 5.0
+    assert thm(1) == 5.0
 
 
 def test_constant_step_is_the_polynomial_decay_at_theta_zero():
     for eta in (0.1, 0.37, 2.0 / 3.0, 5.0):
         c, poly = ConstantStep(eta), PolynomialDecay(eta, 0.0)
-        assert isinstance(c, PolynomialDecay)
-        assert c.eta == eta and c.kind == "constant" and repr(c) == f"ConstantStep(eta={eta!r})"
+        assert c == poly and (c.kind, poly.kind) == ("constant", "polynomial")
         assert [c(t).hex() for t in range(1, 4097)] == [poly(t).hex() for t in range(1, 4097)]
-        assert c(1) == eta
+        assert c(1) == poly(1) == eta
         assert (c.limit_zero, c.sum_infinite, c.sum_squares_finite) == (
             poly.limit_zero, poly.sum_infinite, poly.sum_squares_finite)
-        assert c.max_step == poly.max_step == eta
+    # The theorem rate is the member 4 ((t + 1) sigma_f)^(-1): libm's pow(x, -1)
+    # may round differently from 1/x, by at most one ulp.
+    for sigma_f in (0.2, 0.4, 1.0):
+        thm = TheoremRate(sigma_f)
+        for t in range(1, 8193):
+            exact = 4.0 / ((t + 1) * sigma_f)
+            assert abs(thm(t) - exact) <= math.ulp(exact)
 
 
 def test_schedule_parameter_validation():
@@ -92,6 +101,16 @@ def test_schedule_parameter_validation():
         PolynomialDecay(-1.0, 1.0)
     with pytest.raises(ValueError):
         TheoremRate(0.0)
+    # Non-finite parameters: a NaN exponent, an infinite step, a never-moving run.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            ConstantStep(bad)
+        with pytest.raises(ValueError, match="decay coefficient must be positive"):
+            PolynomialDecay(bad, 1.0)
+        with pytest.raises(ValueError, match="decay exponent must be nonnegative"):
+            PolynomialDecay(1.0, bad)
+        with pytest.raises(ValueError, match="sigma_f must be positive"):
+            TheoremRate(bad)
 
 
 # -- single steps ------------------------------------------------------------------
@@ -805,6 +824,10 @@ def test_regime_theorem_rate():
         assert_step_regime("Thm2b-rate", TheoremRate(2.0 * c.sigma_f), c)
     with pytest.raises(RegimeError):
         assert_step_regime("Thm2b-rate", ConstantStep(0.1), c)
+    # Judged by the parameters, not by the spelling that made the schedule.
+    assert_step_regime("Thm2b-rate", StepSchedule(4.0, 1.0, 1.0, c.sigma_f), c)
+    with pytest.raises(RegimeError, match="needs the 4/"):
+        assert_step_regime("Thm2b-rate", PolynomialDecay(4.0 / c.sigma_f, 1.0), c)
 
 
 def test_regime_probe_tags_require_flag():

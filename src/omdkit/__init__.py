@@ -46,6 +46,7 @@ from .engine import (
     NonFiniteCurve,
     PolynomialDecay,
     RegimeError,
+    StepSchedule,
     TheoremRate,
     Trajectory,
     geometric_checkpoints,

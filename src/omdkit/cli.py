@@ -118,7 +118,7 @@ def format_report(exp: Experiment, result: ExperimentResult, verdicts) -> str:
         "w_star = " + " ".join(repr(float(v)) for v in exp.w_star),
         "",
         "[schedule]",
-        f"kind = {result.schedule.kind}",
+        f"kind = {cfg.schedule}",
         f"eta1 = {result.schedule(1)!r}",
         f"limit_zero = {str(result.schedule.limit_zero).lower()}",
         f"sum_infinite = {str(result.schedule.sum_infinite).lower()}",

@@ -106,22 +106,22 @@ class StepSchedule:
     """eta_t = c * (scale * (t + shift))^(-theta), a nonincreasing step sequence.
 
     The predicates read ``theta`` alone and the largest step is
-    ``schedule(1)``.  ``kind`` is the config spelling that made the schedule;
-    it takes no part in equality, so ``ConstantStep(0.1) ==
-    PolynomialDecay(0.1, 0.0)``.
+    ``schedule(1)``.  ``ConstantStep``, ``PolynomialDecay`` and
+    ``TheoremRate`` build the config spellings, and equal parameters make
+    equal schedules: ``ConstantStep(0.1) == PolynomialDecay(0.1, 0.0)``.
     """
 
     c: float
     theta: float
     shift: float = 0.0
     scale: float = 1.0
-    kind: str = field(default="polynomial", compare=False)
 
     def __post_init__(self):
-        _positive("step coefficient", self.c)
+        # At theta = 0, c is the step size itself; only the theorem rate sets scale.
+        _positive("step size" if self.theta == 0.0 else "decay coefficient", self.c)
         _nonnegative("decay exponent", self.theta)
         _nonnegative("step shift", self.shift)
-        _positive("step scale", self.scale)
+        _positive("scale sigma_f", self.scale)
 
     def __call__(self, t: int) -> float:
         return self.c * (self.scale * (_check_iteration(t) + self.shift)) ** (-self.theta)
@@ -141,20 +141,20 @@ class StepSchedule:
 
 def ConstantStep(eta: float) -> StepSchedule:
     """eta_t = eta: theta = 0, and x^(-0.0) is exactly 1."""
-    return StepSchedule(_positive("step size", eta), 0.0, kind="constant")
+    return StepSchedule(eta, 0.0)
 
 
 def PolynomialDecay(c: float, theta: float) -> StepSchedule:
     """eta_t = c * t^(-theta)."""
-    return StepSchedule(_positive("decay coefficient", c), theta)
+    return StepSchedule(c, theta)
 
 
 def TheoremRate(sigma_f: float) -> StepSchedule:
     """eta_t = 4 / ((t + 1) sigma_f), the rate-optimal schedule under a linear control.
 
-    Stepped as 4 ((t + 1) sigma_f)^(-1), which libm's pow may round one ulp
-    away from the quotient at rare t."""
-    return StepSchedule(4.0, 1.0, 1.0, _positive("sigma_f", sigma_f), kind="theorem_rate")
+    Stepped as 4 ((t + 1) sigma_f)^(-1), so its last bit is libm's pow's:
+    a pow that is not correctly rounded may put it one ulp from the quotient."""
+    return StepSchedule(4.0, 1.0, 1.0, sigma_f)
 
 
 # -- single steps ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from omdkit import config
+from omdkit.cli import format_report, run_experiment
 from omdkit.config import ConfigError, ExperimentConfig, build_experiment, with_overrides
 from omdkit.diagnostics import (
     THEOREMS,
@@ -516,8 +518,11 @@ CONFIG_KINDS = [
 def test_schedule_kind_is_its_config_value(key, kind, cls):
     exp = build_experiment(with_overrides(ExperimentConfig(), **{key: kind}))
     if key == "schedule":
-        # One class; the spelling that made the schedule is its kind.
-        assert type(exp.schedule) is StepSchedule and exp.schedule.kind == kind
+        # One class; the report's kind is the spelling that made the schedule.
+        assert type(exp.schedule) is StepSchedule
+        assert "kind" not in {f.name for f in dataclasses.fields(exp.schedule)}
+        report = format_report(exp, run_experiment(exp), [])
+        assert report.split("[schedule]\n", 1)[1].startswith(f"kind = {kind}\n")
     else:
         assert type(getattr(exp, "mirror" if key == "map" else key)) is cls
 

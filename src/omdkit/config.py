@@ -266,6 +266,9 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         variance = classify_variance(source, model, w_star, mirror.norm.dual)
         constants = resolve_constants(mirror, model, source)
         schedule = _SCHEDULES[cfg.schedule](cfg, constants)
+        # Steps never increase, so the last one the run takes is the smallest.
+        if cfg.T > 1 and not schedule(cfg.T - 1) > 0.0:
+            raise ConfigError(f"the step size underflows to 0 by t = {cfg.T - 1}: {schedule!r}")
         if cfg.w1 == "zeros":
             w1 = np.zeros(source.d)
         else:

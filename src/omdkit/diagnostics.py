@@ -412,18 +412,16 @@ def _verdict_one_over_t(res: ExperimentResult) -> tuple[Verdict, dict]:
 def _verdict_lower_rate(res: ExperimentResult) -> tuple[Verdict, dict]:
     grid_start = _first_checkpoint_at_least(res.curve, max(1, res.T // 8))
     sel = res.curve.checkpoints >= grid_start
+    if sel.sum() < 2:
+        raise ValueError(f"the window from t={grid_start} holds fewer than 2 checkpoints")
     ts = res.curve.checkpoints[sel].astype(np.float64)
     mean = res.curve.mean[sel]
     se = res.curve.std_err[sel]
     scaled = ts * mean
-    ref = scaled[0]
     strict_pass = float((ts * (mean - 2.0 * se)).min()) >= 0.5 * float(ts[0] * (mean[0] + 2.0 * se[0]))
     strict_fail = float((ts * (mean + 2.0 * se)).min()) < 0.5 * float(ts[0] * (mean[0] - 2.0 * se[0]))
-    point_pass = float(scaled.min()) >= 0.5 * float(ref)
-    verdict = _margin_verdict(strict_pass, strict_fail)
-    if verdict is Verdict.INCONCLUSIVE and point_pass:
-        verdict = Verdict.PASS
-    return verdict, {"min_scaled": float(scaled.min()), "ref_scaled": float(ref), "grid_start": grid_start}
+    details = {"min_scaled": float(scaled.min()), "ref_scaled": float(scaled[0]), "grid_start": grid_start}
+    return _margin_verdict(strict_pass, strict_fail), details
 
 
 def _verdict_convergence(res: ExperimentResult) -> tuple[Verdict, dict]:

@@ -16,10 +16,10 @@ on which other runs share its block.  The source's ``stream`` method draws
 a block's samples ``CHUNK`` steps at a time and hands them over one step at
 a time, bit for bit those ``draw_arrays`` gives each run's stream, so what a
 block holds does not grow with T: up to 2,048 runs at d = 4 fit one block.
-A Gaussian run large enough to be worth sharing out is cut into blocks that
-the workers share evenly.  Worker processes share out whole blocks, and only
-when there are two or more.  A row's values do not depend on its block, so
-the artifacts are identical at any worker count.
+A run large enough to be worth sharing out, whatever its source, is cut into
+blocks that the workers share evenly.  Worker processes share out whole
+blocks, and only when there are two or more.  A row's values do not depend
+on its block, so the artifacts are identical at any worker count.
 Divergence (iterate norm beyond 1e12) freezes a run at its last state and
 flags it instead of raising; such runs stay in the averages unless
 explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
@@ -45,7 +45,7 @@ import numpy as np
 from .geometry import as_vector, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import DiscreteFiniteSource, SampleSource
+from .sources import SampleSource
 # perfbench's tracer wraps ``engine.draw_arrays``, so the engine keeps the name.
 from .sources import draw_arrays  # noqa: F401
 
@@ -76,10 +76,13 @@ BLOCK_BYTES = 5 << 20
 # Steps of draws a block holds at once.  At 256 steps, 100 runs of the
 # Gaussian benchmark workload took 7 % more peak memory and no less time.
 CHUNK = 64
-# Run-steps of Gaussian work worth a worker process of their own: 64 runs at
-# T = 2048.  Past about twice that, two processes stepping half the p-norm
-# runs each, pool start included, finish before one process stepping all.
-GAUSSIAN_SHARE_STEPS = 1 << 17
+# Run-steps (runs x steps) worth a worker process of their own, whatever the
+# source: a run shares out from 10^6 run-steps, 489 runs at T = 2048.  In a
+# cold ``omdkit run --workers 2`` on 2 cores, two processes, pool start
+# included, overtake one from about 0.6 M run-steps on the Gaussian p-norm
+# benchmark config and 1.5 M on the discrete Euclidean one: the step's cost
+# follows the map more than the source.
+SHARE_STEPS = 500_000
 
 
 def _check_iteration(t: int) -> int:
@@ -122,6 +125,13 @@ class StepSchedule:
         _nonnegative("decay exponent", self.theta)
         _nonnegative("step shift", self.shift)
         _positive("scale sigma_f", self.scale)
+        # The first step is the largest, so one that is finite bounds them all.
+        try:
+            first = self(1)
+        except OverflowError:
+            first = math.inf
+        if not math.isfinite(first):
+            raise ValueError(f"the first step overflows: {self!r}")
 
     def __call__(self, t: int) -> float:
         return self.c * (self.scale * (_check_iteration(t) + self.shift)) ** (-self.theta)
@@ -310,16 +320,15 @@ def _block_runs(T: int, source: SampleSource) -> int:
 def _block_sizes(n_runs: int, T: int, source: SampleSource, workers: int = 1) -> list[int]:
     """The fewest blocks within the cap, their sizes differing by at most one.
 
-    A Gaussian run is shared out among as many of the ``workers`` as would
-    each step GAUSSIAN_SHARE_STEPS run-steps or more: its block count is
-    rounded up to a multiple of theirs, so each steps as many blocks.  A
-    row's values do not depend on its block, so the layout leaves the
-    results as they are."""
+    Every run, whatever its source, is shared out among as many of the
+    ``workers`` as would each step SHARE_STEPS run-steps or more: its block
+    count is rounded up to a multiple of theirs, so each steps as many
+    blocks.  A row's values do not depend on its block, so the layout leaves
+    the results as they are."""
     n_blocks = -(-n_runs // _block_runs(T, source))
-    if not isinstance(source, DiscreteFiniteSource):
-        share = min(workers, n_runs, n_runs * (T - 1) // GAUSSIAN_SHARE_STEPS)
-        if share > 1:
-            n_blocks = min(n_runs, -(-n_blocks // share) * share)
+    share = min(workers, n_runs, n_runs * (T - 1) // SHARE_STEPS)
+    if share > 1:
+        n_blocks = min(n_runs, -(-n_blocks // share) * share)
     size, extra = divmod(n_runs, n_blocks)
     return [size + 1] * extra + [size] * (n_blocks - extra)
 
@@ -360,6 +369,8 @@ def _run_block(
     if T > 1:
         steps = source.stream(seeds, T - 1, CHUNK)
         etas = [float(schedule(t)) for t in range(1, T)]
+        if not all(eta > 0.0 for eta in etas):
+            raise ValueError("step size must be positive")
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
     live = None  # indices of the rows still stepping, once some row has diverged

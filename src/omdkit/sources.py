@@ -44,6 +44,8 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 _MINIMIZER_TOL = 1e-10
+# Full-gradient steps the minimizer takes before it gives up.
+MINIMIZER_STEPS = 500_000
 _OPTIMALITY_TOL = 1e-8
 _ZERO_VARIANCE_TOL = 1e-10
 
@@ -325,7 +327,10 @@ def _check_positive_definite(C: np.ndarray) -> float:
 
 
 def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
-    """The exact (or to 1e-10 gradient norm) minimizer of the regularized risk."""
+    """The exact (or to 1e-10 gradient norm) minimizer of the regularized risk.
+
+    ValueError when there is none to find, or when full-gradient descent
+    does not reach the tolerance in MINIMIZER_STEPS steps."""
     if not model.loss.convex:
         raise ValueError(f"minimizer undefined for the non-convex {model.loss!r}")
     if isinstance(model.loss, LeastSquares):
@@ -343,12 +348,13 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
     L = model.smoothness_bound(source.radius(EUCLIDEAN))
     step = 1.0 / L
     w = np.zeros(source.d)
-    for _ in range(500_000):
+    for _ in range(MINIMIZER_STEPS):
         g = population_gradient(source, model, w)
         if float(np.sqrt(g @ g)) <= _MINIMIZER_TOL:
             return w
         w = w - step * g
-    raise RuntimeError("full-gradient descent failed to reach the gradient tolerance")
+    raise ValueError("full-gradient descent failed to reach the gradient tolerance "
+                     f"in {MINIMIZER_STEPS} steps")
 
 
 def mean_gradient_norm(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import omdkit
-from omdkit import cli
+from omdkit import cli, sources
 from omdkit.cli import main, omega_table
 from omdkit.config import (
     ConfigError,
@@ -225,6 +225,25 @@ def test_run_negative_label_noise_exits_2_without_outputs(tmp_path, capsys):
     conf.write_text("T = 16\nn_runs = 4\nsource_label_noise = -1\n")
     assert main(["run", str(conf), "--workers", "1"]) == 2
     assert capsys.readouterr().err == "error: invalid config: label_noise must be nonnegative\n"
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("schedule = theorem_rate\nsigma_f = 1e-320", "the first step overflows"),
+        ("schedule = polynomial\ndecay_c = 0.1\ndecay_theta = 2000", "the step size underflows to 0 by t = 63"),
+        # The minimizer's step budget is cut so that it gives up in milliseconds.
+        ("map = smoothed_l1\nloss = logistic\nreg_lambda = 1e-300", "failed to reach the gradient tolerance"),
+    ],
+)
+def test_run_unusable_steps_or_minimizer_exit_2_without_outputs(tmp_path, capsys, monkeypatch, lines, message):
+    monkeypatch.setattr(sources, "MINIMIZER_STEPS", 100)
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"T = 64\nn_runs = 10\n{lines}\n")
+    assert main(["run", str(conf), "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
     assert not conf.with_suffix(".curve.csv").exists()
     assert not conf.with_suffix(".report.txt").exists()
 

@@ -425,6 +425,17 @@ def test_verdict_lower_rate_scaled_error():
     assert theorem_verdict(res_fast, "Thm2a-lower").verdict is Verdict.FAIL
 
 
+def test_verdict_lower_rate_without_evidence_is_inconclusive():
+    # t * mean is 1 on the window, but its 2 SE band [0.2, 1.8] straddles half the reference.
+    t = geometric_checkpoints(2048)
+    straddling = result_from(curve_from(t, [1.0 / x for x in t], std_errs=[0.4 / x for x in t]), T=2048)
+    assert theorem_verdict(straddling, "Thm2a-lower").verdict is Verdict.INCONCLUSIVE
+    # At T = 1 the window is one checkpoint, which would be compared with itself.
+    report = theorem_verdict(result_from(curve_from([1], [1.0]), T=1), "Thm2a-lower")
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert "fewer than 2 checkpoints" in report.details["reason"]
+
+
 def test_verdict_unknown_tag():
     t = geometric_checkpoints(64)
     res = result_from(curve_from(t, [1.0 / x for x in t]))

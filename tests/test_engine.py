@@ -111,6 +111,19 @@ def test_schedule_parameter_validation():
             PolynomialDecay(1.0, bad)
         with pytest.raises(ValueError, match="sigma_f must be positive"):
             TheoremRate(bad)
+    # Finite parameters whose first, largest step overflows, in the power or in the product.
+    for params in [(4.0, 1.0, 1.0, 1e-320), (1e300, 2.0, 0.0, 1e-200), (1e308, 1.0, 0.0, 0.1)]:
+        with pytest.raises(ValueError, match="the first step overflows"):
+            StepSchedule(*params)
+
+
+def test_a_step_that_underflows_to_zero_is_refused():
+    # Finite parameters: the first step is 0.1, and 0.1 * t^-2000 is 0.0 from t = 2.
+    schedule = PolynomialDecay(0.1, 2000.0)
+    assert (schedule(1), schedule(2)) == (0.1, 0.0)
+    src = eight_atom_source()
+    with pytest.raises(ValueError, match="step size must be positive"):
+        run_trajectory(EuclideanMap(), LS, src, schedule, np.zeros(4), 4, [1, 4], 0, minimizer(src, LS))
 
 
 # -- single steps ------------------------------------------------------------------
@@ -353,38 +366,60 @@ def test_gaussian_blocks_share_out_over_the_pool(monkeypatch):
     np.testing.assert_array_equal(serial.values, pooled.values)
 
 
-def test_large_gaussian_runs_split_over_the_workers(monkeypatch):
-    # A Gaussian run is shared out among the workers that would each step at
-    # least GAUSSIAN_SHARE_STEPS (2^17) run-steps, the same number of blocks
-    # each; a discrete run keeps its layout.
-    gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
-    assert engine._block_sizes(100, 2048, gauss, workers=2) == [100]
-    assert engine._block_sizes(1000, 2048, gauss, workers=1) == [1000]
-    assert engine._block_sizes(1000, 2048, gauss, workers=2) == [500, 500]
-    assert engine._block_sizes(1000, 2048, gauss, workers=8) == [125] * 8
-    assert engine._block_sizes(5000, 2048, gauss, workers=1) == [2500, 2500]
-    assert engine._block_sizes(5000, 2048, gauss, workers=2) == [2500, 2500]
-    assert engine._block_sizes(3, 10**6, gauss, workers=8) == [1, 1, 1]
-    wide = GaussianLinearSource(np.ones(629), noise_sd=0.3)  # 16 runs fill a block
+def layout_source(kind, d):
+    """A discrete or a Gaussian source in dimension d, cheap at any d."""
+    if kind == "discrete":
+        return DiscreteFiniteSource([Sample(np.ones(d), 0.0)], [1.0])
+    return GaussianLinearSource(np.ones(d), noise_sd=0.3)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_large_runs_split_over_the_workers(kind, monkeypatch):
+    # Whatever its source, a run is shared out among the workers that would
+    # each step at least SHARE_STEPS (500,000) run-steps, the same number of
+    # blocks each: at T = 2048, from 489 runs on two workers.
+    src = layout_source(kind, 3)
+    assert engine._block_sizes(100, 2048, src, workers=2) == [100]
+    assert engine._block_sizes(488, 2048, src, workers=2) == [488]
+    assert engine._block_sizes(489, 2048, src, workers=2) == [245, 244]
+    assert engine._block_sizes(1000, 2048, src, workers=1) == [1000]
+    assert engine._block_sizes(1000, 2048, src, workers=2) == [500, 500]
+    assert engine._block_sizes(1000, 2048, src, workers=8) == [250] * 4
+    assert engine._block_sizes(4000, 2048, src, workers=8) == [500] * 8
+    assert engine._block_sizes(5000, 2048, src, workers=1) == [2500, 2500]
+    assert engine._block_sizes(5000, 2048, src, workers=2) == [2500, 2500]
+    assert engine._block_sizes(3, 10**6, src, workers=8) == [1, 1, 1]
+    assert engine._block_sizes(2000, 2048, layout_source(kind, 4), workers=2) == [1000, 1000]
+    wide = layout_source(kind, 629)  # 16 runs fill a block
     assert engine._block_runs(2048, wide) == 16
-    assert engine._block_sizes(400, 2048, wide, workers=1) == [16] * 25
-    assert engine._block_sizes(400, 2048, wide, workers=2) == [16] * 10 + [15] * 16
-    assert engine._block_sizes(400, 2048, wide, workers=3) == [15] * 22 + [14] * 5
-    widest = GaussianLinearSource(np.ones(9000), noise_sd=0.3)  # a run fills a block
+    assert engine._block_sizes(1200, 2048, wide, workers=1) == [16] * 75
+    assert engine._block_sizes(1200, 2048, wide, workers=2) == [16] * 60 + [15] * 16
+    # 1,200 runs of 2,047 steps are work for four workers, not eight: 76 blocks, not 80.
+    assert engine._block_sizes(1200, 2048, wide, workers=8) == [16] * 60 + [15] * 16
+    widest = layout_source(kind, 9000)  # a run fills a block
     assert engine._block_sizes(5, 2**20, widest, workers=2) == [1] * 5
-    assert engine._block_sizes(2000, 2048, eight_atom_source(), workers=2) == [2000]
     # The layout follows the worker count; the values do not.
     T = 32
-    monkeypatch.setattr(engine, "GAUSSIAN_SHARE_STEPS", 4 * (T - 1))
-    src = GaussianLinearSource(np.array([0.8, -0.4, 0.2]), noise_sd=0.3, feature_scale=0.5, radius=1.5)
+    monkeypatch.setattr(engine, "SHARE_STEPS", 4 * (T - 1))
+    src = streamed_source(kind, 3)
     assert engine._block_sizes(8, T, src, workers=1) == [8]
     assert engine._block_sizes(8, T, src, workers=2) == [4, 4]
     common = (PNormMap(1.5), LS, src, PolynomialDecay(0.5, 1.0), np.zeros(3), T,
               geometric_checkpoints(T))
-    serial = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=REFERENCE_POINT[3], workers=1)
-    pooled = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=REFERENCE_POINT[3], workers=2)
+    w_star = minimizer(src, LS)
+    serial = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=w_star, workers=1)
+    pooled = monte_carlo_curve(*common, n_runs=8, base_seed=7, w_star=w_star, workers=2)
     np.testing.assert_array_equal(serial.values, pooled.values)
     assert multiprocessing.active_children() == []
+
+
+def test_benchmark_configs_step_in_one_block():
+    # The discrete Euclidean and the Gaussian p-norm benchmark configs.
+    discrete = eight_atom_source(label_noise=1.0)
+    gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3, radius=2.0)
+    for workers in (1, 2, 4, 8, 64):
+        assert engine._block_sizes(200, 2048, discrete, workers) == [200]
+        assert engine._block_sizes(100, 2048, gauss, workers) == [100]
 
 
 def streamed_source(kind, d):

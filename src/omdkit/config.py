@@ -31,6 +31,7 @@ from .sources import (
     GaussianLinearSource,
     SampleSource,
     VarianceRegime,
+    _rng,
     classify_variance,
     minimizer,
     orthonormal_atom_source,
@@ -169,6 +170,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     # Run i draws from a Philox stream keyed base_seed + i, and keys lie in [0, 2**128).
     if cfg.base_seed < 0 or cfg.base_seed + cfg.n_runs > 2**128:
         raise ConfigError("base_seed must be >= 0 with base_seed + n_runs - 1 < 2**128")
+    if not 0 <= cfg.source_rotation < 2**128:
+        raise ConfigError("source_rotation must be >= 0 and < 2**128")
     if cfg.kappa <= 0.0:
         raise ConfigError("kappa must be positive")
     if cfg.sigma_f != "auto":
@@ -182,8 +185,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def _rotation(d: int, seed: int) -> np.ndarray:
     if seed == 0:
         return np.eye(d)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q, r = np.linalg.qr(_rng(seed).standard_normal((d, d)))
     return q * np.sign(np.diag(r))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import EUCLIDEAN, NormSpec, as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
-from .sources import DiscreteFiniteSource, Sample, VarianceRegime, minimizer
+from .sources import DiscreteFiniteSource, Sample, VarianceRegime, _discrete, minimizer
 from .engine import (
     ExpectationCurve,
     MonteCarloResult,
@@ -192,8 +192,7 @@ def key_identity_residual(
     ``w_t`` may be a stack of points, with ``eta`` one step or one per row;
     each row takes one stacked step over all atoms.
     """
-    if not isinstance(source, DiscreteFiniteSource):
-        raise ValueError("the exact one-step identity needs a discrete source")
+    source = _discrete(source, "the exact one-step identity")
     w_t = as_points(w_t)
     w_star = minimizer(source, model) if w_star is None else as_vector(w_star)
     eta = np.asarray(eta, dtype=np.float64)
@@ -224,8 +223,7 @@ def kaczmarz_moments(
     follow as probability-weighted sums over the atoms, and
     E[D(w*, w_t)] = (1/2) tr S_t carries no Monte Carlo error.
     """
-    if not isinstance(source, DiscreteFiniteSource):
-        raise ValueError("the exact moments need a discrete source")
+    source = _discrete(source, "the exact Kaczmarz moment recursion")
     if not isinstance(model.loss, LeastSquares):
         raise ValueError("the exact moments need the least-squares loss")
     cps = _checked_checkpoints(checkpoints, int(T))
@@ -460,6 +458,8 @@ def _verdict_necessity_limit(res: ExperimentResult) -> tuple[Verdict, dict]:
 def _verdict_almost_sure(res: ExperimentResult) -> tuple[Verdict, dict]:
     curve = res.curve
     values = res.mc.values
+    if curve.run_count < res.mc.n_runs:  # the curve left the diverged runs out
+        values = np.delete(values, res.mc.diverged_runs, axis=0)
     i_ref = _index_at_least(curve, 16)
     t_ref = int(curve.checkpoints[i_ref])
     i_final = len(curve.checkpoints) - 1

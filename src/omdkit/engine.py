@@ -125,13 +125,14 @@ class StepSchedule:
         _nonnegative("decay exponent", self.theta)
         _nonnegative("step shift", self.shift)
         _positive("scale sigma_f", self.scale)
-        # The first step is the largest, so one that is finite bounds them all.
+        # The first step is the largest, so one that is finite bounds them all;
+        # it is 0.0 when scale * (1 + shift) overflows to inf.
         try:
             first = self(1)
         except OverflowError:
             first = math.inf
-        if not math.isfinite(first):
-            raise ValueError(f"the first step overflows: {self!r}")
+        if not 0.0 < first < math.inf:
+            raise ValueError(f"the first step overflows or is not positive: {self!r}")
 
     def __call__(self, t: int) -> float:
         return self.c * (self.scale * (_check_iteration(t) + self.shift)) ** (-self.theta)

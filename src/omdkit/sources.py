@@ -1,13 +1,15 @@
 """Sample sources z = (x, y): finite discrete supports with exact
 expectations, and a clipped-Gaussian linear model.
 
-Discrete sources are the default for identity checks because every
-population quantity (gradient, minimizer, mean gradient norm) is an exact
-weighted sum.  The Gaussian source clips features to an l2 ball of the
+Each source gives its second moments ``covariance()`` and ``mean_xy()``
+exactly, and under least squares the population gradient and minimizer come
+from them alone.  The Gaussian source clips features to an l2 ball of the
 declared radius, which keeps sup ||x||_q <= radius for every dual exponent
 q >= 2 and leaves the second moments in closed form (chi-square tails at
 integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
-``math.erfc``), so its least-squares population quantities stay exact as well.
+``math.erfc``).  Every other population quantity is a probability-weighted
+sum of ``LossModel.gradient`` over a discrete source's atoms, and
+``_discrete`` refuses any other source with a ValueError naming the quantity.
 
 Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
 the layout ``draw_arrays`` defines.  Each source's ``stream`` draws a block
@@ -293,37 +295,22 @@ def draw(source: SampleSource, rng: np.random.Generator) -> Sample:
 
 # -- exact population quantities -----------------------------------------------
 
+def _discrete(source: SampleSource, what: str) -> DiscreteFiniteSource:
+    """``source`` if it is discrete; ValueError naming ``what`` if not."""
+    if not isinstance(source, DiscreteFiniteSource):
+        raise ValueError(f"{what} needs a discrete source, not {type(source).__name__}")
+    return source
+
+
 def population_gradient(source: SampleSource, model: LossModel, w) -> np.ndarray:
-    """Exact gradient of the regularized risk F(w) = E[f(w, Z)]."""
+    """Exact gradient of the regularized risk F(w) = E[f(w, Z)]: from the
+    source's second moments under least squares, else the probability-weighted
+    sum of the loss gradient over a discrete source's atoms."""
     w = as_vector(w)
-    if isinstance(source, DiscreteFiniteSource):
-        if w.shape[0] != source.d:
-            raise ValueError("dimension mismatch between w and source")
-        a = source.X @ w
-        der = np.asarray(model.loss.derivative(a, source.y), dtype=np.float64)
-        g = (source.probs * der) @ source.X
-        if model.lam:
-            g = g + (2.0 * model.lam) * w
-        return g
-    if isinstance(source, GaussianLinearSource):
-        if not isinstance(model.loss, LeastSquares):
-            raise ValueError("exact population gradient for a Gaussian source needs the least-squares loss")
-        if w.shape[0] != source.d:
-            raise ValueError("dimension mismatch between w and source")
+    if isinstance(model.loss, LeastSquares):
         return source.covariance() @ w - source.mean_xy() + (2.0 * model.lam) * w
-    raise TypeError(f"unknown source type {type(source).__name__}")
-
-
-def _check_positive_definite(C: np.ndarray) -> float:
-    """Return lambda_min after a factorization-based positive-definiteness check."""
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance matrix is not positive definite") from exc
-    lam_min = float(np.linalg.eigvalsh(C)[0])
-    if lam_min <= _PROB_TOL:
-        raise ValueError(f"covariance matrix is numerically singular (lambda_min={lam_min!r})")
-    return lam_min
+    source = _discrete(source, "the exact population gradient of a loss other than least-squares")
+    return source.probs @ model.gradient(w, source.X, source.y)
 
 
 def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
@@ -336,11 +323,12 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
     if isinstance(model.loss, LeastSquares):
         C = source.covariance()
         if model.lam == 0.0:
-            _check_positive_definite(C)
+            lam_min = float(np.linalg.eigvalsh(C)[0])
+            if not lam_min > _PROB_TOL:
+                raise ValueError(f"covariance matrix is not positive definite (lambda_min={lam_min!r})")
         A = C + 2.0 * model.lam * np.eye(C.shape[0])
         return np.linalg.solve(A, source.mean_xy())
-    if not isinstance(source, DiscreteFiniteSource):
-        raise ValueError("exact minimizer for a Gaussian source needs the least-squares loss")
+    source = _discrete(source, "the exact minimizer of a loss other than least-squares")
     if model.lam <= 0.0:
         raise ValueError("non-quadratic losses need lam > 0 for a guaranteed minimizer")
     # Full-gradient descent; strong convexity from the regularizer gives a
@@ -364,8 +352,7 @@ def mean_gradient_norm(
     dual_norm: NormSpec = EUCLIDEAN,
 ) -> float:
     """E ||grad f(w, Z)||_*, an exact weighted sum over a discrete support."""
-    if not isinstance(source, DiscreteFiniteSource):
-        raise TypeError(f"the mean gradient norm is exact only on a discrete source, not {type(source).__name__}")
+    source = _discrete(source, "the exact mean gradient norm")
     norms = p_norm(model.gradient(as_vector(w), source.X, source.y), dual_norm.p)
     return float(source.probs @ norms)
 

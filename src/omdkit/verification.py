@@ -30,6 +30,7 @@ from .mirror_maps import (
     pnorm_bregman,
     pnorm_gradient,
 )
+from . import sources
 from .sources import DiscreteFiniteSource, Sample, mean_gradient_norm, minimizer, orthonormal_atom_source
 from .engine import kaczmarz_step, omd_step
 from .diagnostics import cocoercivity_margin, duality_residual, key_identity_residual, nonsmoothness_witness
@@ -55,7 +56,7 @@ Outcome = tuple[bool, float, float]
 
 
 def _rng(offset: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_SEED + offset))
+    return sources._rng(_SEED + offset)
 
 
 def _maps():

@@ -86,6 +86,15 @@ def test_base_seed_range_ends_at_the_last_philox_key():
         parse_config("base_seed = -1")
 
 
+def test_source_rotation_range_is_the_philox_key_range():
+    # The rotation seed keys a Philox stream, as base_seed does.
+    last = parse_config(f"source_rotation = {2**128 - 1}")
+    assert build_experiment(last).source.n_atoms == 8
+    for bad in (-1, 2**128):
+        with pytest.raises(ConfigError, match="source_rotation must be >= 0 and < 2\\*\\*128"):
+            parse_config(f"source_rotation = {bad}")
+
+
 def test_build_experiment_default_config():
     exp = build_experiment(ExperimentConfig())
     assert exp.source.n_atoms == 8
@@ -209,6 +218,8 @@ def test_run_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys):
         "sigma_f = inf",
         "base_seed = -1",
         f"base_seed = {2**128 - 1}",
+        "source_rotation = -1",
+        f"source_rotation = {2**128}",
     ],
 )
 def test_run_out_of_range_value_exits_2_without_outputs(tmp_path, capsys, line):
@@ -246,6 +257,32 @@ def test_run_unusable_steps_or_minimizer_exit_2_without_outputs(tmp_path, capsys
     assert message in capsys.readouterr().err
     assert not conf.with_suffix(".curve.csv").exists()
     assert not conf.with_suffix(".report.txt").exists()
+
+
+def test_run_first_step_of_zero_exits_2_without_outputs(tmp_path, capsys):
+    # 4 / (1e308 * (1 + 1)) is 0.0; at T = 1 no later step is ever taken.
+    conf = tmp_path / "bad.conf"
+    conf.write_text("schedule = theorem_rate\nsigma_f = 1e308\nT = 1\nn_runs = 10\n")
+    assert main(["run", str(conf), "--workers", "1"]) == 2
+    assert "the first step overflows or is not positive" in capsys.readouterr().err
+    assert not conf.with_suffix(".curve.csv").exists()
+    assert not conf.with_suffix(".report.txt").exists()
+
+
+@pytest.mark.parametrize("exclude", [True, False])
+def test_almost_sure_verdict_scores_the_runs_the_curve_keeps(tmp_path, capsys, exclude):
+    # 2 of the 40 runs diverge.  Left out of the curve, they are left out of
+    # the verdict too, and every kept run decays; kept in, they fail it.
+    conf = tmp_path / "as.conf"
+    conf.write_text(dump_config(with_overrides(
+        ExperimentConfig(), map="pnorm", map_p=1.5, source_label_noise=1.0, schedule="polynomial",
+        decay_c=40.0, decay_theta=0.75, T=256, n_runs=40, theorem_tag="Thm4-as", exclude_diverged=exclude,
+    )))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == ("Thm4-as: Pass" if exclude else "Thm4-as: Fail")
+    report = conf.with_suffix(".report.txt").read_text()
+    assert f"run_count = {38 if exclude else 40}\ndiverged = 2\n" in report
+    assert f"detail.per_run_fraction = {1.0 if exclude else 0.95}\n" in report
 
 
 def test_run_regime_violation_exits_3(tmp_path, capsys):

@@ -436,6 +436,26 @@ def test_verdict_lower_rate_without_evidence_is_inconclusive():
     assert "fewer than 2 checkpoints" in report.details["reason"]
 
 
+@pytest.mark.parametrize("exclude", [True, False])
+def test_verdict_almost_sure_scores_the_kept_runs(exclude):
+    # Runs 3 and 7 diverge; the other 8 fall to 1 % of their value at t = 16.
+    t = [1, 16, 64, 256]
+    values = np.tile([1.0, 1.0, 0.5, 0.01], (10, 1))
+    values[[3, 7]] = [1.0, 1.0, 10.0, 100.0]
+    kept = values[[0, 1, 2, 4, 5, 6, 8, 9]] if exclude else values
+    curve = curve_from(t, kept.mean(axis=0), run_count=len(kept))
+    res = result_from(curve, values=values, T=256)
+    res.mc.diverged_runs = [3, 7]
+    report = theorem_verdict(res, "Thm4-as")
+    if exclude:
+        assert report.verdict is Verdict.PASS
+        assert report.details["per_run_fraction"] == 1.0
+    else:
+        assert report.verdict is Verdict.FAIL
+        assert report.details["per_run_fraction"] == 0.8
+        assert report.details["max_run_decreases"] is False
+
+
 def test_verdict_unknown_tag():
     t = geometric_checkpoints(64)
     res = result_from(curve_from(t, [1.0 / x for x in t]))

@@ -115,6 +115,13 @@ def test_schedule_parameter_validation():
     for params in [(4.0, 1.0, 1.0, 1e-320), (1e300, 2.0, 0.0, 1e-200), (1e308, 1.0, 0.0, 0.1)]:
         with pytest.raises(ValueError, match="the first step overflows"):
             StepSchedule(*params)
+    # Finite parameters whose first step is 0.0: scale * (1 + shift) overflows to inf,
+    # or c / (scale * (1 + shift)) underflows.
+    for params in [(4.0, 1.0, 1.0, 1e308), (1e-300, 1.0, 0.0, 1e300)]:
+        with pytest.raises(ValueError, match="the first step overflows or is not positive"):
+            StepSchedule(*params)
+    with pytest.raises(ValueError, match="not positive"):
+        TheoremRate(1e308)
 
 
 def test_a_step_that_underflows_to_zero_is_refused():

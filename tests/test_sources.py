@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from omdkit.diagnostics import kaczmarz_moments, key_identity_residual
+from omdkit.engine import ConstantStep
 from omdkit.geometry import NormSpec
-from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid
+from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
+from omdkit.mirror_maps import EuclideanMap
 from omdkit.sources import (
     DiscreteFiniteSource,
     GaussianLinearSource,
@@ -163,6 +166,31 @@ def test_population_gradient_monte_carlo_agreement():
     assert (np.abs(mc - exact) <= 4.0 * se).all()
 
 
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_least_squares_population_gradient_is_the_moment_formula(kind):
+    if kind == "discrete":
+        src = two_atom_source()
+    else:
+        src = GaussianLinearSource(np.array([1.0, -0.5]), noise_sd=0.3, feature_scale=0.5, radius=2.0)
+    model = LossModel(LeastSquares(), lam=0.3)
+    w = np.array([0.4, -0.2])
+    g = population_gradient(src, model, w)
+    np.testing.assert_array_equal(g, src.covariance() @ w - src.mean_xy() + 0.6 * w)
+    # The moments agree with the mean of the per-sample gradients.
+    per = model.gradient(w, *draw_arrays(src, rng_(32), 100_000))
+    se = per.std(axis=0, ddof=1) / np.sqrt(len(per))
+    assert (np.abs(per.mean(axis=0) - g) <= 4.0 * se).all()
+
+
+@pytest.mark.parametrize("loss", [Logistic(), Huber(), SquaredHinge(), Sigmoid()], ids=repr)
+def test_population_gradient_of_other_losses_weights_the_loss_gradient(loss):
+    src = orthonormal_atom_source(np.eye(3), [1 / 6] * 3, np.array([0.5, -0.3, 0.2]), label_noise=0.4)
+    model = LossModel(loss, lam=0.05)
+    w = np.array([0.1, 0.7, -0.4])
+    np.testing.assert_array_equal(population_gradient(src, model, w),
+                                  src.probs @ model.gradient(w, src.X, src.y))
+
+
 def test_population_gradient_unsupported_combination():
     src = GaussianLinearSource(np.array([1.0]), noise_sd=0.1)
     with pytest.raises(ValueError, match="least-squares"):
@@ -231,8 +259,26 @@ def test_mean_gradient_norm_positive_at_noisy_minimizer():
 
 def test_mean_gradient_norm_rejects_a_gaussian_source():
     src = GaussianLinearSource(np.array([1.0, 0.0]), noise_sd=0.5, feature_scale=0.5, radius=2.0)
-    with pytest.raises(TypeError, match="discrete"):
+    with pytest.raises(ValueError, match="discrete"):
         mean_gradient_norm(src, LossModel(LeastSquares()), src.w_true)
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        lambda src, model: population_gradient(src, model, np.zeros(2)),
+        lambda src, model: minimizer(src, model),
+        lambda src, model: mean_gradient_norm(src, model, np.zeros(2)),
+        lambda src, model: key_identity_residual(EuclideanMap(), model, src, np.zeros(2), 0.1, np.zeros(2)),
+        lambda src, model: kaczmarz_moments(src, model, ConstantStep(0.1), np.zeros(2), np.zeros(2), 4, [1, 4]),
+    ],
+    ids=["population_gradient", "minimizer", "mean_gradient_norm", "key_identity_residual", "kaczmarz_moments"],
+)
+def test_exact_quantities_beyond_the_moments_refuse_a_gaussian_source(quantity):
+    # Under a loss other than least squares every exact quantity is a sum over atoms.
+    src = GaussianLinearSource(np.array([1.0, 0.0]), noise_sd=0.5, feature_scale=0.5, radius=2.0)
+    with pytest.raises(ValueError, match="discrete"):
+        quantity(src, LossModel(Logistic(), lam=0.1))
 
 
 # -- variance classification ---------------------------------------------------------------

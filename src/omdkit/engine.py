@@ -9,22 +9,24 @@ three config spellings.
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
 ``n_runs`` reproduces the existing runs exactly.  Runs step in even blocks,
-as few as a byte budget for one chunk of each block's samples allows: a
+as few as a byte budget for what each block's sampling holds allows: a
 block advances as one ``(B, d)`` stack, one run per row, through the same
 map and loss kernels a single point takes, and a row's values do not depend
 on which other runs share its block.  The source's ``stream`` method draws
-a block's samples ``CHUNK`` steps at a time and hands them over one step at
+a block's samples a span of steps at a time and hands them over one step at
 a time, bit for bit those ``draw_arrays`` gives each run's stream, so what a
-block holds does not grow with T: up to 2,048 runs at d = 4 fit one block.
-A run large enough to be worth sharing out, whatever its source, is cut into
-blocks that the workers share evenly.  Worker processes share out whole
-blocks, and only when there are two or more.  A row's values do not depend
-on its block, so the artifacts are identical at any worker count.
-Divergence (iterate norm beyond 1e12) freezes a run at its last state and
-flags it instead of raising; such runs stay in the averages unless
-explicitly excluded.  There is one stepping loop: ``run_trajectory`` is a
-block of one row.  The tests check the engine against an exact oracle,
-``diagnostics.kaczmarz_moments``.
+block holds does not grow with T: up to 1,517 runs of a discrete source at
+d = 4 fit one block, and 2,560 of a Gaussian one at d = 3.  A run large
+enough to be worth sharing out, whatever its source, is cut into blocks
+that the workers share evenly.  Worker processes share out whole blocks,
+and only when there are two or more.  A row's values do not depend on its
+block, so the artifacts are identical at any worker count.  A checkpoint
+where every kept run has the same distance, as at t = 1, reads that
+distance with a standard error of 0.  Divergence (iterate norm beyond 1e12)
+freezes a run at its last state and flags it instead of raising; such runs
+stay in the averages unless explicitly excluded.  There is one stepping
+loop: ``run_trajectory`` is a block of one row.  The tests check the engine
+against an exact oracle, ``diagnostics.kaczmarz_moments``.
 
 The module also resolves the geometry and loss constants that a theorem's
 step-size regime is checked against; the regimes themselves are registered
@@ -70,12 +72,11 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# Byte budget for one chunk of a block's samples: 2,048 runs at d = 4, or
-# 2,560 at d = 3, for any T >= 65.
+# Byte budget for what a block's sampling holds at once, as each source's
+# ``_stream_bytes`` counts it per run (its generators, ~600 B a run, aside).
+# For any T >= 257: 1,517 runs of a discrete source at d = 4, 2,560 of a
+# Gaussian one at d = 3.
 BLOCK_BYTES = 5 << 20
-# Steps of draws a block holds at once.  At 256 steps, 100 runs of the
-# Gaussian benchmark workload took 7 % more peak memory and no less time.
-CHUNK = 64
 # Run-steps (runs x steps) worth a worker process of their own, whatever the
 # source: a run shares out from 10^6 run-steps, 489 runs at T = 2048.  In a
 # cold ``omdkit run --workers 2`` on 2 cores, two processes, pool start
@@ -311,11 +312,10 @@ def default_workers() -> int:
 
 
 def _block_runs(T: int, source: SampleSource) -> int:
-    """The cap on runs per block: as many as fit one chunk of their samples in BLOCK_BYTES.
+    """The cap on runs per block: as many as fit what their streams hold in BLOCK_BYTES.
 
-    A chunk holds d features and a label per run and step, for at most CHUNK
-    steps, so the cap does not fall as T grows."""
-    return max(1, BLOCK_BYTES // (8 * (source.d + 1) * max(min(T - 1, CHUNK), 1)))
+    A stream holds a bounded span of steps, so the cap does not fall as T grows."""
+    return max(1, BLOCK_BYTES // source._stream_bytes(max(T - 1, 1)))
 
 
 def _block_sizes(n_runs: int, T: int, source: SampleSource, workers: int = 1) -> list[int]:
@@ -357,7 +357,7 @@ def _run_block(
     """Step the runs seeded ``seeds`` together, one run per row.
 
     Row r draws its whole sample from its own stream, seeded ``seeds[r]``,
-    one chunk of steps at a time, and the kernels act on each row alone, so a
+    a span of steps at a time, and the kernels act on each row alone, so a
     row's values do not depend on the other rows of its block.  A row whose
     iterate crosses the divergence guard keeps that iterate and steps no
     further.
@@ -368,7 +368,7 @@ def _run_block(
     norms = np.empty((B, len(cps)))
     diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
-        steps = source.stream(seeds, T - 1, CHUNK)
+        steps = source.stream(seeds, T - 1)
         etas = [float(schedule(t)) for t in range(1, T)]
         if not all(eta > 0.0 for eta in etas):
             raise ValueError("step size must be positive")
@@ -461,6 +461,12 @@ def monte_carlo_curve(
     with np.errstate(invalid="ignore", over="ignore"):
         mean = kept.mean(axis=0)
         std_err = kept.std(axis=0, ddof=1) / np.sqrt(kept.shape[0])
+    # Where every kept run has the same distance (t = 1, where all start at
+    # w1), the curve is that distance with a standard error of 0, not the
+    # rounding of a sum.  NaN equals nothing, and an inf column stays inf.
+    same = (kept == kept[0]).all(axis=0)
+    mean[same] = kept[0, same]
+    std_err[same] = 0.0
     if not (np.isfinite(mean).all() and np.isfinite(std_err).all()):
         # Only diverged runs reach non-finite distances, or distances whose sum
         # overflows; name the non-finite ones, else every kept diverged run.

@@ -94,7 +94,13 @@ def unchecked_p_norm(w: np.ndarray, p: float):
     """
     if p == 2.0:
         return np.linalg.norm(w, ord=p, axis=-1 if w.ndim > 1 else None)
-    a = np.abs(w)
+    return _p_norm_of_abs(np.abs(w), p)
+
+
+def _p_norm_of_abs(a: np.ndarray, p: float):
+    """unchecked_p_norm for p != 2 from the entries' absolute values ``a``,
+    which it overwrites with their p-th powers, so that a caller that needs
+    |w| for more than the norm takes it once."""
     a **= p
     s = np.add.reduce(a, axis=-1)
     s **= 1.0 / p

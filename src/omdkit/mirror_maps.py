@@ -25,6 +25,7 @@ import numpy as np
 from .geometry import (
     EUCLIDEAN,
     NormSpec,
+    _p_norm_of_abs,
     as_points,
     as_result,
     check_exponent,
@@ -78,7 +79,9 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if q == 2.0:
         return w
-    n = unchecked_p_norm(w, q)
+    a = np.abs(w)
+    g = a ** (q - 1.0)
+    n = _p_norm_of_abs(a, q)
     # A zero row has sign 0 in every coordinate, so any finite scale keeps it
     # at 0, the limit along every ray.  n + (n == 0) puts in 1 for a zero norm
     # and, unlike np.where, keeps a point's norm a numpy scalar, whose power
@@ -86,11 +89,9 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
     scale = (n + (n == 0.0)) ** (2.0 - q)
     # The same three factors as scale * sgn(w) * |w|^{q-1}, in place; the sign
     # factor is exact, so the order does not move a bit.
-    a = np.abs(w)
-    a **= q - 1.0
-    a *= np.sign(w)
-    a *= scale[..., None]
-    return a
+    g *= np.sign(w)
+    g *= scale[..., None]
+    return g
 
 
 def pnorm_bregman(target, base, q: float):

@@ -13,8 +13,12 @@ sum of ``LossModel.gradient`` over a discrete source's atoms, and
 
 Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
 the layout ``draw_arrays`` defines.  Each source's ``stream`` draws a block
-of runs' samples in that layout one chunk of steps at a time and hands them
-over one step at a time.
+of runs' samples in that layout a span of steps at a time and hands them
+over one step at a time; ``_stream_bytes`` counts what it holds per run.  A
+discrete run draws its uniforms 256 steps to a generator call, and an exact
+bucket table over the cumulative probabilities, ``_atom_index``, turns them
+into the atom indices ``np.searchsorted`` gives, 16 steps of samples at a
+time.  A Gaussian run draws its normals 64 steps at a time.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ _MINIMIZER_TOL = 1e-10
 MINIMIZER_STEPS = 500_000
 _OPTIMALITY_TOL = 1e-8
 _ZERO_VARIANCE_TOL = 1e-10
+# Steps of uniforms a discrete run draws per generator call.  A call costs
+# about as much as drawing 130 uniforms, so a call per 256 steps keeps the
+# calls' cost to about half the uniforms' own.
+_UNIFORM_SPAN = 256
+# Steps of samples a discrete stream looks up and gathers at once.  On the
+# discrete benchmark config (200 runs), gathers of 32 and 64 steps were at
+# most 10 % faster and held 1.3 and 2.0 times as much at peak.
+_GATHER = 16
+# Steps of normals a Gaussian run draws at once.  At 256, 100 runs of the
+# Gaussian benchmark workload took 7 % more peak memory and no less time.
+_NORMAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -81,8 +96,19 @@ class DiscreteFiniteSource:
         if abs(float(p.sum()) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         self.probs = p
-        self._cum = np.cumsum(p)
+        # Clipped at 1 so that it never decreases; a uniform u < 1 compares
+        # with an entry past 1 as with 1 itself, so no draw moves.
+        self._cum = np.minimum(np.cumsum(p), 1.0)
         self._cum[-1] = 1.0
+        # The bucket table: K is a power of two, so the edges k/K and u*K are
+        # exact.  Bucket [k/K, (k+1)/K) is pure when no entry of _cum lies
+        # strictly inside it; every u in it then has the searchsorted index of
+        # k/K, which the table holds.  An impure bucket holds -1.
+        K = 1 << max(10, (4 * len(p) - 1).bit_length())
+        edges = np.arange(K + 1) / K
+        lo = np.searchsorted(self._cum, edges[:-1], side="right")
+        hi = np.searchsorted(self._cum, edges[1:], side="left")
+        self._buckets = np.where(lo == hi, lo, -1)
 
     @property
     def d(self) -> int:
@@ -101,19 +127,38 @@ class DiscreteFiniteSource:
     def mean_xy(self) -> np.ndarray:
         return self.X.T @ (self.probs * self.y)
 
-    def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The first n draws of the runs seeded ``seeds``, drawn ``chunk`` steps
-        at a time and yielded one step at a time: (X, y) with X[r] and y[r] run
-        r's draw for that step.  Each uniform takes one Philox word, so a run's
-        chunks of uniforms are the ones ``draw_arrays`` takes at once."""
+    def _atom_index(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._cum, u, side="right")`` exactly, for uniforms
+        ``u`` in [0, 1): one table lookup, and a binary search only for the
+        uniforms in impure buckets."""
+        idx = self._buckets.take((u * len(self._buckets)).astype(np.intp))
+        impure = idx < 0
+        if impure.any():
+            idx[impure] = np.searchsorted(self._cum, u[impure], side="right")
+        return idx
+
+    def _stream_bytes(self, n: int) -> int:
+        """The most ``stream`` holds per run over n steps: a span of uniforms,
+        the atom indices of a gather, and two gathers of features and labels,
+        the one the caller still holds and the next."""
+        return 8 * (min(n, _UNIFORM_SPAN) + (2 * self.d + 3) * min(n, _GATHER))
+
+    def stream(self, seeds: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The first n draws of the runs seeded ``seeds``, yielded one step at
+        a time: (X, y) with X[r] and y[r] run r's draw for that step.  Each run
+        draws its uniforms _UNIFORM_SPAN steps to a call, and their samples
+        are gathered _GATHER steps at a time.  Each uniform takes one Philox
+        word, so a run's spans of uniforms are the ones ``draw_arrays`` takes
+        at once."""
         rngs = [_rng(seed) for seed in seeds]
-        u = np.empty((len(rngs), min(chunk, n)))
-        for c in range(0, n, chunk):
-            m = min(chunk, n - c)
+        u = np.empty((len(rngs), min(_UNIFORM_SPAN, n)))
+        for c in range(0, n, _UNIFORM_SPAN):
+            m = min(_UNIFORM_SPAN, n - c)
             for r, rng in enumerate(rngs):
                 rng.random(out=u[r, :m])
-            idx = np.searchsorted(self._cum, u[:, :m].T, side="right")
-            yield from zip(self.X.take(idx, axis=0), self.y.take(idx))
+            for g in range(0, m, _GATHER):
+                idx = self._atom_index(u[:, g:min(g + _GATHER, m)].T)
+                yield from zip(self.X.take(idx, axis=0), self.y.take(idx))
 
 
 class GaussianLinearSource:
@@ -161,14 +206,21 @@ class GaussianLinearSource:
         X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
         return X, row_inner(X, self.w_true) + self.noise_sd * noise
 
-    def stream(self, seeds: Sequence[int], n: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """As ``DiscreteFiniteSource.stream``.  Run r reads its stream through two
-        cursors: one at its feature normals, one past them at its noise, which
-        ``draw_arrays`` draws after every feature.  The noise cursor skips the
-        n·d feature normals by drawing them into the chunk buffer before its
-        first fill; a normal's words do not depend on how the draws are split
-        into calls, so any split leaves the cursor at the same place."""
-        d, B, C = self.d, len(seeds), min(chunk, n)
+    def _stream_bytes(self, n: int) -> int:
+        """The block budget's count for ``stream`` per run over n steps: d
+        features and a label per step of a chunk, leaving out the
+        temporaries that clipping makes."""
+        return 8 * (self.d + 1) * min(n, _NORMAL_CHUNK)
+
+    def stream(self, seeds: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """As ``DiscreteFiniteSource.stream``, drawn _NORMAL_CHUNK steps at a
+        time.  Run r reads its stream through two cursors: one at its feature
+        normals, one past them at its noise, which ``draw_arrays`` draws after
+        every feature.  The noise cursor skips the n·d feature normals by
+        drawing them into the chunk buffer before its first fill; a normal's
+        words do not depend on how the draws are split into calls, so any
+        split leaves the cursor at the same place."""
+        d, B, C = self.d, len(seeds), min(_NORMAL_CHUNK, n)
         features = [_rng(seed) for seed in seeds]
         noises = [_rng(seed) for seed in seeds]
         normals = np.empty((B, C, d))
@@ -177,8 +229,8 @@ class GaussianLinearSource:
         for rng in noises:
             for s in range(0, n * d, max(flat.size, 1)):  # flat is empty only when n = 0
                 rng.standard_normal(out=flat[:min(flat.size, n * d - s)])
-        for c in range(0, n, chunk):
-            m = min(chunk, n - c)
+        for c in range(0, n, _NORMAL_CHUNK):
+            m = min(_NORMAL_CHUNK, n - c)
             for r in range(B):
                 features[r].standard_normal(out=normals[r, :m])
                 noises[r].standard_normal(out=noise[r, :m])
@@ -279,7 +331,7 @@ def _rng(seed: int) -> np.random.Generator:
 def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
     """n i.i.d. draws as (X, y) arrays; deterministic given the generator state."""
     if isinstance(source, DiscreteFiniteSource):
-        idx = np.searchsorted(source._cum, rng.random(n), side="right")
+        idx = source._atom_index(rng.random(n))
         return source.X[idx], source.y[idx]
     if isinstance(source, GaussianLinearSource):
         # Every feature normal first, then every noise value.

@@ -1,13 +1,14 @@
 import concurrent.futures
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omdkit import engine
+from omdkit import engine, sources
 from omdkit.config import build_experiment, parse_config
 from omdkit.diagnostics import assert_step_regime, kaczmarz_moments
 from omdkit.engine import (
@@ -268,27 +269,58 @@ def test_first_checkpoint_mean_equals_initial_distance():
     assert mc.curve.std_err[0] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_a_checkpoint_every_run_shares_reads_its_value_with_no_error(kind):
+    # Every run starts at w1, so at t = 1 every run has the same distance, which
+    # the curve reads exactly, with a standard error of 0: not a mean of equal
+    # values a few ulps off with ~1e-16 of rounding as its standard error.
+    if kind == "discrete":
+        src, mirror, n_runs = eight_atom_source(label_noise=1.0), EuclideanMap(), 200
+    else:
+        src = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3, radius=2.0)
+        mirror, n_runs = PNormMap(1.5), 100
+    w_star = minimizer(src, LS)
+    mc = monte_carlo_curve(mirror, LS, src, PolynomialDecay(1.0, 1.0), np.zeros(src.d), 4, [1, 2, 4],
+                           n_runs=n_runs, base_seed=0, w_star=w_star, workers=1)
+    assert (mc.values[:, 0] == mc.values[0, 0]).all()
+    assert mc.curve.mean[0] == mc.values[0, 0]
+    assert mc.curve.std_err[0] == 0.0
+    # Checkpoints whose runs differ keep the sample mean and standard error.
+    np.testing.assert_array_equal(mc.curve.mean[1:], mc.values[:, 1:].mean(axis=0))
+    assert (mc.curve.std_err[1:] > 0.0).all()
+
+
+def cap_block_runs(monkeypatch, T, source, runs):
+    """Set the budget so that a block holds ``runs`` runs of what the source's stream holds."""
+    monkeypatch.setattr(engine, "BLOCK_BYTES", runs * source._stream_bytes(T - 1))
+    assert engine._block_runs(T, source) == runs
+
+
 def three_run_blocks(monkeypatch, T, source):
-    """Shrink the budget for a chunk of samples so that a block holds 3 runs:
-    d features and a label per run and step of one chunk."""
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 3 * 8 * (source.d + 1) * min(T - 1, engine.CHUNK))
-    assert engine._block_runs(T, source) == 3
+    cap_block_runs(monkeypatch, T, source, 3)
 
 
 BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # A block holds one chunk of 64 steps, d features and a label per run and step:
-    # at d = 3 the 5 MiB cap is 2,560 runs, so 100 runs make one block and 5,000 two.
+    # A Gaussian block is counted one chunk of 64 steps, d features and a label per
+    # run and step: at d = 3 the 5 MiB cap is 2,560 runs, so 100 runs make one
+    # block and 5,000 two.
     gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
+    assert gauss._stream_bytes(2047) == 8 * 4 * 64
     assert engine._block_runs(2048, gauss) == 2560
     assert engine._block_sizes(100, 2048, gauss) == [100]
     assert engine._block_sizes(5000, 2048, gauss) == [2500, 2500]
-    # At d = 4 the cap is 2,048 runs, so 2,000 runs make one block.
+    # A discrete block holds 256 steps of uniforms, and 16 steps of atom indices
+    # and of two gathers of d features and a label per run: 3,456 B at d = 4, so
+    # the cap is 1,517 runs and 2,000 runs make two blocks.
     src = eight_atom_source()
-    assert engine._block_runs(2048, src) == 2048
-    assert engine._block_sizes(2000, 2048, src) == [2000]
+    assert src._stream_bytes(2047) == 8 * (256 + 16 + 2 * 5 * 16)
+    assert engine._block_runs(2048, src) == 1517
+    assert engine._block_sizes(2000, 2048, src) == [1000, 1000]
+    # Short horizons hold only their steps.
+    assert src._stream_bytes(10) == 8 * (10 + 11 * 10)
     three_run_blocks(monkeypatch, 32, src)
     assert engine._block_sizes(8, 32, src) == [3, 3, 2]
     assert engine._block_sizes(9, 32, src) == [3, 3, 3]
@@ -384,8 +416,10 @@ def layout_source(kind, d):
 def test_large_runs_split_over_the_workers(kind, monkeypatch):
     # Whatever its source, a run is shared out among the workers that would
     # each step at least SHARE_STEPS (500,000) run-steps, the same number of
-    # blocks each: at T = 2048, from 489 runs on two workers.
+    # blocks each: at T = 2048, from 489 runs on two workers.  The budget is set
+    # so that a block holds 2,560 runs of either source.
     src = layout_source(kind, 3)
+    cap_block_runs(monkeypatch, 2048, src, 2560)
     assert engine._block_sizes(100, 2048, src, workers=2) == [100]
     assert engine._block_sizes(488, 2048, src, workers=2) == [488]
     assert engine._block_sizes(489, 2048, src, workers=2) == [245, 244]
@@ -397,15 +431,15 @@ def test_large_runs_split_over_the_workers(kind, monkeypatch):
     assert engine._block_sizes(5000, 2048, src, workers=2) == [2500, 2500]
     assert engine._block_sizes(3, 10**6, src, workers=8) == [1, 1, 1]
     assert engine._block_sizes(2000, 2048, layout_source(kind, 4), workers=2) == [1000, 1000]
-    wide = layout_source(kind, 629)  # 16 runs fill a block
-    assert engine._block_runs(2048, wide) == 16
-    assert engine._block_sizes(1200, 2048, wide, workers=1) == [16] * 75
-    assert engine._block_sizes(1200, 2048, wide, workers=2) == [16] * 60 + [15] * 16
+    cap_block_runs(monkeypatch, 2048, src, 16)  # 16 runs fill a block
+    assert engine._block_sizes(1200, 2048, src, workers=1) == [16] * 75
+    assert engine._block_sizes(1200, 2048, src, workers=2) == [16] * 60 + [15] * 16
     # 1,200 runs of 2,047 steps are work for four workers, not eight: 76 blocks, not 80.
-    assert engine._block_sizes(1200, 2048, wide, workers=8) == [16] * 60 + [15] * 16
-    widest = layout_source(kind, 9000)  # a run fills a block
-    assert engine._block_sizes(5, 2**20, widest, workers=2) == [1] * 5
+    assert engine._block_sizes(1200, 2048, src, workers=8) == [16] * 60 + [15] * 16
+    cap_block_runs(monkeypatch, 2**20, src, 1)  # a run fills a block
+    assert engine._block_sizes(5, 2**20, src, workers=2) == [1] * 5
     # The layout follows the worker count; the values do not.
+    monkeypatch.undo()  # back to the default budget
     T = 32
     monkeypatch.setattr(engine, "SHARE_STEPS", 4 * (T - 1))
     src = streamed_source(kind, 3)
@@ -438,8 +472,38 @@ def streamed_source(kind, d):
     return GaussianLinearSource(w_true, noise_sd=0.3, feature_scale=0.8, radius=1.2)
 
 
+def test_a_discrete_stream_holds_what_its_block_budget_counts():
+    # Drain the discrete benchmark config's stream, 200 runs of 2,047 steps, as a
+    # block does: each step's (X, y) is held until the next arrives.  Its traced
+    # peak, less the runs' generators, which the budget leaves aside, stays within
+    # the bytes per run that _block_runs budgets, plus a few KiB of objects that do
+    # not grow with the runs.
+    src, seeds, T = eight_atom_source(label_noise=1.0), range(2000, 2200), 2048
+    for _ in src.stream(range(2), 300):  # first-call setup outside the count
+        pass
+    tracemalloc.start()
+    try:
+        generators = [_rng(seed) for seed in seeds]
+        generator_bytes = tracemalloc.get_traced_memory()[0]
+        del generators
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in src.stream(seeds, T - 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_run = engine.BLOCK_BYTES // engine._block_runs(T, src)
+    assert 0.9 * len(seeds) * per_run < peak - generator_bytes <= len(seeds) * per_run + 8192
+
+
+# A test's ``chunk`` is the Gaussian stream's chunk, or the discrete stream's
+# gather; a discrete stream draws its uniforms 256 steps to a call.
+STREAM_CHUNK = {"gaussian": "_NORMAL_CHUNK", "discrete": "_GATHER"}
+
+
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["discrete", "gaussian"]), chunk=st.sampled_from([1, 3, 64]),
+@given(kind=st.sampled_from(["discrete", "gaussian"]), chunk=st.sampled_from([1, 3, 16, 64]),
        T=st.integers(1, 140), d=st.integers(1, 12), seed=st.integers(0, 2**64 - 4), B=st.integers(1, 4))
 @example(kind="gaussian", chunk=3, T=1, d=3, seed=0, B=2)
 @example(kind="gaussian", chunk=3, T=2, d=3, seed=1, B=2)
@@ -455,6 +519,12 @@ def streamed_source(kind, d):
 @example(kind="discrete", chunk=64, T=65, d=4, seed=2**64 - 4, B=3)  # T - 1 = 64: one full chunk
 @example(kind="discrete", chunk=64, T=66, d=4, seed=7, B=2)  # T - 1 = 65: one full chunk and a step
 @example(kind="discrete", chunk=64, T=129, d=3, seed=9, B=4)  # T - 1 = 128: two full chunks
+# Horizons about the 256-step span of uniforms:
+@example(kind="discrete", chunk=16, T=256, d=4, seed=10, B=3)  # T - 1 = 255: one step short of a span
+@example(kind="discrete", chunk=16, T=257, d=4, seed=11, B=2)  # T - 1 = 256: one full span
+@example(kind="discrete", chunk=16, T=258, d=3, seed=2**64 - 4, B=4)  # T - 1 = 257: a span and a step
+@example(kind="discrete", chunk=16, T=514, d=4, seed=12, B=2)  # T - 1 = 513: two spans and a step
+@example(kind="discrete", chunk=3, T=514, d=2, seed=13, B=3)  # gathers of 3 end each span on one step
 def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
     seen = []
 
@@ -464,14 +534,14 @@ def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
             return super().gradient(W, X, y)
 
     src = streamed_source(kind, d)
-    # The stream hands over exactly T - 1 steps, one (B, d) and (B,) pair each.
-    steps = list(src.stream(range(seed, seed + B), T - 1, chunk))
-    assert len(steps) == T - 1
-    assert all(x.shape == (B, d) and y.shape == (B,) for x, y in steps)
     args = (EuclideanMap(), RecordingModel(LeastSquares()), src, ConstantStep(0.05), np.zeros(d), T,
             sorted({1, T}), np.zeros(d))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "CHUNK", chunk)
+        mp.setattr(sources, STREAM_CHUNK[kind], chunk)
+        # The stream hands over exactly T - 1 steps, one (B, d) and (B,) pair each.
+        steps = list(src.stream(range(seed, seed + B), T - 1))
+        assert len(steps) == T - 1
+        assert all(x.shape == (B, d) and y.shape == (B,) for x, y in steps)
         block = engine._run_block(*args, range(seed, seed + B))
         X = np.array([x for x, _ in seen]).reshape(T - 1, B, d)
         y = np.array([y for _, y in seen]).reshape(T - 1, B)
@@ -506,7 +576,7 @@ def test_index_draws_gather_to_draw_arrays(src, seed, n):
     X, y = draw_arrays(src, _rng(seed), n)
     np.testing.assert_array_equal(src.X[idx], X)
     np.testing.assert_array_equal(src.y[idx], y)
-    # A block of three runs, which streams its samples one chunk at a time, steps
+    # A block of three runs, which streams its samples a span at a time, steps
     # each row exactly as a one-row loop over that run's draw_arrays samples does.
     mirror, schedule, w1 = PNormMap(1.5), ConstantStep(0.1), np.full(3, 0.1)
     block = engine._run_block(mirror, LS, src, schedule, w1, n + 1, [n + 1], np.zeros(3),
@@ -598,9 +668,9 @@ def test_block_rows_diverge_like_their_one_row_runs(mirror, eta, base_seed):
     drawn = []  # the steps each block takes from its stream
     stream = src.stream
 
-    def counted_stream(seeds, n, chunk):
+    def counted_stream(seeds, n):
         drawn.append(0)
-        for step in stream(seeds, n, chunk):
+        for step in stream(seeds, n):
             drawn[-1] += 1
             yield step
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omdkit.diagnostics import kaczmarz_moments, key_identity_residual
 from omdkit.engine import ConstantStep
@@ -102,6 +104,71 @@ def test_three_atom_frequencies_match_multinomial():
     freq = counts / n
     se = np.sqrt(probs * (1.0 - probs) / n)
     assert (np.abs(freq - probs) <= 3.0 * se).all()
+
+
+def crafted_source(n_atoms, seed, on_edges, tiny):
+    """A one-dimensional source of n_atoms atoms whose cumulative probabilities
+    come from a seeded generator: with ``on_edges``, each lies on a multiple of
+    1/1024, a bucket edge of every table, or one ulp below or above one; with
+    ``tiny``, every fourth atom has a probability of 1e-9 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    cum = rng.random(n_atoms - 1)
+    if on_edges:
+        edges = rng.integers(1, 1024, n_atoms - 1) / 1024
+        cum = np.choose(np.arange(n_atoms - 1) % 3,
+                        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    if tiny:
+        cum[3::4] = cum[2::4][:cum[3::4].size] + 10.0 ** rng.uniform(-9.0, -6.0, cum[3::4].size)
+    cum = np.unique(np.append(cum[(cum > 0.0) & (cum < 1.0)], 1.0))
+    atoms = [Sample(np.array([float(i)]), float(i)) for i in range(cum.size)]
+    return DiscreteFiniteSource(atoms, np.diff(cum, prepend=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_atoms=st.integers(1, 700), seed=st.integers(0, 2**32 - 1), on_edges=st.booleans(),
+       tiny=st.booleans())
+@example(n_atoms=256, seed=0, on_edges=True, tiny=False)  # the largest table of 1,024 buckets
+@example(n_atoms=257, seed=1, on_edges=True, tiny=True)  # the smallest of 2,048
+@example(n_atoms=1, seed=2, on_edges=False, tiny=False)
+def test_bucket_table_index_is_the_searchsorted_index(n_atoms, seed, on_edges, tiny):
+    src = crafted_source(n_atoms, seed, on_edges, tiny)
+    K = len(src._buckets)
+    assert K >= 1024 and K & (K - 1) == 0 and K >= 4 * src.n_atoms
+    if tiny and n_atoms > 4:
+        assert src.probs.min() < 1e-6
+    if on_edges and n_atoms > 12:
+        # Boundaries on a bucket edge and one ulp to either side of one.
+        scaled = src._cum[:-1] * 1024
+        on = scaled == np.round(scaled)
+        assert on.any()
+        assert (np.nextafter(src._cum[:-1], 0.0) * 1024 == np.round(scaled))[~on].any()
+        assert (np.nextafter(src._cum[:-1], 1.0) * 1024 == np.round(scaled))[~on].any()
+    edges = np.arange(K) / K
+    cum = src._cum[:-1]
+    u = np.concatenate([
+        np.random.default_rng(seed).random(4096),
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges, np.nextafter(edges[1:], 0.0),  # each bucket's first uniform and the one below it
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+    ])
+    want = np.searchsorted(src._cum, u, side="right")
+    np.testing.assert_array_equal(src._atom_index(u), want)
+    # A stream looks up a transposed (steps, runs) view.
+    u2 = u[: u.size // 4 * 4].reshape(4, -1)
+    np.testing.assert_array_equal(src._atom_index(u2.T), want[: u2.size].reshape(4, -1).T)
+
+
+def test_cumulative_probabilities_past_one_draw_as_before():
+    # Probabilities may sum to 1 + 1e-12, so a cumulative sum can pass 1 before its
+    # last entry.  A uniform below 1 compares with such an entry as with 1 itself,
+    # so clipping it at 1 moves no draw, and keeps the bucket table exact.
+    probs = np.array([0.5, 0.5 + 1e-13, 1e-14])
+    src = DiscreteFiniteSource([Sample(np.array([float(i)]), 0.0) for i in range(3)], probs)
+    raw = np.cumsum(probs)
+    raw[-1] = 1.0
+    assert raw[1] > 1.0 and (np.diff(src._cum) >= 0.0).all()
+    u = np.concatenate([rng_(3).random(1000), [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]])
+    np.testing.assert_array_equal(src._atom_index(u), np.searchsorted(raw, u, side="right"))
 
 
 def test_gaussian_noiseless_labels_are_exact():

@@ -16,7 +16,7 @@ on which other runs share its block.  The source's ``stream`` method draws
 a block's samples a span of steps at a time and hands them over one step at
 a time, bit for bit those ``draw_arrays`` gives each run's stream, so what a
 block holds does not grow with T: up to 1,517 runs of a discrete source at
-d = 4 fit one block, and 2,560 of a Gaussian one at d = 3.  A run large
+d = 4 fit one block, and 640 of a Gaussian one at d = 3.  A run large
 enough to be worth sharing out, whatever its source, is cut into blocks
 that the workers share evenly.  Worker processes share out whole blocks,
 and only when there are two or more.  A row's values do not depend on its
@@ -73,8 +73,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 # Byte budget for what a block's sampling holds at once, as each source's
-# ``_stream_bytes`` counts it per run (its generators, ~600 B a run, aside).
-# For any T >= 257: 1,517 runs of a discrete source at d = 4, 2,560 of a
+# ``_stream_bytes`` counts it per run (its generators, ~600 B each, aside).
+# For any T >= 257: 1,517 runs of a discrete source at d = 4, 640 of a
 # Gaussian one at d = 3.
 BLOCK_BYTES = 5 << 20
 # Run-steps (runs x steps) worth a worker process of their own, whatever the

@@ -207,10 +207,14 @@ class GaussianLinearSource:
         return X, row_inner(X, self.w_true) + self.noise_sd * noise
 
     def _stream_bytes(self, n: int) -> int:
-        """The block budget's count for ``stream`` per run over n steps: d
-        features and a label per step of a chunk, leaving out the
-        temporaries that clipping makes."""
-        return 8 * (self.d + 1) * min(n, _NORMAL_CHUNK)
+        """The most ``stream`` holds per run over n steps, in values per step
+        of a chunk: its normals and noise and the samples of the chunk before,
+        which the caller still holds (2d + 2), and at the peak of
+        ``clip_and_label`` two feature stacks and two per-row values
+        (2d + 2), or at d = 1 a feature stack and four per-row values
+        (d + 4)."""
+        d = self.d
+        return 8 * min(n, _NORMAL_CHUNK) * (2 * d + 2 + max(2 * d + 2, d + 4))
 
     def stream(self, seeds: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """As ``DiscreteFiniteSource.stream``, drawn _NORMAL_CHUNK steps at a

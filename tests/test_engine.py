@@ -304,14 +304,15 @@ BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # A Gaussian block is counted one chunk of 64 steps, d features and a label per
-    # run and step: at d = 3 the 5 MiB cap is 2,560 runs, so 100 runs make one
-    # block and 5,000 two.
+    # A Gaussian block holds a chunk of 64 steps: 4d + 4 values per run and step
+    # (4d + 5 at d = 1), so at d = 3 the 5 MiB cap is 640 runs; 100 runs make one
+    # block and 5,000 eight.
     gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
-    assert gauss._stream_bytes(2047) == 8 * 4 * 64
-    assert engine._block_runs(2048, gauss) == 2560
+    assert gauss._stream_bytes(2047) == 8 * 16 * 64
+    assert engine._block_runs(2048, gauss) == 640
     assert engine._block_sizes(100, 2048, gauss) == [100]
-    assert engine._block_sizes(5000, 2048, gauss) == [2500, 2500]
+    assert engine._block_sizes(5000, 2048, gauss) == [625] * 8
+    assert GaussianLinearSource(np.ones(1), noise_sd=0.3)._stream_bytes(2047) == 8 * 9 * 64
     # A discrete block holds 256 steps of uniforms, and 16 steps of atom indices
     # and of two gathers of d features and a label per run: 3,456 B at d = 4, so
     # the cap is 1,517 runs and 2,000 runs make two blocks.
@@ -472,13 +473,10 @@ def streamed_source(kind, d):
     return GaussianLinearSource(w_true, noise_sd=0.3, feature_scale=0.8, radius=1.2)
 
 
-def test_a_discrete_stream_holds_what_its_block_budget_counts():
-    # Drain the discrete benchmark config's stream, 200 runs of 2,047 steps, as a
-    # block does: each step's (X, y) is held until the next arrives.  Its traced
-    # peak, less the runs' generators, which the budget leaves aside, stays within
-    # the bytes per run that _block_runs budgets, plus a few KiB of objects that do
-    # not grow with the runs.
-    src, seeds, T = eight_atom_source(label_noise=1.0), range(2000, 2200), 2048
+def drained_stream_bytes(src, seeds, T, generators_per_run):
+    """The traced peak of draining ``src.stream(seeds, T - 1)`` as a block does,
+    each step's (X, y) held until the next arrives, less the runs' generators,
+    which the block budget leaves aside."""
     for _ in src.stream(range(2), 300):  # first-call setup outside the count
         pass
     tracemalloc.start()
@@ -493,8 +491,29 @@ def test_a_discrete_stream_holds_what_its_block_budget_counts():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak - generators_per_run * generator_bytes
+
+
+def test_a_discrete_stream_holds_what_its_block_budget_counts():
+    # Drain the discrete benchmark config's stream, 200 runs of 2,047 steps: it
+    # holds the bytes per run that _block_runs budgets, plus a few KiB of objects
+    # that do not grow with the runs.
+    src, seeds, T = eight_atom_source(label_noise=1.0), range(2000, 2200), 2048
+    held = drained_stream_bytes(src, seeds, T, generators_per_run=1)
     per_run = engine.BLOCK_BYTES // engine._block_runs(T, src)
-    assert 0.9 * len(seeds) * per_run < peak - generator_bytes <= len(seeds) * per_run + 8192
+    assert 0.9 * len(seeds) * per_run < held <= len(seeds) * per_run + 8192
+
+
+def test_a_gaussian_stream_holds_what_its_block_budget_counts():
+    # The same for the Gaussian benchmark config, 100 runs of 2,047 steps, each
+    # with a feature and a noise generator.  Clipping's broadcast multiply also
+    # takes numpy's ufunc buffer (8 B per element of np.getbufsize(), 64 KiB),
+    # once, whatever the runs.
+    src = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3, radius=2.0)
+    seeds, T = range(2000, 2100), 2048
+    held = drained_stream_bytes(src, seeds, T, generators_per_run=2)
+    per_run = engine.BLOCK_BYTES // engine._block_runs(T, src)
+    assert 0.9 * len(seeds) * per_run < held <= len(seeds) * per_run + 8 * np.getbufsize() + 8192
 
 
 # A test's ``chunk`` is the Gaussian stream's chunk, or the discrete stream's

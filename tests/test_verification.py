@@ -1,5 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from omdkit import verification
+from omdkit.geometry import p_norm
 from omdkit.verification import CHECK_NAMES, run_verification
 
 IDENTITY_CHECKS = {
@@ -86,3 +91,62 @@ def test_pnorm_lower_control_sees_a_scaled_control(kernel, monkeypatch):
     scaled = getattr(verification, kernel)
     monkeypatch.setattr(verification, kernel, lambda p, x: 5.1 * scaled(p, x))
     assert not verification._check_pnorm_lower_control(seed)[0]
+
+
+FENCHEL = CHECK_NAMES.index("fenchel_conjugate_bruteforce")
+
+
+def test_fenchel_overshoot_is_reported_against_its_own_bound(monkeypatch):
+    # A closed form 1e-6 below the true conjugate is beaten by the brute force; the
+    # failing result reports the relative overshoot against the 1e-9 bound it broke.
+    exact = verification.norm_power_conjugate
+    monkeypatch.setattr(verification, "norm_power_conjugate",
+                        lambda kappa, v, spec: exact(kappa, v, spec) * (1 - 1e-6))
+    passed, residual, tolerance = verification._check_fenchel_conjugate(FENCHEL)
+    assert passed is False
+    assert tolerance == 1e-9
+    assert residual > tolerance
+    assert residual == pytest.approx(1e-6, rel=1e-2)
+
+
+def test_fenchel_sweep_holds_one_stack_at_a_time():
+    # The brute force draws its 100,000 directions per case in stacks of
+    # _SWEEP_ROWS rows; one draw of them all peaks at about 9.6 MB.
+    verification._check_fenchel_conjugate(FENCHEL)  # first-call setup outside the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verification._check_fenchel_conjugate(FENCHEL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(monkeypatch):
+    # Each case's polish starts at r0 * u0, the best of 100,000 directions drawn in
+    # one call, first occurrence on ties, bit for bit.
+    starts = []
+    polish = verification._local_search
+
+    def recording(objective, w, rng):
+        starts.append(w.copy())
+        return polish(objective, w, rng)
+
+    monkeypatch.setattr(verification, "_local_search", recording)
+    assert verification._check_fenchel_conjugate(FENCHEL)[0]
+    rng = verification._rng(FENCHEL)
+    rng.bit_generator.jumped()  # as the check takes its polish stream, before the first draw
+    cases = [(2.0, 2.0, [3.0, 4.0]), (1.5, 2.0, [1.0, -0.5]),
+             (2.0, 1.5, [0.8, 1.3, -0.4]), (3.0, 1.5, [1.5, -2.0])]
+    assert len(starts) == len(cases)
+    for (kappa, p, v), start in zip(cases, starts):
+        v = np.array(v)
+        U = rng.standard_normal((100_000, v.shape[0]))
+        norms_p = p_norm(U, p)
+        s = np.maximum(U @ v, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (kappa - 1.0) / kappa * (s / norms_p) ** (kappa / (kappa - 1.0))
+        j = int(np.nan_to_num(vals, nan=0.0, posinf=0.0).argmax())
+        r0 = (s[j] / norms_p[j] ** kappa) ** (1.0 / (kappa - 1.0))
+        np.testing.assert_array_equal(start, r0 * U[j])

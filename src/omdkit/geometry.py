@@ -3,6 +3,13 @@
 ``row_inner`` and ``p_norm`` act on the last axis, so each takes a point (a
 1-d vector) or a stack of points, one per row; ``p_norm`` of a point is a
 Python float.
+
+Every p-norm sums its rows through ``row_sum``, which gives
+``np.add.reduce(a, axis=-1)`` bit for bit.  numpy reduces a stack one row at
+a time, and a row shorter than 8 entries (numpy's pairwise-summation block)
+it adds left to right from 0.0, so ``row_sum`` adds such rows column by
+column instead, one vector operation per column; from 8 entries numpy sums
+in pairwise blocks, and ``row_sum`` leaves the sum to it.
 """
 
 from __future__ import annotations
@@ -93,7 +100,10 @@ def unchecked_p_norm(w: np.ndarray, p: float):
     takes.
     """
     if p == 2.0:
-        return np.linalg.norm(w, ord=p, axis=-1 if w.ndim > 1 else None)
+        if w.ndim == 1:
+            return np.linalg.norm(w, ord=p)
+        # numpy's stack branch of np.linalg.norm(w, ord=2, axis=-1).
+        return np.sqrt(row_sum(w * w))
     return _p_norm_of_abs(np.abs(w), p)
 
 
@@ -102,8 +112,30 @@ def _p_norm_of_abs(a: np.ndarray, p: float):
     which it overwrites with their p-th powers, so that a caller that needs
     |w| for more than the norm takes it once."""
     a **= p
-    s = np.add.reduce(a, axis=-1)
+    s = row_sum(a)
     s **= 1.0 / p
+    return s
+
+
+# numpy sums a row of fewer entries than this left to right, and a longer one
+# in pairwise blocks of this many (its PW_BLOCKSIZE).
+_PAIRWISE_BLOCK = 8
+
+
+def row_sum(a: np.ndarray):
+    """``np.add.reduce(a, axis=-1)`` of a float64 point or stack, bit for bit.
+
+    Below ``_PAIRWISE_BLOCK`` entries a stack is summed column by column,
+    ((0.0 + a_0) + a_1) + ..., which is numpy's order for such a row; the
+    0.0 turns a row of -0.0 into +0.0, as numpy does.  A point is one row,
+    which numpy sums in one call, and a longer row takes numpy's blocks, so
+    both go to ``np.add.reduce``."""
+    d = a.shape[-1]
+    if a.ndim == 1 or not 0 < d < _PAIRWISE_BLOCK:
+        return np.add.reduce(a, axis=-1)
+    s = a[..., 0] + 0.0
+    for j in range(1, d):
+        s += a[..., j]
     return s
 
 

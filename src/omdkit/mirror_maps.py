@@ -32,6 +32,7 @@ from .geometry import (
     dual_exponent,
     p_norm,
     row_inner,
+    row_sum,
     unchecked_p_norm,
 )
 
@@ -212,7 +213,7 @@ class SmoothedL1Map(MirrorMap):
         w = np.asarray(w, dtype=np.float64)
         a = np.abs(w)
         hub = np.where(a <= self.epsilon, w * w / (2.0 * self.epsilon), a - 0.5 * self.epsilon)
-        return as_result(self.lam * hub.sum(axis=-1) + 0.5 * row_inner(w, w))
+        return as_result(self.lam * row_sum(hub) + 0.5 * row_inner(w, w))
 
     def grad(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)

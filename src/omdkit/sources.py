@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm, row_inner
+from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm, row_inner, row_sum
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -202,7 +202,7 @@ class GaussianLinearSource:
         leading axes alone).  Each row is clipped and labelled on its own, so a
         row's values do not depend on the shape of the stack it comes in."""
         X = self.feature_scale * normals
-        norms = np.sqrt((X * X).sum(axis=-1))
+        norms = np.sqrt(row_sum(X * X))
         X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
         return X, row_inner(X, self.w_true) + self.noise_sd * noise
 

@@ -504,6 +504,27 @@ def test_a_discrete_stream_holds_what_its_block_budget_counts():
     assert 0.9 * len(seeds) * per_run < held <= len(seeds) * per_run + 8192
 
 
+def test_a_block_holds_the_same_at_any_horizon():
+    # At a fixed block width, what _run_block holds does not grow with T: its
+    # stream holds a bounded span of steps, and each step's size is evaluated
+    # as the step is taken.
+    src, schedule = eight_atom_source(label_noise=1.0), TheoremRate(0.5)
+    args = (EuclideanMap(), LS, src, schedule, np.zeros(4))
+    w_star = minimizer(src, LS)
+    engine._run_block(*args, 300, [1, 300], w_star, range(4))  # first-call setup outside the count
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            engine._run_block(*args, T, [1, T], w_star, range(4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2048), peak(32768)
+    assert long <= short + 4096, (short, long)
+
+
 def test_a_gaussian_stream_holds_what_its_block_budget_counts():
     # The same for the Gaussian benchmark config, 100 runs of 2,047 steps, each
     # with a feature and a noise generator.  Clipping's broadcast multiply also

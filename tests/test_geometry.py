@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from omdkit.geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm, row_inner
+from omdkit.geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm, row_inner, row_sum
 
 
 def test_inner_orthogonal_axes():
@@ -30,6 +32,46 @@ def test_row_inner_is_the_1d_product_bit_for_bit(d):
     V = rng.standard_normal((200, d))
     assert row_inner(W, V).tolist() == [float(w @ v) for w, v in zip(W, V)]
     assert row_inner(W[0], V[0]) == float(W[0] @ V[0])
+
+
+@st.composite
+def row_sum_inputs(draw):
+    """A point, an (n, d) or a (b, c, d) stack, laid out in C or Fortran order
+    or as a strided view (every other entry, rows reversed).  Rows are normal
+    draws at scales from 1e-300 to 1e300, so that their entries are of one
+    size and the order of a sum shows in its last bits; a stack has a row of
+    -0.0, and any entry may be a signed zero, an infinity or NaN."""
+    d = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (draw(st.integers(2, 64)),),
+                                 (draw(st.integers(1, 6)), draw(st.integers(2, 6)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((*lead, d)) * 10.0 ** rng.integers(-300, 301, (*lead, 1))
+    if lead:
+        a[(0,) * len(lead)] = -0.0
+    for i, special in draw(st.lists(st.tuples(st.integers(0, a.size - 1),
+                                              st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan))),
+                                    max_size=4)):
+        a.flat[i] = special
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        return np.flip(np.repeat(a, 2, axis=-1), axis=0)[..., ::2]
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=row_sum_inputs())
+@example(a=np.random.default_rng(7).standard_normal((64, 7)))  # wide stacks on each side of 8
+@example(a=np.random.default_rng(8).standard_normal((64, 8)))
+def test_row_sum_is_numpys_last_axis_sum_bit_for_bit(a):
+    # Below 8 entries row_sum adds columns left to right, which must be the
+    # order numpy's reduction takes; from 8 it is numpy's own reduction.  This
+    # test is what holds the installed numpy to that order.
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, ref = np.asarray(row_sum(a)), np.asarray(np.add.reduce(a, axis=-1))
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_p_norm_pythagorean():

@@ -81,7 +81,7 @@ def test_pnorm_kernels_equal_the_numpy_forms_bit_for_bit(p):
     # out-of-place product, on each row as a point and on the stack.  At p = 2
     # the gradient is its argument, bit for bit: the product's value there,
     # except that the product turns a -0.0 into +0.0.
-    for d in (1, 2, 3, 5, 11):
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 11):
         for k, scale in enumerate((1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150)):
             W = kernel_rows(d, scale, seed=1000 * d + k)
             with np.errstate(all="ignore"):
@@ -95,6 +95,28 @@ def test_pnorm_kernels_equal_the_numpy_forms_bit_for_bit(p):
                         np.testing.assert_array_equal(pnorm_gradient(w, p), grad_ref)
                     else:
                         assert pnorm_gradient(w, p).tobytes() == grad_ref.tobytes()
+
+
+@pytest.mark.parametrize("mirror", [SmoothedL1Map(0.5, 1.0), SmoothedL1Map(0.1, 2.0)], ids=repr)
+def test_smoothed_l1_value_equals_the_numpy_form_bit_for_bit(mirror):
+    # The Huber sum against numpy's last-axis sum, on the stack and on each row
+    # as a point: entries inside the quadratic zone, on its edge, beyond it,
+    # and zero rows.
+    eps = mirror.epsilon
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 11):
+        rng = np.random.default_rng(d)
+        W = np.concatenate([
+            rng.uniform(-eps, eps, (8, d)),
+            rng.choice([-eps, eps], (4, d)),
+            rng.standard_normal((8, d)) * 10.0 ** rng.integers(-3, 4, (8, 1)),
+            np.zeros((1, d)),
+            np.full((1, d), -0.0),
+        ])
+        for w in (W, *W):
+            a = np.abs(w)
+            hub = np.where(a <= eps, w * w / (2.0 * eps), a - 0.5 * eps)
+            ref = mirror.lam * hub.sum(axis=-1) + 0.5 * row_inner(w, w)
+            assert np.asarray(mirror.value(w)).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_smoothed_l1_gradient_linear_branch():

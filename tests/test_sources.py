@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from omdkit.diagnostics import kaczmarz_moments, key_identity_residual
 from omdkit.engine import ConstantStep
-from omdkit.geometry import NormSpec
+from omdkit.geometry import NormSpec, row_inner
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
 from omdkit.mirror_maps import EuclideanMap
 from omdkit.sources import (
@@ -183,6 +183,39 @@ def test_gaussian_features_clipped_to_radius():
     norms = np.sqrt((X * X).sum(axis=1))
     assert norms.max() <= 1.0 + 1e-12
     assert (norms > 0.999).mean() > 0.9  # clipping actually engaged
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 11])
+def test_clip_and_label_equals_the_numpy_form_bit_for_bit(d):
+    # Feature norms against numpy's last-axis sum, on stacks of two and three
+    # axes and on each row alone: rows inside the radius, on it (exactly, one
+    # entry 4 * 0.5 = 2, and to rounding), beyond it, and zero rows.
+    src = GaussianLinearSource(np.linspace(1.0, -0.5, d), noise_sd=0.3, feature_scale=0.5, radius=2.0)
+    rng = rng_(d)
+    g = rng.standard_normal((8, d))
+    on_axis = np.zeros((2, d))
+    on_axis[0, 0], on_axis[1, -1] = 4.0, -4.0
+    normals = np.concatenate([
+        0.5 * g / np.sqrt((g * g).sum(axis=1))[:, None] * rng.uniform(0.0, 4.0, (8, 1)),
+        on_axis,
+        4.0 * g / np.sqrt((g * g).sum(axis=1))[:, None],
+        g * 10.0 ** rng.integers(1, 6, (8, 1)),
+        np.zeros((1, d)),
+        np.full((1, d), -0.0),
+    ])
+    noise = rng.standard_normal(len(normals))
+
+    def reference(normals, noise):
+        X = src.feature_scale * normals
+        norms = np.sqrt((X * X).sum(axis=-1))
+        X = X * np.minimum(1.0, src.radius() / np.maximum(norms, 1e-300))[..., None]
+        return X, row_inner(X, src.w_true) + src.noise_sd * noise
+
+    cases = [(normals, noise), (normals.reshape(4, 7, d), noise.reshape(4, 7)),
+             *((normals[i:i + 1], noise[i:i + 1]) for i in range(len(normals)))]
+    for args in cases:
+        for got, ref in zip(src.clip_and_label(*args), reference(*args)):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_gaussian_covariance_closed_form_matches_monte_carlo():

@@ -268,7 +268,7 @@ def _check_fenchel_conjugate(seed: int) -> Outcome:
             # scalar problem max_r [s r - (m^kappa / kappa) r^kappa]
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = (kappa - 1.0) / kappa * (s / norms_p) ** (kappa / (kappa - 1.0))
-            vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
+            vals = np.where(np.isfinite(vals), vals, 0.0)
             j = int(vals.argmax())
             if vals[j] > best:
                 best = float(vals[j])

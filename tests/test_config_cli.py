@@ -1,14 +1,10 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import omdkit
 from omdkit import cli, sources
 from omdkit.cli import main, omega_table
 from omdkit.config import (
@@ -480,31 +476,35 @@ def test_omega_matches_function_on_grid():
         assert float(val_txt) == omega_p(1.5, float(u_txt))
 
 
-SRC = str(Path(omdkit.__file__).resolve().parents[1])
+# The mc_euclid benchmark run at its first base seed: 200 runs at T = 2048.
+MC_EUCLID = dict(source_label_noise=1.0, schedule="theorem_rate", T=2048, n_runs=200, base_seed=2000,
+                 theorem_tag="Thm2b-rate")
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    code = "import omdkit, sys; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+def test_fresh_interpreters_cannot_import_scipy(run_fresh):
+    out = run_fresh("try:\n    import scipy\nexcept ModuleNotFoundError as e:\n    print(e.name)\n")
+    assert out.stdout == "scipy\n"
 
 
-def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
-    # The Gaussian source takes the chi-square covariance path, logistic the expit one.
+def test_import_run_and_verify_leave_scipy_unloaded(run_fresh, tmp_path):
+    # The Gaussian source takes the chi-square covariance path, logistic the
+    # expit one; logistic under smoothed-l1 finds its minimizer by descent on
+    # the population gradient.
     confs = []
     for name, overrides in [("gauss", dict(source="gaussian_linear")),
-                            ("logit", dict(loss="logistic", reg_lambda=0.1))]:
+                            ("logit", dict(loss="logistic", reg_lambda=0.1)),
+                            ("sl1", dict(map="smoothed_l1", loss="logistic", reg_lambda=0.1))]:
         conf = tmp_path / f"{name}.conf"
         conf.write_text(small_config_text(T=32, n_runs=4, theorem_tag="none", **overrides))
-        confs.append(str(conf))
+        confs.append(conf)
     code = ("import sys, omdkit, omdkit.cli; from omdkit.verification import run_verification; "
             "assert all(r.passed for r in run_verification()); "
-            f"assert all(omdkit.cli.main(['run', c, '--workers', '1']) == 0 for c in {confs!r}); "
+            f"assert all(omdkit.cli.main(['run', c, '--workers', '1']) == 0 for c in {list(map(str, confs))!r}); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_fresh(code)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+    for conf in confs:
+        assert conf.with_suffix(".curve.csv").exists() and conf.with_suffix(".report.txt").exists()
 
 
 @pytest.mark.parametrize("preset, numpy_first, expected", [
@@ -512,52 +512,50 @@ def test_import_run_and_verify_leave_scipy_unloaded(tmp_path):
     ("2", False, "2"),    # the user's own setting wins
     (None, True, None),   # numpy already loaded: its pool is fixed, so nothing is set
 ])
-def test_import_sets_one_openblas_thread_unless_preset_or_numpy_loaded(preset, numpy_first, expected):
+def test_import_sets_one_openblas_thread_unless_preset_or_numpy_loaded(run_fresh, preset, numpy_first, expected):
     code = ("import os, sys; " + ("import numpy; " if numpy_first else "") + "import omdkit; "
             "print(os.environ.get('OPENBLAS_NUM_THREADS')); "
             "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else -1)")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    value, tasks = out.stdout.split()
+    value, tasks = run_fresh(code, env).stdout.split()
     assert value == str(expected)
     if expected == "1" and tasks != "-1":
         assert tasks == "1"
 
 
-def pool_modules_around_run(conf):
+def pool_modules_around_run(run_fresh, conf):
     """The process-pool modules loaded after ``import omdkit`` and after a 2-worker
     ``omdkit run`` of ``conf``, in a fresh interpreter."""
     code = ("import sys, omdkit; pool = {'concurrent.futures.process', 'multiprocessing'}; "
             "print(sorted(pool & set(sys.modules))); import omdkit.cli; "
             f"assert omdkit.cli.main(['run', {str(conf)!r}, '--workers', '2']) == 0; "
             "print(sorted(pool & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    lines = out.stdout.strip().splitlines()
+    lines = run_fresh(code).stdout.strip().splitlines()
     return lines[0], lines[-1]
 
 
-def test_import_and_single_block_run_leave_the_process_pool_unloaded(tmp_path):
+def test_import_and_single_block_run_leave_the_process_pool_unloaded(run_fresh, tmp_path):
     # 4 discrete runs make one block, so even at 2 workers no pool starts.
     conf = tmp_path / "one.conf"
     conf.write_text(small_config_text(T=32, n_runs=4))
-    assert pool_modules_around_run(conf) == ("[]", "[]")
+    assert pool_modules_around_run(run_fresh, conf) == ("[]", "[]")
 
 
-def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(tmp_path):
-    # The Gaussian benchmark run: its 100 runs at T = 2048 make one block.
-    conf = tmp_path / "gauss.conf"
-    conf.write_text(small_config_text(
-        map="pnorm", map_p=1.5, source="gaussian_linear", source_w_true=(1.0, -0.5, 0.25),
-        source_noise_sd=0.3, source_radius=2.0, schedule="polynomial", decay_c=1.0,
-        decay_theta=1.0, T=2048, n_runs=100, theorem_tag="Thm1a-pnorm"))
-    assert pool_modules_around_run(conf) == ("[]", "[]")
+def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(run_fresh, tmp_path):
+    # Each benchmark run makes one block: the Gaussian one's 100 runs at
+    # T = 2048, and mc_euclid's 200 runs, 409,400 run-steps.
+    gauss = dict(map="pnorm", map_p=1.5, source="gaussian_linear", source_w_true=(1.0, -0.5, 0.25),
+                 source_noise_sd=0.3, source_radius=2.0, schedule="polynomial", decay_c=1.0,
+                 decay_theta=1.0, T=2048, n_runs=100, theorem_tag="Thm1a-pnorm")
+    for name, overrides in [("gauss", gauss), ("euclid", MC_EUCLID)]:
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(small_config_text(**overrides))
+        assert pool_modules_around_run(run_fresh, conf) == ("[]", "[]")
 
 
-def test_run_leaves_the_verify_suite_and_fractions_unloaded(tmp_path):
+def test_run_leaves_the_verify_suite_and_fractions_unloaded(run_fresh, tmp_path):
     # verify and omega load them when called, and still work.
     conf = tmp_path / "gauss.conf"
     conf.write_text(small_config_text(map="pnorm", map_p=1.5, source="gaussian_linear", T=32, n_runs=4,
@@ -568,15 +566,14 @@ def test_run_leaves_the_verify_suite_and_fractions_unloaded(tmp_path):
             "assert omdkit.cli.main(['verify']) == 0; "
             f"assert omdkit.cli.main(['omega', '--p', '4/3', '--out', {str(tmp_path / 'omega.csv')!r}]) == 0; "
             "print(sorted(lazy & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_fresh(code)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
     assert loaded == ["[]", "['fractions', 'omdkit.verification']"]
     assert "21/21 checks passed" in out.stderr
     assert (tmp_path / "omega.csv").read_text().startswith("u,omega_4/3\n")
 
 
-def test_exit_freezes_the_heap_after_the_artifacts_are_written(tmp_path):
+def test_exit_freezes_the_heap_after_the_artifacts_are_written(run_fresh, tmp_path):
     # atexit runs the last-registered hook first, so a hook registered before
     # cli.main runs after omdkit's gc.freeze and sees the frozen heap.
     conf = tmp_path / "exp.conf"
@@ -586,8 +583,7 @@ def test_exit_freezes_the_heap_after_the_artifacts_are_written(tmp_path):
             "import omdkit.cli; "
             f"sys.exit(omdkit.cli.main(['run', {str(conf)!r}, '--workers', '1', "
             f"'--curve', {str(curve)!r}, '--report', {str(report)!r}]))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_fresh(code)
     assert out.stdout.splitlines()[-1] == "True"
     exp = build_experiment(parse_config(conf.read_text()))
     result = cli.run_experiment(exp, workers=1)
@@ -596,7 +592,7 @@ def test_exit_freezes_the_heap_after_the_artifacts_are_written(tmp_path):
     assert report.read_text() == cli.format_report(exp, result, verdicts)
 
 
-def test_main_registers_one_exit_hook_and_leaves_the_collector_alone():
+def test_main_registers_one_exit_hook_and_leaves_the_collector_alone(run_fresh):
     # Calling main twice, as a library caller may, leaves one hook, and neither
     # freezes nor disables the collector while the caller runs.  The hook is
     # counted by its calls: atexit._ncallbacks() also counts unregistered slots.
@@ -607,8 +603,7 @@ def test_main_registers_one_exit_hook_and_leaves_the_collector_alone():
             "assert omdkit.cli.main(['--dump-defaults']) == 0; "
             "assert omdkit.cli.main(['--dump-defaults']) == 0; "
             "print(json.dumps([before, state()]), file=sys.stderr)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = run_fresh(code)
     assert json.loads(out.stderr) == [[0, True], [0, True]]
     assert out.stdout.splitlines().count("freeze") == 1
     assert out.stdout.endswith("freeze\n")
@@ -638,17 +633,19 @@ def test_run_verdict_under_the_float64_floor_is_inconclusive(tmp_path, capsys):
 
 
 def test_pnorm_two_curve_is_nonnegative_down_to_the_floor(tmp_path):
-    # The same run under the p-norm map at p = 2, which is the Euclidean map,
-    # so it writes the Euclidean curve byte for byte.
-    conf = tmp_path / "floor.conf"
-    conf.write_text(small_config_text(T=2048, n_runs=10, map="pnorm", map_p=2.0))
-    assert main(["run", str(conf), "--workers", "1"]) == 0
-    rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
-    assert min(float(r.split(",")[1]) for r in rows) >= 0.0
-    euclid = tmp_path / "euclid.conf"
-    euclid.write_text(small_config_text(T=2048, n_runs=10))
-    assert main(["run", str(euclid), "--workers", "1"]) == 0
-    assert conf.with_suffix(".curve.csv").read_bytes() == euclid.with_suffix(".curve.csv").read_bytes()
+    # The floor run and the mc_euclid benchmark run under the p-norm map at
+    # p = 2, which is the Euclidean map, so each writes the Euclidean curve
+    # byte for byte.
+    for name, overrides in [("floor", dict(T=2048, n_runs=10)), ("mc_euclid", MC_EUCLID)]:
+        conf = tmp_path / f"{name}_p2.conf"
+        conf.write_text(small_config_text(map="pnorm", map_p=2.0, **overrides))
+        assert main(["run", str(conf), "--workers", "1"]) == 0
+        rows = conf.with_suffix(".curve.csv").read_text().strip().splitlines()[1:]
+        assert min(float(r.split(",")[1]) for r in rows) >= 0.0
+        euclid = tmp_path / f"{name}.conf"
+        euclid.write_text(small_config_text(**overrides))
+        assert main(["run", str(euclid), "--workers", "1"]) == 0
+        assert conf.with_suffix(".curve.csv").read_bytes() == euclid.with_suffix(".curve.csv").read_bytes()
 
 
 def test_euclidean_curve_is_nonnegative_down_to_the_floor(tmp_path):

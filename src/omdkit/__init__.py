@@ -13,7 +13,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, dual_exponent, inner, p_norm
+from .geometry import as_vector, dual_exponent, p_norm
 from .mirror_maps import (
     EuclideanMap,
     MirrorMap,

@@ -265,7 +265,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         model = LossModel(LOSSES[cfg.loss](), lam=cfg.reg_lambda)
         source = _SOURCES[cfg.source](cfg)
         w_star = minimizer(source, model)
-        variance = classify_variance(source, model, w_star, mirror.norm.dual)
+        variance = classify_variance(source, model, w_star, mirror.dual_p)
         constants = resolve_constants(mirror, model, source)
         schedule = _SCHEDULES[cfg.schedule](cfg, constants)
         # Steps never increase, so the last one the run takes is the smallest.

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
+from .geometry import as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
 from .sources import DiscreteFiniteSource, Sample, VarianceRegime, _discrete, minimizer
@@ -295,10 +295,10 @@ def cocoercivity_margin(
     w,
     w_tilde,
     L: float,
-    dual_norm: NormSpec = EUCLIDEAN,
+    q: float = 2.0,
 ) -> float | np.ndarray:
-    """<w - wt, grad f(w,z) - grad f(wt,z)> - ||grad diff||_*^2 / L (>= 0 for
-    convex losses that are L-strongly smooth).
+    """<w - wt, grad f(w,z) - grad f(wt,z)> - ||grad diff||_q^2 / L (>= 0 for
+    convex losses that are L-strongly smooth in the dual q-norm).
 
     Takes one sample and two points, or acts row-wise on stacks: ``z.x`` a
     stack of features, ``z.y`` their labels, and w, wt points or stacks.
@@ -309,7 +309,7 @@ def cocoercivity_margin(
         raise ValueError("L must be positive")
     w, w_tilde = as_points(w), as_points(w_tilde)
     dg = model.gradient(w, z.x, z.y) - model.gradient(w_tilde, z.x, z.y)
-    return as_result(row_inner(w - w_tilde, dg) - p_norm(dg, dual_norm.p) ** 2 / L)
+    return as_result(row_inner(w - w_tilde, dg) - p_norm(dg, q) ** 2 / L)
 
 
 # -- verdicts -----------------------------------------------------------------------

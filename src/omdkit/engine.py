@@ -385,7 +385,7 @@ def _run_block(
         for t in range(1, T + 1):
             if ci < len(cps) and cps[ci] == t:
                 values[:, ci] = mirror.bregman(w_star, W)
-                norms[:, ci] = unchecked_p_norm(W, mirror.norm.p)
+                norms[:, ci] = unchecked_p_norm(W, mirror.p)
                 ci += 1
             if t == T:
                 break
@@ -507,7 +507,7 @@ class ResolvedConstants:
 
 
 def resolve_constants(mirror: MirrorMap, model: LossModel, source: SampleSource) -> ResolvedConstants:
-    R = source.radius(mirror.norm.dual)
+    R = source.radius(mirror.dual_p)
     sigma_psi = mirror.strong_convexity()
     L = model.sharp_smoothness_bound(R)
     L_gen = model.smoothness_bound(R)

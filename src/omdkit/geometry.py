@@ -1,5 +1,8 @@
 """Dense real vectors, inner products, and p-norms with their duals.
 
+A norm is its exponent p, a float in (1, inf); its dual norm has the exponent
+``dual_exponent(p)``.
+
 ``row_inner`` and ``p_norm`` act on the last axis, so each takes a point (a
 1-d vector) or a stack of points, one per row; ``p_norm`` of a point is a
 Python float.
@@ -14,19 +17,14 @@ in pairwise blocks, and ``row_sum`` leaves the sum to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EUCLIDEAN",
-    "NormSpec",
     "as_vector",
     "as_points",
     "as_result",
     "check_exponent",
     "dual_exponent",
-    "inner",
     "row_inner",
     "p_norm",
     "unchecked_p_norm",
@@ -65,14 +63,6 @@ def check_exponent(p: float) -> float:
     return p
 
 
-def inner(w, v) -> float:
-    """Euclidean pairing sum_j w(j) v(j)."""
-    w, v = as_vector(w), as_vector(v)
-    if w.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {w.shape[0]} vs {v.shape[0]}")
-    return float(w @ v)
-
-
 def row_inner(W, V) -> np.ndarray:
     """<w_i, v_i> along the last axis, broadcast over the leading ones, so a
     point pairs with every row of a stack.
@@ -93,16 +83,16 @@ def p_norm(w, p: float):
 def unchecked_p_norm(w: np.ndarray, p: float):
     """p_norm without the checks, so non-finite entries pass through.
 
-    Each result equals ``np.linalg.norm(w, ord=p)`` of the point or of each
-    row bit for bit.  For p != 2 this is numpy's general-order branch, written
-    out to skip the dispatch; at p = 2 a point keeps numpy's whole-vector path
-    (a dot product), whose digits differ from the per-row reduction a stack
-    takes.
+    Each result equals numpy's ``norm(w, ord=p, axis=-1)`` from
+    ``numpy.linalg`` bit for bit, with numpy's branch for that order written
+    out to skip the dispatch.  At p = 2 a point takes numpy's whole-vector
+    path, a dot product, whose digits differ from the per-row reduction a
+    stack takes.
     """
     if p == 2.0:
         if w.ndim == 1:
-            return np.linalg.norm(w, ord=p)
-        # numpy's stack branch of np.linalg.norm(w, ord=2, axis=-1).
+            w = w.ravel(order="K")
+            return np.sqrt(w.dot(w))
         return np.sqrt(row_sum(w * w))
     return _p_norm_of_abs(np.abs(w), p)
 
@@ -144,22 +134,3 @@ def dual_exponent(p: float) -> float:
     p = check_exponent(p)
     return p / (p - 1.0)
 
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A p-norm on R^d, together with its dual."""
-
-    p: float = 2.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", check_exponent(self.p))
-
-    @property
-    def dual(self) -> "NormSpec":
-        return NormSpec(dual_exponent(self.p))
-
-    def __call__(self, w) -> float:
-        return p_norm(w, self.p)
-
-
-EUCLIDEAN = NormSpec(2.0)

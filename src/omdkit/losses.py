@@ -147,8 +147,8 @@ class LossModel:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"regularizer weight must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"regularizer weight lam must be nonnegative and finite, got {self.lam}")
 
     def f_value(self, w, x, y: float) -> float:
         w = np.asarray(w, dtype=np.float64)

@@ -4,9 +4,10 @@ Two families of potentials are provided: the squared p-norm potential
 (1 < p <= 2), whose p = 2 member is the Euclidean half-squared norm
 (``EuclideanMap`` is ``PNormMap(2.0)``), and a smoothed-l1 potential built
 from a Huber-type scalar penalty.  Each map fixes its natural reference norm
-(the p-norm for the p-norm potential, the Euclidean norm otherwise), and
-exposes the strong-convexity / strong-smoothness moduli it attains with
-respect to that norm.  Gradients and inverse gradients are exact closed
+by its exponent ``p`` (p for the p-norm potential, 2 otherwise), measures
+gradients in the dual norm, whose exponent is ``dual_p``, and exposes the
+strong-convexity / strong-smoothness moduli it attains with respect to
+that norm.  Gradients and inverse gradients are exact closed
 forms; the inverse of the p-norm gradient is the gradient of the
 dual-exponent potential, and at exponent 2 the gradient is the identity.
 Every formula acts on the last axis, so it takes a point or a stack of
@@ -23,8 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
-    EUCLIDEAN,
-    NormSpec,
     _p_norm_of_abs,
     as_points,
     as_result,
@@ -112,9 +111,12 @@ class MirrorMap:
     """A strongly convex potential with gradient, inverse gradient, and moduli.
 
     ``value``, ``grad``, ``grad_inv`` and ``bregman`` take a point or a stack.
+    The reference norm is the ``p``-norm, and gradients are measured in its
+    dual, the ``dual_p``-norm.
     """
 
-    norm: NormSpec = EUCLIDEAN
+    p = 2.0
+    dual_p = 2.0
 
     def value(self, w):
         raise NotImplementedError
@@ -156,7 +158,6 @@ class PNormMap(MirrorMap):
             raise ValueError(f"p-norm potential requires p in (1, 2], got {p}")
         self.p = p
         self.dual_p = dual_exponent(p)
-        self.norm = NormSpec(p)
 
     def value(self, w):
         return pnorm_potential(w, self.p)
@@ -199,13 +200,11 @@ class SmoothedL1Map(MirrorMap):
     gives the explicit inverse below (branch switch at |v| = lam + eps).
     """
 
-    norm = EUCLIDEAN
-
     def __init__(self, epsilon: float, lam: float):
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if not lam > 0.0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         self.epsilon = float(epsilon)
         self.lam = float(lam)
 
@@ -279,10 +278,11 @@ def b_p_constant(p: float, target_norm):
     return as_result(np.minimum(c, c ** tau(p)))
 
 
-def norm_power_conjugate(kappa: float, v, norm: NormSpec = EUCLIDEAN) -> float:
-    """Fenchel conjugate of (1/kappa) ||.||^kappa at v: ((kappa-1)/kappa) ||v||_*^{kappa/(kappa-1)}."""
+def norm_power_conjugate(kappa: float, v, p: float = 2.0) -> float:
+    """Fenchel conjugate of (1/kappa) ||.||_p^kappa at v: ((kappa-1)/kappa) ||v||_q^{kappa/(kappa-1)},
+    with q the dual exponent of p."""
     kappa = float(kappa)
     if not kappa > 1.0:
         raise ValueError(f"kappa must exceed 1, got {kappa}")
-    dual_norm = p_norm(v, norm.dual.p)
+    dual_norm = p_norm(v, dual_exponent(p))
     return (kappa - 1.0) / kappa * dual_norm ** (kappa / (kappa - 1.0))

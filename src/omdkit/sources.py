@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, NormSpec, as_vector, p_norm, row_inner, row_sum
+from .geometry import as_vector, check_exponent, p_norm, row_inner, row_sum
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -118,8 +118,9 @@ class DiscreteFiniteSource:
     def n_atoms(self) -> int:
         return self.X.shape[0]
 
-    def radius(self, dual_norm: NormSpec = EUCLIDEAN) -> float:
-        return float(p_norm(self.X, dual_norm.p).max())
+    def radius(self, q: float = 2.0) -> float:
+        """The largest q-norm of an atom's features."""
+        return float(p_norm(self.X, q).max())
 
     def covariance(self) -> np.ndarray:
         return (self.probs[:, None] * self.X).T @ self.X
@@ -166,10 +167,11 @@ class GaussianLinearSource:
 
     def __init__(self, w_true, noise_sd: float, feature_scale: float = 1.0, radius: float = 10.0):
         self.w_true = as_vector(w_true)
-        if noise_sd < 0.0:
-            raise ValueError("noise_sd must be nonnegative")
-        if feature_scale <= 0.0 or radius <= 0.0:
-            raise ValueError("feature_scale and radius must be positive")
+        if not 0.0 <= noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {noise_sd}")
+        for name, value in (("feature_scale", feature_scale), ("radius", radius)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.noise_sd = float(noise_sd)
         self.feature_scale = float(feature_scale)
         self._radius = float(radius)
@@ -178,10 +180,10 @@ class GaussianLinearSource:
     def d(self) -> int:
         return self.w_true.shape[0]
 
-    def radius(self, dual_norm: NormSpec = EUCLIDEAN) -> float:
-        # l2 clipping bounds every q-norm with q >= 2 by the same radius.
-        if dual_norm.p < 2.0:
-            raise ValueError("declared radius only bounds dual norms with exponent >= 2")
+    def radius(self, q: float = 2.0) -> float:
+        """The declared radius: l2 clipping bounds every feature's q-norm by it for q >= 2."""
+        if check_exponent(q) < 2.0:
+            raise ValueError(f"declared radius only bounds dual norms with exponent >= 2, got {q}")
         return self._radius
 
     def covariance(self) -> np.ndarray:
@@ -389,7 +391,7 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
         raise ValueError("non-quadratic losses need lam > 0 for a guaranteed minimizer")
     # Full-gradient descent; strong convexity from the regularizer gives a
     # linear rate with step 1/L.
-    L = model.smoothness_bound(source.radius(EUCLIDEAN))
+    L = model.smoothness_bound(source.radius())
     step = 1.0 / L
     w = np.zeros(source.d)
     for _ in range(MINIMIZER_STEPS):
@@ -405,11 +407,11 @@ def mean_gradient_norm(
     source: DiscreteFiniteSource,
     model: LossModel,
     w,
-    dual_norm: NormSpec = EUCLIDEAN,
+    q: float = 2.0,
 ) -> float:
-    """E ||grad f(w, Z)||_*, an exact weighted sum over a discrete support."""
+    """E ||grad f(w, Z)||_q, an exact weighted sum over a discrete support."""
     source = _discrete(source, "the exact mean gradient norm")
-    norms = p_norm(model.gradient(as_vector(w), source.X, source.y), dual_norm.p)
+    norms = p_norm(model.gradient(as_vector(w), source.X, source.y), q)
     return float(source.probs @ norms)
 
 
@@ -417,15 +419,17 @@ def classify_variance(
     source: SampleSource,
     model: LossModel,
     w_star,
-    dual_norm: NormSpec = EUCLIDEAN,
+    q: float = 2.0,
 ) -> VarianceRegime:
-    """Zero- vs positive-variance regime of the per-sample gradients at the minimizer."""
+    """Zero- vs positive-variance regime of the per-sample gradients at the
+    minimizer, whose norms are measured in the q-norm."""
+    q = check_exponent(q)
     w_star = as_vector(w_star)
     g = population_gradient(source, model, w_star)
     if float(np.sqrt(g @ g)) > _OPTIMALITY_TOL:
         raise ValueError("w_star fails the optimality check ||grad F(w_star)|| <= 1e-8")
     if isinstance(source, DiscreteFiniteSource):
-        value = mean_gradient_norm(source, model, w_star, dual_norm)
+        value = mean_gradient_norm(source, model, w_star, q)
         return VarianceRegime.ZERO if value <= _ZERO_VARIANCE_TOL else VarianceRegime.POSITIVE
     # Gaussian linear + least squares (population_gradient already enforced this):
     # the gradient at the minimizer vanishes almost surely only in the

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import NormSpec, dual_exponent, p_norm, row_inner
+from .geometry import dual_exponent, p_norm, row_inner
 from .losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
 from .mirror_maps import (
     EuclideanMap,
@@ -125,7 +125,7 @@ def _check_strong_convexity(seed: int) -> Outcome:
     worst = -np.inf  # max violation of D >= (sigma/2) ||diff||^2
     for mirror in _maps():
         W, V = (_scaled(rng, 500, 5, [0.3, 1.0, 3.0]) for _ in range(2))
-        gap = 0.5 * mirror.strong_convexity() * p_norm(W - V, mirror.norm.p) ** 2 - mirror.bregman(W, V)
+        gap = 0.5 * mirror.strong_convexity() * p_norm(W - V, mirror.p) ** 2 - mirror.bregman(W, V)
         worst = max(worst, float(gap.max()))
     return worst <= 1e-10, worst, 1e-10
 
@@ -138,7 +138,7 @@ def _check_strong_smoothness(seed: int) -> Outcome:
         if L is None:
             continue
         W, V = (_scaled(rng, 500, 5, [0.3, 1.0, 3.0]) for _ in range(2))
-        gap = mirror.bregman(W, V) - 0.5 * L * p_norm(W - V, mirror.norm.p) ** 2
+        gap = mirror.bregman(W, V) - 0.5 * L * p_norm(W - V, mirror.p) ** 2
         worst = max(worst, float(gap.max()))
     return worst <= 1e-10, worst, 1e-10
 
@@ -206,10 +206,10 @@ def _check_incremental(seed: int) -> Outcome:
         if isinstance(mirror, PNormMap):
             C = 1.0
         else:
-            C = p_norm(mirror.grad(np.zeros(5)), mirror.norm.dual.p) + L
+            C = p_norm(mirror.grad(np.zeros(5)), mirror.dual_p) + L
         W = _scaled(rng, 500, 5, [1e-3, 1.0, 50.0, 1e3])
-        lhs = p_norm(mirror.grad(W), mirror.norm.dual.p)
-        worst = max(worst, float((lhs - C * (1.0 + p_norm(W, mirror.norm.p))).max()))
+        lhs = p_norm(mirror.grad(W), mirror.dual_p)
+        worst = max(worst, float((lhs - C * (1.0 + p_norm(W, mirror.p))).max()))
     return worst <= 1e-8, worst, 1e-8
 
 
@@ -233,7 +233,7 @@ def _local_search(objective, w, rng, rounds=30, n=2000):
     the best of n Gaussian perturbations of the incumbent, at a scale shrinking
     geometrically from ||w||/10 to ||w|| 1e-9.  Returns the best value seen."""
     best = float(objective(w))
-    for scale in np.linalg.norm(w) * np.geomspace(0.1, 1e-9, rounds):
+    for scale in p_norm(w, 2.0) * np.geomspace(0.1, 1e-9, rounds):
         W = w + scale * rng.standard_normal((n, w.shape[-1]))
         vals = objective(W)
         j = int(vals.argmax())
@@ -255,7 +255,7 @@ def _check_fenchel_conjugate(seed: int) -> Outcome:
         (3.0, 1.5, np.array([1.5, -2.0])),
     ]
     for kappa, p, v in cases:
-        formula = norm_power_conjugate(kappa, v, NormSpec(p))
+        formula = norm_power_conjugate(kappa, v, p)
         # The best direction of the sweep, its first occurrence: a normal's
         # Philox words do not depend on how the draws are split into calls, so
         # the stacks draw the directions one draw of them all would.
@@ -374,10 +374,10 @@ def _check_one_step_contract(seed: int) -> Outcome:
     for mirror, model in configs:
         w_star = minimizer(source, model)
         sigma = mirror.strong_convexity()
-        L = model.sharp_smoothness_bound(source.radius(mirror.norm.dual))
+        L = model.sharp_smoothness_bound(source.radius(mirror.dual_p))
         eta = sigma / (2.0 * L)
         G = model.gradient(w_star, source.X, source.y)
-        noise = float(source.probs @ p_norm(G, mirror.norm.dual.p) ** 2)
+        noise = float(source.probs @ p_norm(G, mirror.dual_p) ** 2)
         W = _scaled(rng, 1000, 3, [0.5, 2.0])
         # Each point steps on every atom: (1000, atoms, 3) next iterates.
         W_next = omd_step(mirror, model, W[:, None, :], source.X, source.y, eta)

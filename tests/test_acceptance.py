@@ -245,7 +245,7 @@ def test_criterion_11_pnorm_geometry_convergence():
         _rotation(2, 7), [0.25, 0.25], np.array([1.1, -0.7]), scale=3.0, label_noise=0.15
     )
     w_star = k.minimizer(source, MODEL)
-    assert k.classify_variance(source, MODEL, w_star, mirror.norm.dual) is k.VarianceRegime.POSITIVE
+    assert k.classify_variance(source, MODEL, w_star, mirror.dual_p) is k.VarianceRegime.POSITIVE
     constants = k.resolve_constants(mirror, MODEL, source)
     schedule = k.PolynomialDecay(0.1, 1.0)
     k.assert_step_regime("Thm1a-pnorm", schedule, constants)

@@ -908,9 +908,9 @@ def test_one_step_distance_contract(mirror):
     model = LS
     w_star = minimizer(src, model)
     sigma = mirror.strong_convexity()
-    L = model.sharp_smoothness_bound(src.radius(mirror.norm.dual))
+    L = model.sharp_smoothness_bound(src.radius(mirror.dual_p))
     eta = sigma / (2.0 * L)
-    q = mirror.norm.dual.p
+    q = mirror.dual_p
     a = src.X @ w_star
     G = (a - src.y)[:, None] * src.X
     noise = float(src.probs @ ((np.abs(G) ** q).sum(axis=1) ** (2.0 / q)))

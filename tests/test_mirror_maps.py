@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from omdkit.diagnostics import duality_residual
-from omdkit.geometry import NormSpec, dual_exponent, p_norm, row_inner, unchecked_p_norm
+from omdkit.geometry import dual_exponent, p_norm, row_inner, unchecked_p_norm
 from omdkit.mirror_maps import (
     EuclideanMap,
     PNormMap,
@@ -219,8 +219,13 @@ def test_pnorm_bregman_at_two_is_the_half_squared_distance_bit_for_bit():
 def test_euclidean_map_is_the_pnorm_map_at_two():
     m = EuclideanMap()
     assert isinstance(m, PNormMap)
-    assert m.p == 2.0 and m.dual_p == 2.0 and m.norm == NormSpec(2.0)
     assert repr(m) == "EuclideanMap()"
+    # Every map carries its norm's exponent and the dual one; the maps whose
+    # norm is the 2-norm carry 2.0 for both.
+    for mirror in ALL_MAPS:
+        assert type(mirror.p) is float and mirror.dual_p == dual_exponent(mirror.p)
+        if type(mirror) is not PNormMap:
+            assert mirror.p == mirror.dual_p == 2.0
 
 
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
@@ -246,7 +251,7 @@ def test_strong_convexity_lower_bound(mirror):
     for _ in range(400):
         w = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
-        gap = mirror.bregman(w, v) - 0.5 * sigma * p_norm(w - v, mirror.norm.p) ** 2
+        gap = mirror.bregman(w, v) - 0.5 * sigma * p_norm(w - v, mirror.p) ** 2
         assert gap >= -1e-10
 
 
@@ -257,7 +262,7 @@ def test_strong_smoothness_upper_bound(mirror):
     for _ in range(400):
         w = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
-        gap = 0.5 * L * p_norm(w - v, mirror.norm.p) ** 2 - mirror.bregman(w, v)
+        gap = 0.5 * L * p_norm(w - v, mirror.p) ** 2 - mirror.bregman(w, v)
         assert gap >= -1e-10
 
 
@@ -404,7 +409,7 @@ def test_b_p_constant_rejects_bad_arguments():
 # -- Fenchel conjugates of norm powers ------------------------------------------------
 
 def test_norm_power_conjugate_euclidean_square():
-    assert norm_power_conjugate(2.0, [3.0, 4.0], NormSpec(2.0)) == 12.5
+    assert norm_power_conjugate(2.0, [3.0, 4.0], 2.0) == 12.5
 
 
 def test_norm_power_conjugate_zero_vector():
@@ -413,7 +418,7 @@ def test_norm_power_conjugate_zero_vector():
 
 def test_norm_power_conjugate_fractional_power():
     # ((1.5-1)/1.5) * 1^3 = 1/3
-    assert norm_power_conjugate(1.5, [1.0, 0.0], NormSpec(2.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert norm_power_conjugate(1.5, [1.0, 0.0], 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_norm_power_conjugate_matches_grid_maximization():
@@ -423,7 +428,7 @@ def test_norm_power_conjugate_matches_grid_maximization():
     U = np.column_stack([np.cos(theta), np.sin(theta)])
     r = np.linspace(0.0, 3.0, 3001)
     best = float((r * (U @ v)[:, None] - r ** kappa / kappa).max())
-    formula = norm_power_conjugate(kappa, v, NormSpec(2.0))
+    formula = norm_power_conjugate(kappa, v, 2.0)
     assert best <= formula + 1e-12
     assert formula - best < 1e-4 * formula
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from omdkit.diagnostics import kaczmarz_moments, key_identity_residual
 from omdkit.engine import ConstantStep
-from omdkit.geometry import NormSpec, row_inner
+from omdkit.geometry import row_inner
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
-from omdkit.mirror_maps import EuclideanMap
+from omdkit.mirror_maps import EuclideanMap, SmoothedL1Map
 from omdkit.sources import (
     DiscreteFiniteSource,
     GaussianLinearSource,
@@ -48,7 +48,7 @@ def test_probabilities_validated():
 def test_radius_is_max_dual_norm():
     src = two_atom_source()
     assert src.radius() == 1.0
-    assert src.radius(NormSpec(3.0)) == 1.0
+    assert src.radius(3.0) == 1.0
 
 
 def test_orthonormal_source_validation():
@@ -183,6 +183,29 @@ def test_gaussian_features_clipped_to_radius():
     norms = np.sqrt((X * X).sum(axis=1))
     assert norms.max() <= 1.0 + 1e-12
     assert (norms > 0.999).mean() > 0.9  # clipping actually engaged
+
+
+@pytest.mark.parametrize("q", [1.5, np.nan])
+def test_gaussian_radius_bounds_only_dual_exponents_of_two_and_more(q):
+    src = GaussianLinearSource(np.array([1.0, 0.0]), noise_sd=0.1, radius=2.0)
+    assert src.radius() == src.radius(3.0) == 2.0
+    with pytest.raises(ValueError, match="exponent"):
+        src.radius(q)
+
+
+@pytest.mark.parametrize("name,build", [
+    ("noise_sd", lambda v: GaussianLinearSource([1.0], noise_sd=v)),
+    ("feature_scale", lambda v: GaussianLinearSource([1.0], noise_sd=0.1, feature_scale=v)),
+    ("radius", lambda v: GaussianLinearSource([1.0], noise_sd=0.1, radius=v)),
+    ("lam", lambda v: LossModel(LeastSquares(), lam=v)),
+    ("lam", lambda v: SmoothedL1Map(0.5, lam=v)),
+    ("epsilon", lambda v: SmoothedL1Map(v, lam=1.0)),
+], ids=["gaussian-noise_sd", "gaussian-feature_scale", "gaussian-radius", "loss-lam", "smoothed_l1-lam",
+        "smoothed_l1-epsilon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_constructors_refuse_non_finite_parameters_by_name(name, build, value):
+    with pytest.raises(ValueError, match=name):
+        build(value)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 11])

@@ -60,12 +60,11 @@ def test_fenchel_polish_closes_the_brute_force_gap():
     # (0.67, -1.19): the local search must reach the closed form to float64 precision.
     import numpy as np
 
-    from omdkit.geometry import NormSpec
     from omdkit.mirror_maps import norm_power_conjugate
     from omdkit.verification import _local_search
 
     kappa, p, v = 3.0, 1.5, np.array([1.5, -2.0])
-    formula = norm_power_conjugate(kappa, v, NormSpec(p))
+    formula = norm_power_conjugate(kappa, v, p)
 
     def objective(w):
         return w @ v - (np.abs(w) ** p).sum(axis=-1) ** (kappa / p) / kappa

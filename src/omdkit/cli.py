@@ -42,6 +42,7 @@ from pathlib import Path
 from .config import ConfigError, Experiment, build_experiment, dump_config, parse_config
 from .diagnostics import ExperimentResult, assert_step_regime, theorem_verdict
 from .engine import AllRunsDiverged, RegimeError, ResolvedConstants, checked_workers, monte_carlo_curve
+from .geometry import check_interval
 from .mirror_maps import omega_p
 
 __all__ = ["main", "run_experiment", "format_report", "format_curve", "omega_table"]
@@ -217,12 +218,10 @@ def _parse_p_token(token: str) -> float:
 
 
 def omega_table(p_tokens: list[str], grid_max: float, grid_step: float) -> str:
-    ps = [(tok, _parse_p_token(tok)) for tok in p_tokens]
-    for tok, p in ps:
-        if not (1.0 < p <= 2.0):
-            raise ValueError(f"exponent {tok} outside (1, 2]")
-    if not (0.0 < grid_max < math.inf and 0.0 < grid_step < math.inf):
-        raise ValueError("grid max and step must be positive and finite")
+    ps = [(tok, check_interval(f"exponent {tok}", _parse_p_token(tok), 1.0, 2.0, closed_high=True))
+          for tok in p_tokens]
+    check_interval("grid max", grid_max, 0.0, math.inf)
+    check_interval("grid step", grid_step, 0.0, math.inf)
     n = grid_max / grid_step  # the table has n + 1 points
     if n + 1 > OMEGA_MAX_POINTS:
         raise ValueError(f"grid {grid_max!r} / {grid_step!r} has too many points")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .diagnostics import THEOREMS
 from .engine import (
+    DIVERGENCE_LIMIT,
     ConstantStep,
     PolynomialDecay,
     ResolvedConstants,
@@ -24,7 +25,7 @@ from .engine import (
     geometric_checkpoints,
     resolve_constants,
 )
-from .geometry import as_vector
+from .geometry import SQUARE_MAX, as_vector, check_interval
 from .losses import LOSSES, LossModel
 from .mirror_maps import EuclideanMap, MirrorMap, PNormMap, SmoothedL1Map
 from .sources import (
@@ -161,8 +162,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown {key} kind {getattr(cfg, key)!r}")
     if cfg.theorem_tag != "none" and cfg.theorem_tag not in THEOREMS:
         raise ConfigError(f"unknown theorem tag {cfg.theorem_tag!r}")
-    if cfg.reg_lambda < 0.0:
-        raise ConfigError("reg_lambda must be nonnegative")
     if cfg.T < 1:
         raise ConfigError("T must be >= 1")
     if cfg.n_runs < 2:
@@ -172,14 +171,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("base_seed must be >= 0 with base_seed + n_runs - 1 < 2**128")
     if not 0 <= cfg.source_rotation < 2**128:
         raise ConfigError("source_rotation must be >= 0 and < 2**128")
-    if cfg.kappa <= 0.0:
-        raise ConfigError("kappa must be positive")
-    if cfg.sigma_f != "auto":
-        try:
-            if not 0.0 < float(cfg.sigma_f) < math.inf:
-                raise ConfigError("sigma_f must be positive and finite or 'auto'")
-        except ValueError:
-            raise ConfigError(f"sigma_f must be a float or 'auto', got {cfg.sigma_f!r}") from None
+    try:
+        sigma_f = None if cfg.sigma_f == "auto" else float(cfg.sigma_f)
+    except ValueError:
+        raise ConfigError(f"sigma_f must be a float or 'auto', got {cfg.sigma_f!r}") from None
+    try:
+        check_interval("reg_lambda", cfg.reg_lambda, 0.0, SQUARE_MAX, closed_low=True)
+        check_interval("kappa", cfg.kappa, 0.0, math.inf)
+        if sigma_f is not None:
+            check_interval("sigma_f", sigma_f, 0.0, math.inf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _rotation(d: int, seed: int) -> np.ndarray:
@@ -277,6 +279,8 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
             w1 = as_vector([float(v) for v in cfg.w1.replace(",", " ").split()])
             if w1.shape[0] != source.d:
                 raise ConfigError("w1 must match the source dimension")
+            # A start past the divergence guard has diverged before its first step.
+            check_interval("w1", w1, -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT, closed_low=True, closed_high=True)
         if cfg.checkpoints == "geometric":
             checkpoints = geometric_checkpoints(cfg.T)
         else:

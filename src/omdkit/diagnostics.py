@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import as_points, as_result, as_vector, dual_exponent, p_norm, row_inner
+from .geometry import as_points, as_result, as_vector, check_interval, dual_exponent, p_norm, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap, pnorm_bregman, pnorm_gradient
 from .sources import DiscreteFiniteSource, Sample, VarianceRegime, _discrete, minimizer
@@ -132,14 +132,12 @@ def linear_rate_bracket(
     d1: float,
     steps,
 ) -> BoundBracket:
-    if not eta1 > 0.0:
-        raise ValueError("eta1 must be positive")
+    check_interval("eta1", eta1, 0.0, math.inf)
     if not eta1 < sigma_psi / (2.0 * smooth_L):
         raise ValueError("bracket needs eta1 < sigma_psi / (2 L)")
     if not sigma_f * eta1 < 2.0:
         raise ValueError("bracket needs sigma_f * eta1 < 2")
-    if d1 < 0.0:
-        raise ValueError("d1 must be nonnegative")
+    check_interval("d1", d1, 0.0, math.inf, closed_low=True)
     steps = np.asarray(steps, dtype=np.int64)
     if (steps < 0).any():
         raise ValueError("step counts must be nonnegative")
@@ -161,10 +159,8 @@ def nonconvergence_floor(
 ) -> float:
     """exp(-2a sum_{t=t0+1}^T eta_t) * d_ref — a certified floor under a
     summable schedule, valid while eta_t <= 1/(3a) from t0 on."""
-    if not a > 0.0:
-        raise ValueError("a must be positive")
-    if d_ref < 0.0:
-        raise ValueError("d_ref must be nonnegative")
+    check_interval("a", a, 0.0, math.inf)
+    check_interval("d_ref", d_ref, 0.0, math.inf, closed_low=True)
     t0, T = int(t0), int(T)
     if t0 < 1 or T < t0:
         raise ValueError("need 1 <= t0 <= T")
@@ -252,9 +248,7 @@ def kaczmarz_moments(
 def duality_residual(p: float, w, w_tilde) -> float | np.ndarray:
     """|D_p(w, wt) - D_q(grad_p(wt), grad_p(w))| with q the dual exponent of p,
     for two points or row-wise for stacks."""
-    p = float(p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"duality check requires p in (1, 2], got {p}")
+    p = check_interval("p", p, 1.0, 2.0, closed_high=True)
     w, w_tilde = as_points(w), as_points(w_tilde)
     primal = pnorm_bregman(w, w_tilde, p)
     q = dual_exponent(p)
@@ -273,14 +267,11 @@ def nonsmoothness_witness(p: float, d: int, a: float) -> float:
     is identically 1; for p < 2 it grows like a^(2-p), so no finite modulus
     works in dimension > 1.
     """
-    p = float(p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"witness requires p in (1, 2], got {p}")
+    p = check_interval("p", p, 1.0, 2.0, closed_high=True)
     d = int(d)
     if d < 2:
         raise ValueError("the witness needs dimension d >= 2")
-    if not a >= 1.0:
-        raise ValueError("the witness scale must satisfy a >= 1")
+    check_interval("witness scale a", a, 1.0, math.inf, closed_low=True)
     w = np.zeros(d)
     w[0] = 1.0
     signs = np.array([(-1.0) ** j for j in range(d - 1)])
@@ -305,8 +296,7 @@ def cocoercivity_margin(
     """
     if not model.loss.convex:
         raise ValueError(f"co-coercivity needs a convex loss, got {model.loss!r}")
-    if not L > 0.0:
-        raise ValueError("L must be positive")
+    check_interval("L", L, 0.0, math.inf)
     w, w_tilde = as_points(w), as_points(w_tilde)
     dg = model.gradient(w, z.x, z.y) - model.gradient(w_tilde, z.x, z.y)
     return as_result(row_inner(w - w_tilde, dg) - p_norm(dg, q) ** 2 / L)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_vector, row_inner, unchecked_p_norm
+from .geometry import as_vector, check_interval, row_inner, unchecked_p_norm
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
 from .sources import SampleSource
@@ -93,18 +93,6 @@ def _check_iteration(t: int) -> int:
     return t
 
 
-def _positive(what: str, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {value!r}")
-    return value
-
-
-def _nonnegative(what: str, value: float) -> float:
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{what} must be nonnegative and finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """eta_t = c * (scale * (t + shift))^(-theta), a nonincreasing step sequence.
@@ -122,10 +110,10 @@ class StepSchedule:
 
     def __post_init__(self):
         # At theta = 0, c is the step size itself; only the theorem rate sets scale.
-        _positive("step size" if self.theta == 0.0 else "decay coefficient", self.c)
-        _nonnegative("decay exponent", self.theta)
-        _nonnegative("step shift", self.shift)
-        _positive("scale sigma_f", self.scale)
+        check_interval("step size" if self.theta == 0.0 else "decay coefficient", self.c, 0.0, math.inf)
+        check_interval("decay exponent", self.theta, 0.0, math.inf, closed_low=True)
+        check_interval("step shift", self.shift, 0.0, math.inf, closed_low=True)
+        check_interval("scale sigma_f", self.scale, 0.0, math.inf)
         # The first step is the largest, so one that is finite bounds them all;
         # it is 0.0 when scale * (1 + shift) overflows to inf.
         try:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "SQUARE_MAX",
     "as_vector",
     "as_points",
     "as_result",
     "check_exponent",
+    "check_interval",
     "dual_exponent",
     "row_inner",
     "p_norm",
@@ -54,13 +56,40 @@ def as_result(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+# The largest magnitude of a parameter that scales a source's features,
+# labels or target, or the regularizer: a power of two whose square, 2^1022,
+# is finite, as the covariance, the labels and the risk square them.
+SQUARE_MAX = 2.0 ** 511
+
+
+def check_interval(what: str, value, low: float, high: float, *, closed_low: bool = False,
+                   closed_high: bool = False):
+    """``value`` as a float, or an array as its float64 array, if it lies in
+    the interval from ``low`` to ``high``, each end left out unless closed;
+    else a ``ValueError`` naming ``what``, the interval and the value, or
+    for an array its least or greatest entry, that lies outside.
+
+    Each comparison asks whether a value is inside, so NaN, unordered with
+    every bound, never is; an array's least and greatest entries are NaN
+    when any entry is."""
+    x = np.asarray(value, dtype=np.float64)
+    if not x.ndim:
+        x = least = greatest = float(x)
+    elif x.size:
+        least, greatest = float(x.min()), float(x.max())
+    else:
+        return x
+    above = low <= least if closed_low else low < least
+    if not (above and (greatest <= high if closed_high else greatest < high)):
+        interval = f"{'[' if closed_low else '('}{low:g}, {high:g}{']' if closed_high else ')'}"
+        raise ValueError(f"{what} must lie in {interval}, got {greatest if above else least!r}")
+    return x
+
+
 def check_exponent(p: float) -> float:
-    p = float(p)
     # p = 1 and p = inf are rejected: the squared p-norm potential loses
     # strong convexity there and every dual-exponent formula degenerates.
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"norm exponent must lie in (1, inf), got {p}")
-    return p
+    return check_interval("norm exponent", float(p), 1.0, np.inf)
 
 
 def row_inner(W, V) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import row_inner
+from .geometry import SQUARE_MAX, check_interval, row_inner
 
 __all__ = [
     "Loss",
@@ -147,8 +147,7 @@ class LossModel:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"regularizer weight lam must be nonnegative and finite, got {self.lam}")
+        check_interval("regularizer weight lam", self.lam, 0.0, SQUARE_MAX, closed_low=True)
 
     def f_value(self, w, x, y: float) -> float:
         w = np.asarray(w, dtype=np.float64)
@@ -175,15 +174,13 @@ class LossModel:
 
     def smoothness_bound(self, radius: float) -> float:
         """2 (l_phi R^2 + lam) for sup ||x||_* <= R; valid for every sample."""
-        if radius < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
+        radius = check_interval("radius", radius, 0.0, np.inf, closed_low=True)
         return 2.0 * (self.loss.lipschitz() * radius * radius + self.lam)
 
     def sharp_smoothness_bound(self, radius: float) -> float:
         """The preferred per-sample modulus: R^2 + 2 lam for least squares
         (its Hessian is x x^T + 2 lam I), the generic bound otherwise."""
-        if radius < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
+        radius = check_interval("radius", radius, 0.0, np.inf, closed_low=True)
         if isinstance(self.loss, LeastSquares):
             return radius * radius + 2.0 * self.lam
         return self.smoothness_bound(radius)

@@ -24,10 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
+    SQUARE_MAX,
     _p_norm_of_abs,
     as_points,
     as_result,
     check_exponent,
+    check_interval,
     dual_exponent,
     p_norm,
     row_inner,
@@ -75,8 +77,12 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
     """Gradient ||w||_q^{2-q} (sgn(w_j) |w_j|^{q-1})_j, with value 0 at w = 0.
 
     At q = 2 that is w itself, which is returned (a -0.0 entry stays -0.0)."""
-    q = check_exponent(q)
-    w = np.asarray(w, dtype=np.float64)
+    return _pnorm_gradient(np.asarray(w, dtype=np.float64), check_exponent(q))
+
+
+def _pnorm_gradient(w: np.ndarray, q: float) -> np.ndarray:
+    """pnorm_gradient of a float64 w without the exponent check, for a map
+    that checked its exponents once, when it was made."""
     if q == 2.0:
         return w
     a = np.abs(w)
@@ -153,20 +159,17 @@ class PNormMap(MirrorMap):
     """
 
     def __init__(self, p: float):
-        p = check_exponent(p)
-        if p > 2.0:
-            raise ValueError(f"p-norm potential requires p in (1, 2], got {p}")
-        self.p = p
-        self.dual_p = dual_exponent(p)
+        self.p = check_interval("p-norm potential exponent p", p, 1.0, 2.0, closed_high=True)
+        self.dual_p = dual_exponent(self.p)
 
     def value(self, w):
         return pnorm_potential(w, self.p)
 
     def grad(self, w) -> np.ndarray:
-        return pnorm_gradient(w, self.p)
+        return _pnorm_gradient(np.asarray(w, dtype=np.float64), self.p)
 
     def grad_inv(self, v) -> np.ndarray:
-        return pnorm_gradient(v, self.dual_p)
+        return _pnorm_gradient(np.asarray(v, dtype=np.float64), self.dual_p)
 
     def bregman(self, target, base):
         return pnorm_bregman(target, base, self.p)
@@ -201,12 +204,9 @@ class SmoothedL1Map(MirrorMap):
     """
 
     def __init__(self, epsilon: float, lam: float):
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        if not 0.0 < lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam}")
-        self.epsilon = float(epsilon)
-        self.lam = float(lam)
+        # grad divides every coordinate by epsilon, the kept branch or not.
+        self.epsilon = check_interval("epsilon", epsilon, 1.0 / SQUARE_MAX, SQUARE_MAX)
+        self.lam = check_interval("lam", lam, 0.0, SQUARE_MAX)
 
     def value(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -242,26 +242,15 @@ class SmoothedL1Map(MirrorMap):
 
 def tau(p: float) -> float:
     """tau_p = 2 / min(p, 3 - p) for p in (1, 2]."""
-    p = float(p)
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"tau requires p in (1, 2], got {p}")
+    p = check_interval("p", p, 1.0, 2.0, closed_high=True)
     return 2.0 / min(p, 3.0 - p)
-
-
-def _nonnegative(x, what: str):
-    """x as float64: a number stays a numpy scalar, whose power is libm's, as a
-    Python float's is; an array's power may differ from it in the last digit."""
-    x = np.asarray(x, dtype=np.float64)[()]
-    if (x < 0.0).any():
-        raise ValueError(f"{what} must be nonnegative, got {np.min(x)}")
-    return x
 
 
 def omega_p(p: float, u):
     """Huber-like control function: u + 1/tau_p - 1 for u >= 1, u^tau_p / tau_p
     below; u is a number or an array, taken entry by entry."""
     t = tau(p)
-    u = _nonnegative(u, "control function argument")
+    u = check_interval("control function argument", u, 0.0, np.inf, closed_low=True)
     # np.where evaluates both branches; u capped at 1 keeps the unused power finite.
     return as_result(np.where(u >= 1.0, u + 1.0 / t - 1.0, np.minimum(u, 1.0) ** t / t))
 
@@ -269,10 +258,8 @@ def omega_p(p: float, u):
 def b_p_constant(p: float, target_norm):
     """min(C, C^tau_p) with C = (2 (2 r)^{2-p} + 2 r^{p-1} + 2)^{-1}, r = target_norm,
     a number or an array, taken entry by entry."""
-    p = float(p)
-    if not (1.0 < p < 2.0):
-        raise ValueError(f"b_p_constant requires p in (1, 2), got {p}")
-    r = _nonnegative(target_norm, "target_norm")
+    p = check_interval("p", p, 1.0, 2.0)
+    r = check_interval("target_norm", target_norm, 0.0, np.inf, closed_low=True)
     # 0^s = 0 for s > 0, so r = 0 gives C = 1/2 continuously.
     c = 1.0 / (2.0 * (2.0 * r) ** (2.0 - p) + 2.0 * r ** (p - 1.0) + 2.0)
     return as_result(np.minimum(c, c ** tau(p)))
@@ -281,8 +268,6 @@ def b_p_constant(p: float, target_norm):
 def norm_power_conjugate(kappa: float, v, p: float = 2.0) -> float:
     """Fenchel conjugate of (1/kappa) ||.||_p^kappa at v: ((kappa-1)/kappa) ||v||_q^{kappa/(kappa-1)},
     with q the dual exponent of p."""
-    kappa = float(kappa)
-    if not kappa > 1.0:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    kappa = check_interval("kappa", kappa, 1.0, np.inf)
     dual_norm = p_norm(v, dual_exponent(p))
     return (kappa - 1.0) / kappa * dual_norm ** (kappa / (kappa - 1.0))

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import as_vector, check_exponent, p_norm, row_inner, row_sum
+from .geometry import SQUARE_MAX, as_vector, check_exponent, check_interval, p_norm, row_inner, row_sum
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -91,8 +91,7 @@ class DiscreteFiniteSource:
         p = np.asarray(probs, dtype=np.float64)
         if p.shape != (len(atoms),):
             raise ValueError("one probability per atom required")
-        if not (p > 0.0).all():
-            raise ValueError("probabilities must be positive")
+        check_interval("probabilities", p, 0.0, 1.0, closed_high=True)
         if abs(float(p.sum()) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         self.probs = p
@@ -166,15 +165,14 @@ class GaussianLinearSource:
     """x = scale * g clipped to the l2 ball of the given radius, y = <w_true, x> + noise."""
 
     def __init__(self, w_true, noise_sd: float, feature_scale: float = 1.0, radius: float = 10.0):
-        self.w_true = as_vector(w_true)
-        if not 0.0 <= noise_sd < np.inf:
-            raise ValueError(f"noise_sd must be nonnegative and finite, got {noise_sd}")
-        for name, value in (("feature_scale", feature_scale), ("radius", radius)):
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        self.noise_sd = float(noise_sd)
-        self.feature_scale = float(feature_scale)
-        self._radius = float(radius)
+        self.w_true = check_interval("w_true", as_vector(w_true), -SQUARE_MAX, SQUARE_MAX,
+                                     closed_low=True, closed_high=True)
+        self.noise_sd = check_interval("noise_sd", noise_sd, 0.0, SQUARE_MAX, closed_low=True)
+        # covariance() squares feature_scale and radius / feature_scale as
+        # Python floats, whose ** raises OverflowError past the largest float.
+        self._radius = check_interval("radius", radius, 0.0, SQUARE_MAX)
+        self.feature_scale = check_interval(
+            "feature_scale", feature_scale, self._radius / SQUARE_MAX, SQUARE_MAX)
 
     @property
     def d(self) -> int:
@@ -182,8 +180,7 @@ class GaussianLinearSource:
 
     def radius(self, q: float = 2.0) -> float:
         """The declared radius: l2 clipping bounds every feature's q-norm by it for q >= 2."""
-        if check_exponent(q) < 2.0:
-            raise ValueError(f"declared radius only bounds dual norms with exponent >= 2, got {q}")
+        check_interval("dual exponent q of the declared radius", q, 2.0, np.inf, closed_low=True)
         return self._radius
 
     def covariance(self) -> np.ndarray:
@@ -309,9 +306,10 @@ def orthonormal_atom_source(
     gram = U @ U.T
     if not np.allclose(gram, np.eye(U.shape[0]), atol=1e-12):
         raise ValueError("directions must be orthonormal")
-    w_star = as_vector(w_star)
-    if label_noise < 0.0:
-        raise ValueError("label_noise must be nonnegative")
+    w_star = check_interval("w_star", as_vector(w_star), -SQUARE_MAX, SQUARE_MAX,
+                            closed_low=True, closed_high=True)
+    scale = check_interval("scale", scale, -SQUARE_MAX, SQUARE_MAX, closed_low=True, closed_high=True)
+    label_noise = check_interval("label_noise", label_noise, 0.0, SQUARE_MAX, closed_low=True)
     atoms, probs = [], []
     for u, wt in zip(U, wts):
         for sign in (1.0, -1.0):

@@ -96,7 +96,7 @@ def test_constant_step_is_the_polynomial_decay_at_theta_zero():
 
 
 def test_schedule_parameter_validation():
-    with pytest.raises(ValueError, match="step size must be positive"):
+    with pytest.raises(ValueError, match=r"step size must lie in \(0, inf\)"):
         ConstantStep(0.0)
     with pytest.raises(ValueError):
         PolynomialDecay(-1.0, 1.0)
@@ -104,13 +104,13 @@ def test_schedule_parameter_validation():
         TheoremRate(0.0)
     # Non-finite parameters: a NaN exponent, an infinite step, a never-moving run.
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="step size must be positive"):
+        with pytest.raises(ValueError, match=r"step size must lie in \(0, inf\)"):
             ConstantStep(bad)
-        with pytest.raises(ValueError, match="decay coefficient must be positive"):
+        with pytest.raises(ValueError, match=r"decay coefficient must lie in \(0, inf\)"):
             PolynomialDecay(bad, 1.0)
-        with pytest.raises(ValueError, match="decay exponent must be nonnegative"):
+        with pytest.raises(ValueError, match=r"decay exponent must lie in \[0, inf\)"):
             PolynomialDecay(1.0, bad)
-        with pytest.raises(ValueError, match="sigma_f must be positive"):
+        with pytest.raises(ValueError, match=r"sigma_f must lie in \(0, inf\)"):
             TheoremRate(bad)
     # Finite parameters whose first, largest step overflows, in the power or in the product.
     for params in [(4.0, 1.0, 1.0, 1e-320), (1e300, 2.0, 0.0, 1e-200), (1e308, 1.0, 0.0, 0.1)]:

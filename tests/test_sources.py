@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omdkit.diagnostics import kaczmarz_moments, key_identity_residual
-from omdkit.engine import ConstantStep
+from omdkit.diagnostics import kaczmarz_moments, key_identity_residual, linear_rate_bracket, nonconvergence_floor
+from omdkit.engine import ConstantStep, PolynomialDecay
 from omdkit.geometry import row_inner
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
-from omdkit.mirror_maps import EuclideanMap, SmoothedL1Map
+from omdkit.mirror_maps import EuclideanMap, SmoothedL1Map, b_p_constant, norm_power_conjugate, omega_p
 from omdkit.sources import (
     DiscreteFiniteSource,
     GaussianLinearSource,
@@ -56,7 +56,7 @@ def test_orthonormal_source_validation():
         orthonormal_atom_source(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.25, 0.25], [1.0, 1.0])
     with pytest.raises(ValueError, match="sum"):
         orthonormal_atom_source(np.eye(2), [0.3, 0.3], [1.0, 1.0])
-    with pytest.raises(ValueError, match="label_noise must be nonnegative"):
+    with pytest.raises(ValueError, match=r"label_noise must lie in \[0, 6\.7039e\+153\)"):
         orthonormal_atom_source(np.eye(2), [0.25, 0.25], [1.0, 1.0], label_noise=-1.0)
 
 
@@ -206,6 +206,34 @@ def test_gaussian_radius_bounds_only_dual_exponents_of_two_and_more(q):
 def test_constructors_refuse_non_finite_parameters_by_name(name, build, value):
     with pytest.raises(ValueError, match=name):
         build(value)
+
+
+@pytest.mark.parametrize("message,call", [
+    (r"label_noise must lie in \[0, 6\.7039e\+153\)",
+     lambda v: orthonormal_atom_source(np.eye(2), [0.25, 0.25], [1.0, 1.0], label_noise=v)),
+    (r"kappa must lie in \(1, inf\)", lambda v: norm_power_conjugate(v, [1.0, 2.0])),
+    (r"radius must lie in \[0, inf\)", lambda v: LossModel(LeastSquares()).smoothness_bound(v)),
+    (r"radius must lie in \[0, inf\)", lambda v: LossModel(Logistic()).sharp_smoothness_bound(v)),
+    (r"d1 must lie in \[0, inf\)", lambda v: linear_rate_bracket(1.0, 1.0, 0.5, 0.1, v, [0, 1, 2])),
+    (r"d_ref must lie in \[0, inf\)", lambda v: nonconvergence_floor(1.0, PolynomialDecay(0.1, 2.0), v, 1, 10)),
+    (r"control function argument must lie in \[0, inf\)", lambda v: omega_p(1.5, v)),
+    (r"target_norm must lie in \[0, inf\)", lambda v: b_p_constant(1.5, v)),
+], ids=["label_noise", "norm_power_conjugate-kappa", "smoothness_bound-radius", "sharp_smoothness_bound-radius",
+        "linear_rate_bracket-d1", "nonconvergence_floor-d_ref", "omega_p-u", "b_p_constant-target_norm"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_arguments_refuse_non_finite_values_by_name(message, call, value):
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("radius,feature_scale", [
+    (1.0, np.nextafter(2.0 ** -511, 1.0)),
+    (np.nextafter(2.0 ** 511, 0.0), np.nextafter(2.0 ** 511, 0.0)),
+    (np.nextafter(2.0 ** 511, 0.0), 1.0),
+], ids=["ratio-at-the-edge", "scale-and-radius-at-the-edge", "radius-at-the-edge"])
+def test_gaussian_scales_at_the_edge_have_a_finite_covariance(radius, feature_scale):
+    src = GaussianLinearSource([1.0, 0.5, -0.25], noise_sd=0.1, feature_scale=feature_scale, radius=radius)
+    assert np.isfinite(src.covariance()).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 11])

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_vector, check_interval, row_inner, unchecked_p_norm
+from .geometry import as_vector, check_interval, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
 from .sources import SampleSource
@@ -197,7 +197,6 @@ def geometric_checkpoints(T: int) -> list[int]:
 class Trajectory:
     checkpoints: np.ndarray
     bregman_to_optimum: np.ndarray
-    iterate_norm: np.ndarray
     seed: int
     final_iterate: np.ndarray
     diverged: bool = False
@@ -225,7 +224,7 @@ def run_trajectory(
     w_star,
 ) -> Trajectory:
     """Iterate the dual update for T iterates (T - 1 samples), recording
-    the Bregman distance to w_star and the iterate norm at each checkpoint.
+    the Bregman distance to w_star at each checkpoint.
 
     The run is a block of one row, so it takes exactly the steps that run
     ``seed`` of a Monte Carlo curve takes."""
@@ -238,7 +237,6 @@ def run_trajectory(
     return Trajectory(
         checkpoints=np.asarray(cps, dtype=np.int64),
         bregman_to_optimum=block.values[0],
-        iterate_norm=block.norms[0],
         seed=int(seed),
         final_iterate=block.last[0],
         diverged=diverged_at > 0,
@@ -326,7 +324,6 @@ class _Block(NamedTuple):
     """The runs of one block, one row each."""
 
     values: np.ndarray  # Bregman distances to w_star at the checkpoints
-    norms: np.ndarray  # iterate norms at the checkpoints
     last: np.ndarray  # final iterates
     diverged_at: np.ndarray  # the iterate index that crossed the guard, 0 if none did
 
@@ -353,7 +350,6 @@ def _run_block(
     w1, w_star = as_vector(w1), as_vector(w_star)
     B = len(seeds)
     values = np.empty((B, len(cps)))
-    norms = np.empty((B, len(cps)))
     diverged_at = np.zeros(B, dtype=np.int64)
     if T > 1:
         steps = source.stream(seeds, T - 1)
@@ -373,7 +369,6 @@ def _run_block(
         for t in range(1, T + 1):
             if ci < len(cps) and cps[ci] == t:
                 values[:, ci] = mirror.bregman(w_star, W)
-                norms[:, ci] = unchecked_p_norm(W, mirror.p)
                 ci += 1
             if t == T:
                 break
@@ -393,7 +388,7 @@ def _run_block(
                 bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
             diverged_at[live[bad]] = t + 1
             live = live[~bad]
-    return _Block(values, norms, W, diverged_at)
+    return _Block(values, W, diverged_at)
 
 
 def monte_carlo_curve(

@@ -102,11 +102,19 @@ def row_inner(W, V) -> np.ndarray:
 
 
 def p_norm(w, p: float):
-    """(sum_j |w(j)|^p)^(1/p) for 1 < p < inf, of a finite point or of each row of a stack."""
+    """(sum_j |w(j)|^p)^(1/p) for 1 < p < inf, of a finite point or of each row of a stack.
+
+    Finite entries whose p-th powers overflow raise a ``ValueError`` that
+    names the exponent, in place of numpy's overflow warning."""
     w = as_points(w)
     if not np.isfinite(w).all():
         raise ValueError("vector entries must be finite")
-    return as_result(unchecked_p_norm(w, check_exponent(p)))
+    p = check_exponent(p)
+    with np.errstate(over="ignore"):
+        norm = unchecked_p_norm(w, p)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"the p-norm with exponent {p!r} of finite entries overflows")
+    return as_result(norm)
 
 
 def unchecked_p_norm(w: np.ndarray, p: float):

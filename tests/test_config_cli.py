@@ -743,6 +743,7 @@ def fuzzed_keys(draw):
 @example(keys={"source": "gaussian_linear", "source_feature_scale": "1e-300"})
 @example(keys={"source": "gaussian_linear", "source_feature_scale": "1e308"})
 @example(keys={"w1": "1e300 0 0 0"})
+@example(keys={"map": "pnorm", "map_p": "1.05", "source_label_noise": "1e15"})
 def test_every_config_ends_in_a_documented_exit_code(keys):
     # Every config ends in 0, 2, 3 or 4 and raises nothing; a RuntimeWarning
     # is an error under the suite's warning filter.  derandomize=True draws

@@ -211,7 +211,6 @@ def test_trajectory_deterministic_given_seed():
     a = run_trajectory(*args, seed=11, w_star=w_star)
     b = run_trajectory(*args, seed=11, w_star=w_star)
     np.testing.assert_array_equal(a.bregman_to_optimum, b.bregman_to_optimum)
-    np.testing.assert_array_equal(a.iterate_norm, b.iterate_norm)
     np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
     c = run_trajectory(*args, seed=12, w_star=w_star)
     assert (a.bregman_to_optimum != c.bregman_to_optimum).any()

@@ -97,7 +97,7 @@ FENCHEL = CHECK_NAMES.index("fenchel_conjugate_bruteforce")
 
 def test_fenchel_overshoot_is_reported_against_its_own_bound(monkeypatch):
     # A closed form 1e-6 below the true conjugate is beaten by the brute force; the
-    # failing result reports the relative overshoot against the 1e-9 bound it broke.
+    # failing result reports the relative gap against the 1e-9 bound it broke.
     exact = verification.norm_power_conjugate
     monkeypatch.setattr(verification, "norm_power_conjugate",
                         lambda kappa, v, spec: exact(kappa, v, spec) * (1 - 1e-6))
@@ -108,9 +108,24 @@ def test_fenchel_overshoot_is_reported_against_its_own_bound(monkeypatch):
     assert residual == pytest.approx(1e-6, rel=1e-2)
 
 
+@pytest.mark.parametrize("factor", [1 - 1e-8, 1 + 1e-8, 1 + 1e-5])
+def test_fenchel_check_fails_a_closed_form_off_on_either_side(factor, monkeypatch):
+    # The brute force reaches the conjugate to float64 precision, so a closed form
+    # scaled by factor fails, too high as well as too low, with a residual of
+    # |factor - 1| / factor from the case whose conjugate (12.5) exceeds 1.
+    exact = verification.norm_power_conjugate
+    monkeypatch.setattr(verification, "norm_power_conjugate",
+                        lambda kappa, v, spec: exact(kappa, v, spec) * factor)
+    passed, residual, tolerance = verification._check_fenchel_conjugate(FENCHEL)
+    assert passed is False
+    assert tolerance == 1e-9
+    assert residual == pytest.approx(abs(factor - 1.0), rel=1e-4)
+
+
 def test_fenchel_sweep_holds_one_stack_at_a_time():
-    # The brute force draws its 100,000 directions per case in stacks of
-    # _SWEEP_ROWS rows; one draw of them all peaks at about 9.6 MB.
+    # The brute force holds one stack of _DIRECTIONS directions per case, and the
+    # polish one of _POLISH_POINTS perturbations per round: about 150 kB traced,
+    # well under the 2 MB bound.
     verification._check_fenchel_conjugate(FENCHEL)  # first-call setup outside the count
     tracemalloc.start()
     try:
@@ -123,8 +138,8 @@ def test_fenchel_sweep_holds_one_stack_at_a_time():
 
 
 def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(monkeypatch):
-    # Each case's polish starts at r0 * u0, the best of 100,000 directions drawn in
-    # one call, first occurrence on ties, bit for bit.
+    # Each case's polish starts at r0 * u0, the best of _DIRECTIONS directions drawn
+    # in one call, first occurrence on ties, bit for bit.
     starts = []
     polish = verification._local_search
 
@@ -141,7 +156,7 @@ def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(
     assert len(starts) == len(cases)
     for (kappa, p, v), start in zip(cases, starts):
         v = np.array(v)
-        U = rng.standard_normal((100_000, v.shape[0]))
+        U = rng.standard_normal((verification._DIRECTIONS, v.shape[0]))
         norms_p = p_norm(U, p)
         s = np.maximum(U @ v, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):

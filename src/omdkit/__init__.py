@@ -31,7 +31,6 @@ from .sources import (
     Sample,
     VarianceRegime,
     classify_variance,
-    draw,
     draw_arrays,
     mean_gradient_norm,
     minimizer,

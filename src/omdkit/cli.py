@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
 import gc
 import math
 import sys
@@ -112,7 +111,7 @@ def format_report(exp: Experiment, result: ExperimentResult, verdicts) -> str:
     out = ["# omdkit experiment report", "", "[config]"]
     out.append(dump_config(cfg).rstrip("\n"))
     out += ["", "[constants]"]
-    out += [f"{f.name} = {_opt(getattr(c, f.name))}" for f in dataclasses.fields(ResolvedConstants)]
+    out += [f"{name} = {_opt(value)}" for name, value in zip(ResolvedConstants._fields, c)]
     out += [
         f"d1 = {result.d1!r}",
         f"variance = {exp.variance.value}",

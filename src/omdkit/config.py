@@ -8,8 +8,7 @@ errors; nothing is written when a config fails to validate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class ConfigError(ValueError):
     """The config file violates the schema."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     map: str = "euclidean"              # euclidean | pnorm | smoothed_l1
     map_p: float = 1.5                  # pnorm exponent, 1 < p <= 2
     map_epsilon: float = 0.5            # smoothed_l1 transition width
@@ -80,7 +78,9 @@ class ExperimentConfig:
     exclude_diverged: bool = False
 
 
-_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+# Every field has a default, and its type is the field's type: the parser and
+# the validator dispatch on it.
+_DEFAULTS = ExperimentConfig._field_defaults
 
 
 def _parse_bool(text: str) -> bool:
@@ -89,27 +89,25 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_value(name: str, text: str) -> Any:
-    kind = _FIELDS[name].type
+    kind = type(_DEFAULTS[name])
     try:
-        if kind == "bool":
+        if kind is bool:
             return _parse_bool(text)
-        if kind == "int":
+        if kind is int:
             return int(text)
-        if kind == "float":
+        if kind is float:
             return float(text)
-        if kind == "str":
+        if kind is str:
             return text.strip()
-        if kind == "tuple[float, ...]":
+        if kind is tuple:
             parts = text.replace(",", " ").split()
             if not parts:
                 raise ValueError("empty list")
             return tuple(float(p) for p in parts)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from None
     raise ConfigError(f"unhandled field type for {name}")
@@ -125,7 +123,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -146,17 +144,17 @@ def _fmt(value: Any) -> str:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{f.name} = {_fmt(getattr(cfg, f.name))}" for f in fields(ExperimentConfig)]
+    lines = [f"{name} = {_fmt(value)}" for name, value in zip(cfg._fields, cfg)]
     return "\n".join(lines) + "\n"
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if (f.type == "float" and not math.isfinite(value)) or (
-            f.type == "tuple[float, ...]" and not all(map(math.isfinite, value))
+    for name, value in zip(cfg._fields, cfg):
+        kind = type(_DEFAULTS[name])
+        if (kind is float and not math.isfinite(value)) or (
+            kind is tuple and not all(map(math.isfinite, value))
         ):
-            raise ConfigError(f"{f.name} must be finite, got {_fmt(value)}")
+            raise ConfigError(f"{name} must be finite, got {_fmt(value)}")
     for key, table in (("map", _MAPS), ("loss", LOSSES), ("source", _SOURCES), ("schedule", _SCHEDULES)):
         if getattr(cfg, key) not in table:
             raise ConfigError(f"unknown {key} kind {getattr(cfg, key)!r}")
@@ -243,8 +241,7 @@ _SCHEDULES: dict[str, Callable[[ExperimentConfig, ResolvedConstants], StepSchedu
 }
 
 
-@dataclass
-class Experiment:
+class Experiment(NamedTuple):
     """A fully resolved experiment, ready to run."""
 
     config: ExperimentConfig
@@ -306,6 +303,6 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
 
 
 def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    out = replace(cfg, **kwargs)
+    out = cfg._replace(**kwargs)
     _validate(out)
     return out

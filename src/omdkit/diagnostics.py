@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,8 +59,7 @@ __all__ = [
 
 # -- rate fitting -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -107,8 +105,7 @@ def fit_decay_rate(curve: ExpectationCurve, t_min: int, t_max: int) -> RateFit:
 
 # -- theoretical bounds -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundBracket:
+class BoundBracket(NamedTuple):
     """Geometric lower/upper envelopes for the zero-variance constant-step regime.
 
     ``steps`` counts update steps, so an iterate with index t corresponds to
@@ -310,15 +307,13 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     tag: str
     verdict: Verdict
     details: dict
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Everything a verdict rule may consult after a Monte Carlo experiment."""
 
     mc: MonteCarloResult
@@ -536,8 +531,7 @@ def _regime_almost_sure(tag, schedule, c, kappa, variance) -> None:
 
 # -- the theorem table ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     """One registered theorem.
 
     ``regime(tag, schedule, constants, kappa, variance)`` raises RegimeError

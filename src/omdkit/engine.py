@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,8 +193,7 @@ def geometric_checkpoints(T: int) -> list[int]:
     return out
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     checkpoints: np.ndarray
     bregman_to_optimum: np.ndarray
     seed: int
@@ -246,19 +245,17 @@ def run_trajectory(
 
 # -- Monte Carlo curves -----------------------------------------------------------
 
-@dataclass
-class ExpectationCurve:
+class ExpectationCurve(NamedTuple):
     checkpoints: np.ndarray
     mean: np.ndarray
     std_err: np.ndarray
     run_count: int
 
 
-@dataclass
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     curve: ExpectationCurve
     values: np.ndarray  # (n_runs, n_checkpoints) per-run Bregman distances
-    diverged_runs: list[int] = field(default_factory=list)
+    diverged_runs: Sequence[int] = ()
 
     @property
     def n_runs(self) -> int:
@@ -467,8 +464,7 @@ def monte_carlo_curve(
 
 # -- constants and schedule regimes ------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolvedConstants:
+class ResolvedConstants(NamedTuple):
     """Geometry/loss constants an experiment resolves before running.
 
     ``sigma_f`` is the Bregman-sense strong-convexity constant of the risk

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "GaussianLinearSource",
     "SampleSource",
     "orthonormal_atom_source",
-    "draw",
     "draw_arrays",
     "population_gradient",
     "minimizer",
@@ -67,8 +65,7 @@ _GATHER = 16
 _NORMAL_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     x: np.ndarray
     y: float
 
@@ -342,11 +339,6 @@ def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
         normals = rng.standard_normal((n, source.d))
         return source.clip_and_label(normals, rng.standard_normal(n))
     raise TypeError(f"unknown source type {type(source).__name__}")
-
-
-def draw(source: SampleSource, rng: np.random.Generator) -> Sample:
-    X, y = draw_arrays(source, rng, 1)
-    return Sample(X[0], float(y[0]))
 
 
 # -- exact population quantities -----------------------------------------------

@@ -15,8 +15,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,7 @@ _POLISH_ROUNDS = 30
 _POLISH_POINTS = 300
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     max_residual: float

@@ -75,6 +75,25 @@ def test_schema_violations_raise(text):
         parse_config(text)
 
 
+# A value of the wrong kind for a field of each type; any text is a string.
+WRONG_KIND = {bool: "0.5", int: "abc", float: "abc", tuple: ""}
+
+
+@pytest.mark.parametrize("name", ExperimentConfig._fields)
+def test_each_field_parses_as_the_type_of_its_default(name, tmp_path, capsys):
+    default = ExperimentConfig._field_defaults[name]
+    line = next(line for line in dump_config(ExperimentConfig()).splitlines() if line.startswith(f"{name} = "))
+    value = getattr(parse_config(line), name)
+    assert value == default and type(value) is type(default)
+    if type(default) is tuple:
+        assert all(type(v) is float for v in value)
+    if type(default) in WRONG_KIND:
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{name} = {WRONG_KIND[type(default)]}\n")
+        assert main(["run", str(conf), "--workers", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config: bad value for {name}: ")
+
+
 def test_overrides_reject_non_finite_floats():
     with pytest.raises(ConfigError, match="eta must be finite"):
         with_overrides(ExperimentConfig(), eta=float("inf"))
@@ -598,6 +617,18 @@ def test_run_leaves_the_verify_suite_and_fractions_unloaded(run_fresh, tmp_path)
     assert loaded == ["[]", "['fractions', 'omdkit.verification']"]
     assert "21/21 checks passed" in out.stderr
     assert (tmp_path / "omega.csv").read_text().startswith("u,omega_4/3\n")
+
+
+def test_import_makes_only_the_validating_classes_dataclasses(run_fresh):
+    # dataclasses writes and compiles each class's methods when its module is
+    # imported, in every cold process; a record that only holds fields is a
+    # NamedTuple.  Only the two classes that check their fields are dataclasses,
+    # in what ``omdkit run`` and ``omdkit verify`` import.
+    code = ("import dataclasses, sys, omdkit.cli, omdkit.verification; "
+            "print(sorted(c.__qualname__ for n, m in list(sys.modules.items()) if n.split('.')[0] == 'omdkit' "
+            "for c in vars(m).values() if isinstance(c, type) and c.__module__ == n "
+            "and dataclasses.is_dataclass(c)))")
+    assert run_fresh(code).stdout.strip() == "['LossModel', 'StepSchedule']"
 
 
 def test_exit_freezes_the_heap_after_the_artifacts_are_written(run_fresh, tmp_path):

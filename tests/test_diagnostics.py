@@ -445,7 +445,7 @@ def test_verdict_almost_sure_scores_the_kept_runs(exclude):
     kept = values[[0, 1, 2, 4, 5, 6, 8, 9]] if exclude else values
     curve = curve_from(t, kept.mean(axis=0), run_count=len(kept))
     res = result_from(curve, values=values, T=256)
-    res.mc.diverged_runs = [3, 7]
+    res = res._replace(mc=res.mc._replace(diverged_runs=[3, 7]))
     report = theorem_verdict(res, "Thm4-as")
     if exclude:
         assert report.verdict is Verdict.PASS

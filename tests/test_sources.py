@@ -14,7 +14,6 @@ from omdkit.sources import (
     Sample,
     VarianceRegime,
     classify_variance,
-    draw,
     draw_arrays,
     mean_gradient_norm,
     minimizer,
@@ -75,9 +74,9 @@ def test_label_noise_preserves_second_moments():
 def test_single_atom_source_draws_the_atom():
     atom = Sample(np.array([0.3, -0.7]), 1.5)
     src = DiscreteFiniteSource([atom], [1.0])
-    z = draw(src, rng_(5))
-    np.testing.assert_array_equal(z.x, atom.x)
-    assert z.y == atom.y
+    X, y = draw_arrays(src, rng_(5), 1)
+    np.testing.assert_array_equal(X[0], atom.x)
+    assert y[0] == atom.y
 
 
 def test_draw_deterministic_given_state():

@@ -28,8 +28,6 @@ by Python and are not relied on: every artifact is written before ``main``
 returns.
 """
 
-from __future__ import annotations
-
 import argparse
 import atexit
 import gc

@@ -5,8 +5,6 @@ Unknown keys, malformed values, and inconsistent dimensions are all schema
 errors; nothing is written when a config fails to validate.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Any, Callable, NamedTuple
 
@@ -24,7 +22,7 @@ from .engine import (
     geometric_checkpoints,
     resolve_constants,
 )
-from .geometry import SQUARE_MAX, as_vector, check_interval
+from .geometry import SQUARE_MAX, check_interval
 from .losses import LOSSES, LossModel
 from .mirror_maps import EuclideanMap, MirrorMap, PNormMap, SmoothedL1Map
 from .sources import (
@@ -92,6 +90,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected a boolean")
 
 
+def _parse_numbers(text: str, kind: type) -> tuple:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(kind(p) for p in parts)
+
+
 def _parse_value(name: str, text: str) -> Any:
     kind = type(_DEFAULTS[name])
     try:
@@ -104,10 +109,7 @@ def _parse_value(name: str, text: str) -> Any:
         if kind is str:
             return text.strip()
         if kind is tuple:
-            parts = text.replace(",", " ").split()
-            if not parts:
-                raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return _parse_numbers(text, float)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from None
     raise ConfigError(f"unhandled field type for {name}")
@@ -131,6 +133,29 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
+
+
+# The fields that hold a keyword or numbers: each one's keyword and the type
+# of its numbers.  sigma_f holds one number, w1 and checkpoints a list.
+_KEYWORD_OR_NUMBERS = {"sigma_f": ("auto", float), "w1": ("zeros", float), "checkpoints": ("geometric", int)}
+
+
+def _numbers(cfg: ExperimentConfig, name: str) -> tuple | None:
+    """None for the keyword of a keyword-or-numbers field, else the numbers it holds."""
+    keyword, kind = _KEYWORD_OR_NUMBERS[name]
+    text = getattr(cfg, name)
+    if text == keyword:
+        return None
+    try:
+        numbers = _parse_numbers(text, kind)
+        if name == "sigma_f" and len(numbers) > 1:
+            raise ValueError("expected one number")
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from None
+    # An int is always finite, and math.isfinite raises OverflowError past 2**1024.
+    if kind is float and not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{name} must be finite, got {text}")
+    return numbers
 
 
 def _fmt(value: Any) -> str:
@@ -169,15 +194,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("base_seed must be >= 0 with base_seed + n_runs - 1 < 2**128")
     if not 0 <= cfg.source_rotation < 2**128:
         raise ConfigError("source_rotation must be >= 0 and < 2**128")
-    try:
-        sigma_f = None if cfg.sigma_f == "auto" else float(cfg.sigma_f)
-    except ValueError:
-        raise ConfigError(f"sigma_f must be a float or 'auto', got {cfg.sigma_f!r}") from None
+    numbers = {name: _numbers(cfg, name) for name in _KEYWORD_OR_NUMBERS}
     try:
         check_interval("reg_lambda", cfg.reg_lambda, 0.0, SQUARE_MAX, closed_low=True)
         check_interval("kappa", cfg.kappa, 0.0, math.inf)
-        if sigma_f is not None:
-            check_interval("sigma_f", sigma_f, 0.0, math.inf)
+        if numbers["sigma_f"] is not None:
+            check_interval("sigma_f", numbers["sigma_f"][0], 0.0, math.inf)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -215,13 +237,14 @@ def _gaussian_source(cfg: ExperimentConfig) -> SampleSource:
 
 
 def _theorem_rate(cfg: ExperimentConfig, constants: ResolvedConstants) -> StepSchedule:
-    if cfg.sigma_f == "auto":
+    sigma_f = _numbers(cfg, "sigma_f")
+    if sigma_f is None:
         if constants.sigma_f is None:
             raise ConfigError(
                 "sigma_f = auto needs a strongly smooth map and a strongly convex risk"
             )
         return TheoremRate(constants.sigma_f)
-    return TheoremRate(float(cfg.sigma_f))
+    return TheoremRate(sigma_f[0])
 
 
 # Each config kind, mapped to the function that makes its object: the one list of valid kinds.
@@ -270,18 +293,20 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
         # Steps never increase, so the last one the run takes is the smallest.
         if cfg.T > 1 and not schedule(cfg.T - 1) > 0.0:
             raise ConfigError(f"the step size underflows to 0 by t = {cfg.T - 1}: {schedule!r}")
-        if cfg.w1 == "zeros":
+        w1 = _numbers(cfg, "w1")
+        if w1 is None:
             w1 = np.zeros(source.d)
         else:
-            w1 = as_vector([float(v) for v in cfg.w1.replace(",", " ").split()])
+            w1 = np.array(w1)
             if w1.shape[0] != source.d:
                 raise ConfigError("w1 must match the source dimension")
             # A start past the divergence guard has diverged before its first step.
             check_interval("w1", w1, -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT, closed_low=True, closed_high=True)
-        if cfg.checkpoints == "geometric":
+        checkpoints = _numbers(cfg, "checkpoints")
+        if checkpoints is None:
             checkpoints = geometric_checkpoints(cfg.T)
         else:
-            checkpoints = _checked_checkpoints(cfg.checkpoints.replace(",", " ").split(), cfg.T)
+            checkpoints = _checked_checkpoints(checkpoints, cfg.T)
         d1 = mirror.bregman(w_star, w1)
         return Experiment(
             config=cfg,

@@ -13,8 +13,6 @@ expectations.  A curve a rule cannot score (a fit window at the float64
 floor, a missing checkpoint) is Inconclusive too, with the reason attached.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from typing import Callable, NamedTuple

@@ -33,8 +33,6 @@ step-size regime is checked against; the regimes themselves are registered
 in ``diagnostics.THEOREMS``.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from dataclasses import dataclass
@@ -475,7 +473,6 @@ class ResolvedConstants(NamedTuple):
 
     sigma_psi: float
     smooth_L: float
-    smooth_L_generic: float
     risk_L: float
     sigma_f_norm: float
     sigma_f: float | None
@@ -487,9 +484,8 @@ class ResolvedConstants(NamedTuple):
 
 def resolve_constants(mirror: MirrorMap, model: LossModel, source: SampleSource) -> ResolvedConstants:
     R = source.radius(mirror.dual_p)
-    sigma_psi = mirror.strong_convexity()
-    L = model.sharp_smoothness_bound(R)
-    L_gen = model.smoothness_bound(R)
+    sigma_psi = mirror.strong_convexity
+    L = model.smoothness_bound(R)
     lambda_min: float | None = None
     if isinstance(model.loss, LeastSquares):
         eigs = np.linalg.eigvalsh(source.covariance())
@@ -500,12 +496,11 @@ def resolve_constants(mirror: MirrorMap, model: LossModel, source: SampleSource)
     else:
         sigma_f_norm = 2.0 * model.lam
         risk_L = L
-    L_psi = mirror.smoothness()
+    L_psi = mirror.smoothness
     sigma_f = 2.0 * sigma_f_norm / L_psi if (L_psi is not None and sigma_f_norm > 0.0) else None
     return ResolvedConstants(
         sigma_psi=sigma_psi,
         smooth_L=L,
-        smooth_L_generic=L_gen,
         risk_L=risk_L,
         sigma_f_norm=sigma_f_norm,
         sigma_f=sigma_f,

@@ -15,8 +15,6 @@ column instead, one vector operation per column; from 8 entries numpy sums
 in pairwise blocks, and ``row_sum`` leaves the sum to it.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 __all__ = [

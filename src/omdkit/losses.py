@@ -9,8 +9,6 @@ samples.  The logistic and sigmoid losses use ``_expit``, scipy's formula
 for the logistic function in numpy.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,11 @@ def _expit(x):
 
 
 class Loss:
+    """A scalar loss; ``lipschitz`` is the Lipschitz constant of
+    derivative(., y) over the admissible labels."""
+
     convex: bool = True
+    lipschitz: float
 
     def value(self, a, y):
         raise NotImplementedError
@@ -49,15 +51,13 @@ class Loss:
         """Partial derivative of value(a, y) in a."""
         raise NotImplementedError
 
-    def lipschitz(self) -> float:
-        """Lipschitz constant of derivative(., y) over the admissible labels."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class LeastSquares(Loss):
+    lipschitz = 1.0
+
     def value(self, a, y):
         d = a - y
         return 0.5 * d * d
@@ -65,21 +65,17 @@ class LeastSquares(Loss):
     def derivative(self, a, y):
         return a - y
 
-    def lipschitz(self) -> float:
-        return 1.0
-
 
 class Logistic(Loss):
     """log(1 + exp(-a y)); curvature y^2/4 peaks at a y = 0."""
+
+    lipschitz = 0.25
 
     def value(self, a, y):
         return np.logaddexp(0.0, -a * y)
 
     def derivative(self, a, y):
         return -y * _expit(-a * y)
-
-    def lipschitz(self) -> float:
-        return 0.25
 
 
 class Sigmoid(Loss):
@@ -89,7 +85,7 @@ class Sigmoid(Loss):
 
     # max |d^2/da^2 expit(-a y)| over a and |y| <= 1; equals sqrt(3)/18,
     # cross-checked by dense sampling of difference quotients.
-    CURVATURE = 0.09622504486493762
+    lipschitz = 0.09622504486493762
 
     def value(self, a, y):
         return _expit(-a * y)
@@ -98,12 +94,11 @@ class Sigmoid(Loss):
         s = _expit(-a * y)
         return -y * s * (1.0 - s)
 
-    def lipschitz(self) -> float:
-        return self.CURVATURE
-
 
 class SquaredHinge(Loss):
     """max(0, 1 - a y)^2 with labels in [-1, 1]."""
+
+    lipschitz = 2.0
 
     def value(self, a, y):
         m = np.maximum(0.0, 1.0 - a * y)
@@ -112,12 +107,11 @@ class SquaredHinge(Loss):
     def derivative(self, a, y):
         return -2.0 * y * np.maximum(0.0, 1.0 - a * y)
 
-    def lipschitz(self) -> float:
-        return 2.0
-
 
 class Huber(Loss):
     """Quadratic in |a - y| below 1, linear beyond; the derivative is a clipped residual."""
+
+    lipschitz = 1.0
 
     def value(self, a, y):
         u = np.abs(a - y)
@@ -125,9 +119,6 @@ class Huber(Loss):
 
     def derivative(self, a, y):
         return np.clip(a - y, -1.0, 1.0)
-
-    def lipschitz(self) -> float:
-        return 1.0
 
 
 LOSSES = {
@@ -173,14 +164,10 @@ class LossModel:
         return g
 
     def smoothness_bound(self, radius: float) -> float:
-        """2 (l_phi R^2 + lam) for sup ||x||_* <= R; valid for every sample."""
-        radius = check_interval("radius", radius, 0.0, np.inf, closed_low=True)
-        return 2.0 * (self.loss.lipschitz() * radius * radius + self.lam)
-
-    def sharp_smoothness_bound(self, radius: float) -> float:
-        """The preferred per-sample modulus: R^2 + 2 lam for least squares
-        (its Hessian is x x^T + 2 lam I), the generic bound otherwise."""
+        """The per-sample smoothness modulus for sup ||x||_* <= R, valid for
+        every sample: R^2 + 2 lam for least squares (its Hessian is
+        x x^T + 2 lam I), 2 (l_phi R^2 + lam) otherwise."""
         radius = check_interval("radius", radius, 0.0, np.inf, closed_low=True)
         if isinstance(self.loss, LeastSquares):
             return radius * radius + 2.0 * self.lam
-        return self.smoothness_bound(radius)
+        return 2.0 * (self.loss.lipschitz * radius * radius + self.lam)

@@ -5,11 +5,12 @@ Two families of potentials are provided: the squared p-norm potential
 (``EuclideanMap`` is ``PNormMap(2.0)``), and a smoothed-l1 potential built
 from a Huber-type scalar penalty.  Each map fixes its natural reference norm
 by its exponent ``p`` (p for the p-norm potential, 2 otherwise), measures
-gradients in the dual norm, whose exponent is ``dual_p``, and exposes the
+gradients in the dual norm, whose exponent is ``dual_p``, and carries the
 strong-convexity / strong-smoothness moduli it attains with respect to
-that norm.  Gradients and inverse gradients are exact closed
-forms; the inverse of the p-norm gradient is the gradient of the
-dual-exponent potential, and at exponent 2 the gradient is the identity.
+that norm, ``strong_convexity`` and ``smoothness``, set when it is made.
+Gradients and inverse gradients are exact closed forms; the inverse of
+the p-norm gradient is the gradient of the dual-exponent potential, and at
+exponent 2 the gradient is the identity.
 Every formula acts on the last axis, so it takes a point or a stack of
 points, one per row (what the batched Monte Carlo engine steps); the
 potential and the Bregman distance of a point are Python floats.  The
@@ -18,8 +19,6 @@ Python float, or an array, taken entry by entry.  The Bregman distance is
 value(t) - value(b) - <t - b, grad(b)>, which cancels near t = b; at
 exponent 2 ``pnorm_bregman`` computes it as (1/2) ||t - b||^2 instead.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
@@ -118,11 +117,16 @@ class MirrorMap:
 
     ``value``, ``grad``, ``grad_inv`` and ``bregman`` take a point or a stack.
     The reference norm is the ``p``-norm, and gradients are measured in its
-    dual, the ``dual_p``-norm.
+    dual, the ``dual_p``-norm.  ``strong_convexity`` is the modulus sigma with
+    D(t, b) >= (sigma/2) ||t - b||^2 in the reference norm; ``smoothness`` is
+    the modulus L with D(t, b) <= (L/2) ||t - b||^2, or None if no such L
+    exists.
     """
 
     p = 2.0
     dual_p = 2.0
+    strong_convexity: float
+    smoothness: float | None
 
     def value(self, w):
         raise NotImplementedError
@@ -131,14 +135,6 @@ class MirrorMap:
         raise NotImplementedError
 
     def grad_inv(self, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def strong_convexity(self) -> float:
-        """Modulus sigma with D(t, b) >= (sigma/2) ||t - b||^2 in the reference norm."""
-        raise NotImplementedError
-
-    def smoothness(self) -> float | None:
-        """Modulus L with D(t, b) <= (L/2) ||t - b||^2, or None if no such L exists."""
         raise NotImplementedError
 
     def bregman(self, target, base):
@@ -161,6 +157,8 @@ class PNormMap(MirrorMap):
     def __init__(self, p: float):
         self.p = check_interval("p-norm potential exponent p", p, 1.0, 2.0, closed_high=True)
         self.dual_p = dual_exponent(self.p)
+        self.strong_convexity = self.p - 1.0
+        self.smoothness = 1.0 if self.p == 2.0 else None
 
     def value(self, w):
         return pnorm_potential(w, self.p)
@@ -173,12 +171,6 @@ class PNormMap(MirrorMap):
 
     def bregman(self, target, base):
         return pnorm_bregman(target, base, self.p)
-
-    def strong_convexity(self) -> float:
-        return self.p - 1.0
-
-    def smoothness(self) -> float | None:
-        return 1.0 if self.p == 2.0 else None
 
     def __repr__(self) -> str:
         return f"PNormMap(p={self.p!r})"
@@ -207,6 +199,8 @@ class SmoothedL1Map(MirrorMap):
         # grad divides every coordinate by epsilon, the kept branch or not.
         self.epsilon = check_interval("epsilon", epsilon, 1.0 / SQUARE_MAX, SQUARE_MAX)
         self.lam = check_interval("lam", lam, 0.0, SQUARE_MAX)
+        self.strong_convexity = 1.0
+        self.smoothness = 1.0 + self.lam / self.epsilon
 
     def value(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -227,12 +221,6 @@ class SmoothedL1Map(MirrorMap):
             v * (self.epsilon / thr),
             v - self.lam * np.sign(v),
         )
-
-    def strong_convexity(self) -> float:
-        return 1.0
-
-    def smoothness(self) -> float | None:
-        return 1.0 + self.lam / self.epsilon
 
     def __repr__(self) -> str:
         return f"SmoothedL1Map(epsilon={self.epsilon!r}, lam={self.lam!r})"

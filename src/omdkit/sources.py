@@ -21,8 +21,6 @@ into the atom indices ``np.searchsorted`` gives, 16 steps of samples at a
 time.  A Gaussian run draws its normals 64 steps at a time.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from typing import Iterator, NamedTuple, Sequence
@@ -324,12 +322,14 @@ def orthonormal_atom_source(
 
 # -- sampling ------------------------------------------------------------------
 
-def _rng(seed: int) -> np.random.Generator:
+# The generator annotations are strings: numpy loads np.random on first
+# access, and a process that draws nothing need not load it at import.
+def _rng(seed: int) -> "np.random.Generator":
     """The Philox stream of run ``seed``."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def draw_arrays(source: SampleSource, rng: np.random.Generator, n: int):
+def draw_arrays(source: SampleSource, rng: "np.random.Generator", n: int):
     """n i.i.d. draws as (X, y) arrays; deterministic given the generator state."""
     if isinstance(source, DiscreteFiniteSource):
         idx = source._atom_index(rng.random(n))

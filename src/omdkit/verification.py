@@ -13,8 +13,6 @@ match the closed form to 1e-9, relative, on either side.  Reports are
 byte-identical across runs.
 """
 
-from __future__ import annotations
-
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,7 +58,7 @@ class CheckResult(NamedTuple):
 Outcome = tuple[bool, float, float]
 
 
-def _rng(offset: int) -> np.random.Generator:
+def _rng(offset: int) -> "np.random.Generator":
     return sources._rng(_SEED + offset)
 
 
@@ -125,7 +123,7 @@ def _check_strong_convexity(seed: int) -> Outcome:
     worst = -np.inf  # max violation of D >= (sigma/2) ||diff||^2
     for mirror in _maps():
         W, V = (_scaled(rng, 500, 5, [0.3, 1.0, 3.0]) for _ in range(2))
-        gap = 0.5 * mirror.strong_convexity() * p_norm(W - V, mirror.p) ** 2 - mirror.bregman(W, V)
+        gap = 0.5 * mirror.strong_convexity * p_norm(W - V, mirror.p) ** 2 - mirror.bregman(W, V)
         worst = max(worst, float(gap.max()))
     return worst <= 1e-10, worst, 1e-10
 
@@ -134,7 +132,7 @@ def _check_strong_smoothness(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of D <= (L/2) ||diff||^2
     for mirror in _maps():
-        L = mirror.smoothness()
+        L = mirror.smoothness
         if L is None:
             continue
         W, V = (_scaled(rng, 500, 5, [0.3, 1.0, 3.0]) for _ in range(2))
@@ -202,7 +200,7 @@ def _check_incremental(seed: int) -> Outcome:
     rng = _rng(seed)
     worst = -np.inf  # max violation of ||grad|| <= C (1 + ||w||)
     for mirror in _maps():
-        L = mirror.smoothness()
+        L = mirror.smoothness
         if isinstance(mirror, PNormMap):
             C = 1.0
         else:
@@ -223,7 +221,7 @@ def _check_cocoercivity(seed: int) -> Outcome:
         X /= np.maximum(1.0, p_norm(X, 2.0))[:, None]
         y = rng.uniform(-1.0, 1.0, size=2500)
         W, V = rng.standard_normal((2, 2500, 4)) * 2.0
-        L = model.sharp_smoothness_bound(1.0)
+        L = model.smoothness_bound(1.0)
         worst = min(worst, float(cocoercivity_margin(model, Sample(X, y), W, V, L).min()))
     return worst >= -1e-10, worst, -1e-10
 
@@ -347,7 +345,7 @@ def _check_loss_lipschitz(seed: int) -> Outcome:
     worst = -np.inf  # max of (quotient - declared constant)
     for loss in losses:
         quot = np.abs(np.diff(loss.derivative(a_grid, labels))) / np.diff(a_grid)
-        worst = max(worst, float(quot.max()) - loss.lipschitz())
+        worst = max(worst, float(quot.max()) - loss.lipschitz)
     return worst <= 1e-8, worst, 1e-8
 
 
@@ -362,8 +360,8 @@ def _check_one_step_contract(seed: int) -> Outcome:
     ]
     for mirror, model in configs:
         w_star = minimizer(source, model)
-        sigma = mirror.strong_convexity()
-        L = model.sharp_smoothness_bound(source.radius(mirror.dual_p))
+        sigma = mirror.strong_convexity
+        L = model.smoothness_bound(source.radius(mirror.dual_p))
         eta = sigma / (2.0 * L)
         G = model.gradient(w_star, source.X, source.y)
         noise = float(source.probs @ p_norm(G, mirror.dual_p) ** 2)

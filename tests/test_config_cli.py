@@ -68,6 +68,10 @@ def test_comments_and_blank_lines_ignored():
         "T = 0",
         "sigma_f = -1",
         "just a line without equals",
+        "w1 = 1 abc 0 0",
+        "w1 = nan 0 0 0",
+        "w1 =",
+        "checkpoints = 1.5 2",
     ],
 )
 def test_schema_violations_raise(text):
@@ -75,8 +79,12 @@ def test_schema_violations_raise(text):
         parse_config(text)
 
 
-# A value of the wrong kind for a field of each type; any text is a string.
-WRONG_KIND = {bool: "0.5", int: "abc", float: "abc", tuple: ""}
+# Values of the wrong kind for a field of each type, and for each field that
+# holds a keyword or numbers; any other text is a string.
+WRONG_KIND = {
+    bool: ["0.5"], int: ["abc"], float: ["abc"], tuple: [""],
+    "sigma_f": ["abc", "1 2"], "w1": ["1 abc 0 0", ""], "checkpoints": ["1.5 2"],
+}
 
 
 @pytest.mark.parametrize("name", ExperimentConfig._fields)
@@ -87,9 +95,9 @@ def test_each_field_parses_as_the_type_of_its_default(name, tmp_path, capsys):
     assert value == default and type(value) is type(default)
     if type(default) is tuple:
         assert all(type(v) is float for v in value)
-    if type(default) in WRONG_KIND:
+    for text in WRONG_KIND.get(name, WRONG_KIND.get(type(default), [])):
         conf = tmp_path / "bad.conf"
-        conf.write_text(f"{name} = {WRONG_KIND[type(default)]}\n")
+        conf.write_text(f"{name} = {text}\n")
         assert main(["run", str(conf), "--workers", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid config: bad value for {name}: ")
 
@@ -239,6 +247,7 @@ def test_run_unreadable_config_or_unwritable_output_exits_2(tmp_path, capsys):
         "source_weights = 0.15 0.15 nan 0.1",
         "source_w_star = 0.8 inf 0.3 0.25",
         "sigma_f = inf",
+        "w1 = nan 0 0 0",
         "base_seed = -1",
         f"base_seed = {2**128 - 1}",
         "source_rotation = -1",
@@ -599,6 +608,13 @@ def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(run_fresh, tmp_pa
         conf = tmp_path / f"{name}.conf"
         conf.write_text(small_config_text(**overrides))
         assert pool_modules_around_run(run_fresh, conf) == ("[]", "[]")
+
+
+def test_import_leaves_numpy_random_unloaded(run_fresh):
+    # numpy loads np.random on first access, and annotations are evaluated at
+    # import, so one that names np.random would load it in every process.
+    code = "import sys, omdkit.cli, omdkit.verification; print('numpy.random' in sys.modules)"
+    assert run_fresh(code).stdout.strip() == "False"
 
 
 def test_run_leaves_the_verify_suite_and_fractions_unloaded(run_fresh, tmp_path):

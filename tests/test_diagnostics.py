@@ -61,7 +61,7 @@ def result_from(curve, values=None, schedule=None, T=None, constants=None, d1=1.
         values = np.tile(curve.mean, (curve.run_count, 1))
     if constants is None:
         constants = ResolvedConstants(
-            sigma_psi=1.0, smooth_L=1.0, smooth_L_generic=2.0, risk_L=0.3,
+            sigma_psi=1.0, smooth_L=1.0, risk_L=0.3,
             sigma_f_norm=0.2, sigma_f=0.4, lambda_min=0.2, radius=1.0,
             growth_a=0.6, map_smoothness=1.0,
         )
@@ -361,7 +361,7 @@ def test_cocoercivity_margin_random_sweep():
             x /= max(1.0, float(np.sqrt(x @ x)))
             z = Sample(x, float(rng.uniform(-1, 1)))
             w, v = rng.standard_normal((2, 3)) * 2.0
-            L = model.sharp_smoothness_bound(1.0)
+            L = model.smoothness_bound(1.0)
             assert cocoercivity_margin(model, z, w, v, L) >= -1e-10
 
 
@@ -372,7 +372,7 @@ def test_cocoercivity_margin_of_a_stack_is_its_rows(model):
     X = rng.standard_normal((50, 3))
     y = rng.uniform(-1.0, 1.0, 50)
     W, V = rng.standard_normal((2, 50, 3)) * 2.0
-    L = model.sharp_smoothness_bound(float(np.sqrt((X * X).sum(axis=1)).max()))
+    L = model.smoothness_bound(float(np.sqrt((X * X).sum(axis=1)).max()))
     stacked = cocoercivity_margin(model, Sample(X, y), W, V, L)
     assert stacked.shape == (50,)
     for i in range(50):

@@ -906,8 +906,8 @@ def test_one_step_distance_contract(mirror):
     src = eight_atom_source(label_noise=0.5)
     model = LS
     w_star = minimizer(src, model)
-    sigma = mirror.strong_convexity()
-    L = model.sharp_smoothness_bound(src.radius(mirror.dual_p))
+    sigma = mirror.strong_convexity
+    L = model.smoothness_bound(src.radius(mirror.dual_p))
     eta = sigma / (2.0 * L)
     q = mirror.dual_p
     a = src.X @ w_star
@@ -930,7 +930,6 @@ def test_resolve_constants_eight_atom_source():
     c = resolve_constants(EuclideanMap(), LS, src)
     assert c.sigma_psi == 1.0
     assert c.smooth_L == 1.0
-    assert c.smooth_L_generic == 2.0
     assert c.lambda_min == pytest.approx(0.2, abs=1e-12)
     assert c.sigma_f == pytest.approx(0.4, abs=1e-12)
     assert c.risk_L == pytest.approx(0.3, abs=1e-12)

@@ -77,17 +77,17 @@ def test_derivative_matches_central_difference(loss):
 # -- Lipschitz constants ------------------------------------------------------------
 
 def test_declared_lipschitz_constants():
-    assert LeastSquares().lipschitz() == 1.0
-    assert Logistic().lipschitz() == 0.25
-    assert SquaredHinge().lipschitz() == 2.0
-    assert Huber().lipschitz() == 1.0
-    assert Sigmoid().lipschitz() == pytest.approx(math.sqrt(3.0) / 18.0, abs=1e-15)
+    assert LeastSquares().lipschitz == 1.0
+    assert Logistic().lipschitz == 0.25
+    assert SquaredHinge().lipschitz == 2.0
+    assert Huber().lipschitz == 1.0
+    assert Sigmoid().lipschitz == pytest.approx(math.sqrt(3.0) / 18.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
 def test_difference_quotients_bounded_by_constant(loss):
     grid = np.linspace(-6.0, 6.0, 1201)
-    ell = loss.lipschitz()
+    ell = loss.lipschitz
     for y in np.linspace(-1.0, 1.0, 11):
         der = np.asarray(loss.derivative(grid, float(y)))
         quotients = np.abs(np.diff(der)) / np.diff(grid)
@@ -102,7 +102,7 @@ def test_lipschitz_constant_is_nearly_attained(loss):
     grid = np.linspace(-8.0, 8.0, 40001)
     der = np.asarray(loss.derivative(grid, 1.0))
     quotients = np.abs(np.diff(der)) / np.diff(grid)
-    assert quotients.max() >= loss.lipschitz() * 0.999
+    assert quotients.max() >= loss.lipschitz * 0.999
 
 
 @pytest.mark.parametrize("loss", CONVEX_LOSSES, ids=repr)
@@ -171,13 +171,12 @@ def test_gradient_matches_finite_difference_of_f_value():
 
 
 def test_smoothness_bound_formulas():
-    assert LossModel(LeastSquares()).smoothness_bound(1.0) == 2.0
-    assert LossModel(LeastSquares()).sharp_smoothness_bound(1.0) == 1.0
+    # R^2 + 2 lam for least squares, 2 (l_phi R^2 + lam) for every other loss
+    assert LossModel(LeastSquares()).smoothness_bound(1.0) == 1.0
     assert LossModel(LeastSquares()).smoothness_bound(0.0) == 0.0
     assert LossModel(SquaredHinge(), lam=0.5).smoothness_bound(2.0) == 17.0
-    assert LossModel(LeastSquares(), lam=0.25).sharp_smoothness_bound(1.0) == 1.5
-    # non-quadratic losses fall back to the generic constant
-    assert LossModel(Huber()).sharp_smoothness_bound(2.0) == LossModel(Huber()).smoothness_bound(2.0)
+    assert LossModel(LeastSquares(), lam=0.25).smoothness_bound(1.0) == 1.5
+    assert LossModel(Huber()).smoothness_bound(2.0) == 8.0
 
 
 def test_smoothness_bound_rejects_negative_radius():

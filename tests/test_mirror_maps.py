@@ -247,7 +247,7 @@ def test_bregman_dimension_mismatch():
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
 def test_strong_convexity_lower_bound(mirror):
     rng = np.random.default_rng(3)
-    sigma = mirror.strong_convexity()
+    sigma = mirror.strong_convexity
     for _ in range(400):
         w = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
@@ -258,7 +258,7 @@ def test_strong_convexity_lower_bound(mirror):
 @pytest.mark.parametrize("mirror", [EuclideanMap(), PNormMap(2.0), SmoothedL1Map(0.5, 1.0)], ids=repr)
 def test_strong_smoothness_upper_bound(mirror):
     rng = np.random.default_rng(4)
-    L = mirror.smoothness()
+    L = mirror.smoothness
     for _ in range(400):
         w = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
@@ -300,22 +300,22 @@ def test_bregman_rows_rejects_dimension_mismatch():
 # -- moduli ----------------------------------------------------------------------
 
 def test_strong_convexity_moduli():
-    assert PNormMap(1.5).strong_convexity() == 0.5
-    assert EuclideanMap().strong_convexity() == 1.0
-    assert SmoothedL1Map(0.5, 1.0).strong_convexity() == 1.0
+    assert PNormMap(1.5).strong_convexity == 0.5
+    assert EuclideanMap().strong_convexity == 1.0
+    assert SmoothedL1Map(0.5, 1.0).strong_convexity == 1.0
 
 
 def test_smoothness_moduli():
-    assert EuclideanMap().smoothness() == 1.0
-    assert SmoothedL1Map(0.5, 1.0).smoothness() == 3.0
-    assert PNormMap(1.5).smoothness() is None
-    assert PNormMap(2.0).smoothness() == 1.0
+    assert EuclideanMap().smoothness == 1.0
+    assert SmoothedL1Map(0.5, 1.0).smoothness == 3.0
+    assert PNormMap(1.5).smoothness is None
+    assert PNormMap(2.0).smoothness == 1.0
 
 
 def test_smoothed_l1_gradient_lipschitz_matches_modulus():
     # finite-difference slope of the gradient never exceeds 1 + lam/eps
     m = SmoothedL1Map(0.5, 1.0)
-    L = m.smoothness()
+    L = m.smoothness
     grid = np.linspace(-2.0, 2.0, 4001)
     g = np.array([m.grad(np.array([t]))[0] for t in grid])
     slopes = np.diff(g) / np.diff(grid)

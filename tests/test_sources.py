@@ -212,12 +212,12 @@ def test_constructors_refuse_non_finite_parameters_by_name(name, build, value):
      lambda v: orthonormal_atom_source(np.eye(2), [0.25, 0.25], [1.0, 1.0], label_noise=v)),
     (r"kappa must lie in \(1, inf\)", lambda v: norm_power_conjugate(v, [1.0, 2.0])),
     (r"radius must lie in \[0, inf\)", lambda v: LossModel(LeastSquares()).smoothness_bound(v)),
-    (r"radius must lie in \[0, inf\)", lambda v: LossModel(Logistic()).sharp_smoothness_bound(v)),
+    (r"radius must lie in \[0, inf\)", lambda v: LossModel(Logistic()).smoothness_bound(v)),
     (r"d1 must lie in \[0, inf\)", lambda v: linear_rate_bracket(1.0, 1.0, 0.5, 0.1, v, [0, 1, 2])),
     (r"d_ref must lie in \[0, inf\)", lambda v: nonconvergence_floor(1.0, PolynomialDecay(0.1, 2.0), v, 1, 10)),
     (r"control function argument must lie in \[0, inf\)", lambda v: omega_p(1.5, v)),
     (r"target_norm must lie in \[0, inf\)", lambda v: b_p_constant(1.5, v)),
-], ids=["label_noise", "norm_power_conjugate-kappa", "smoothness_bound-radius", "sharp_smoothness_bound-radius",
+], ids=["label_noise", "norm_power_conjugate-kappa", "smoothness_bound-radius", "logistic_smoothness_bound-radius",
         "linear_rate_bracket-d1", "nonconvergence_floor-d_ref", "omega_p-u", "b_p_constant-target_norm"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_arguments_refuse_non_finite_values_by_name(message, call, value):

@@ -164,3 +164,42 @@ def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(
         j = int(np.nan_to_num(vals, nan=0.0, posinf=0.0).argmax())
         r0 = (s[j] / norms_p[j] ** kappa) ** (1.0 / (kappa - 1.0))
         np.testing.assert_array_equal(start, r0 * U[j])
+
+
+@pytest.mark.parametrize("check, modulus, factor", [
+    ("strong_convexity", "strong_convexity", 1.0 + 1e-12),
+    ("strong_smoothness", "smoothness", 1.0 - 1e-12),
+])
+def test_map_modulus_checks_fail_a_modulus_off_by_1e_12(check, modulus, factor, monkeypatch):
+    # The Euclidean potential meets both bounds with equality, so a strong-convexity
+    # modulus raised, or a smoothness modulus lowered, by a relative 1e-12 fails.
+    maps = verification._maps
+
+    def planted():
+        out = maps()
+        for mirror in out:
+            if getattr(mirror, modulus) is not None:
+                setattr(mirror, modulus, getattr(mirror, modulus) * factor)
+        return out
+
+    seed = CHECK_NAMES.index(check)
+    assert dict(verification.CHECKS)[check](seed)[0]
+    monkeypatch.setattr(verification, "_maps", planted)
+    assert dict(verification.CHECKS)[check](seed)[0] is False
+
+
+@pytest.mark.parametrize("loss, delta", [
+    ("LeastSquares", 1e-8),
+    ("SquaredHinge", 1e-8),
+    ("Huber", 1e-8),
+    # The 0.01-spaced grid misses the supremum of these two by 6e-6 to 9e-6, relative.
+    ("Logistic", 1e-5),
+    ("Sigmoid", 1e-5),
+])
+def test_lipschitz_check_fails_a_constant_lowered_by_delta(loss, delta, monkeypatch):
+    cls = getattr(verification, loss)
+    seed = CHECK_NAMES.index("loss_lipschitz_quotients")
+    monkeypatch.setattr(cls, "lipschitz", cls.lipschitz * (1.0 - delta))
+    passed, residual, tolerance = verification._check_loss_lipschitz(seed)
+    assert passed is False
+    assert residual > tolerance

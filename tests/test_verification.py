@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from omdkit import verification
+from omdkit import diagnostics, verification
 from omdkit.geometry import p_norm
+from omdkit.mirror_maps import MirrorMap, PNormMap, SmoothedL1Map
 from omdkit.verification import CHECK_NAMES, run_verification
 
 IDENTITY_CHECKS = {
@@ -25,6 +26,11 @@ IDENTITY_CHECKS = {
 @pytest.fixture(scope="module")
 def results():
     return run_verification()
+
+
+def run_check(name):
+    """The ``CHECKS`` row ``name`` at its own stream offset, as ``run_verification`` runs it."""
+    return dict(verification.CHECKS)[name](CHECK_NAMES.index(name))
 
 
 def test_suite_is_green(results):
@@ -83,13 +89,12 @@ def test_pnorm_lower_control_sees_a_scaled_control(kernel, monkeypatch):
     # pairs near w~ = 0 reach that, so either control scaled by 5.1 > 1 / 0.198 fails.
     from omdkit import verification
 
-    seed = CHECK_NAMES.index("pnorm_lower_control")
-    passed, ratio, _ = verification._check_pnorm_lower_control(seed)
+    passed, ratio, _ = run_check("pnorm_lower_control")
     assert passed
     assert ratio == pytest.approx(0.5 ** (7 / 3), rel=1e-9)
     scaled = getattr(verification, kernel)
     monkeypatch.setattr(verification, kernel, lambda p, x: 5.1 * scaled(p, x))
-    assert not verification._check_pnorm_lower_control(seed)[0]
+    assert not run_check("pnorm_lower_control")[0]
 
 
 FENCHEL = CHECK_NAMES.index("fenchel_conjugate_bruteforce")
@@ -101,7 +106,7 @@ def test_fenchel_overshoot_is_reported_against_its_own_bound(monkeypatch):
     exact = verification.norm_power_conjugate
     monkeypatch.setattr(verification, "norm_power_conjugate",
                         lambda kappa, v, spec: exact(kappa, v, spec) * (1 - 1e-6))
-    passed, residual, tolerance = verification._check_fenchel_conjugate(FENCHEL)
+    passed, residual, tolerance = run_check("fenchel_conjugate_bruteforce")
     assert passed is False
     assert tolerance == 1e-9
     assert residual > tolerance
@@ -116,7 +121,7 @@ def test_fenchel_check_fails_a_closed_form_off_on_either_side(factor, monkeypatc
     exact = verification.norm_power_conjugate
     monkeypatch.setattr(verification, "norm_power_conjugate",
                         lambda kappa, v, spec: exact(kappa, v, spec) * factor)
-    passed, residual, tolerance = verification._check_fenchel_conjugate(FENCHEL)
+    passed, residual, tolerance = run_check("fenchel_conjugate_bruteforce")
     assert passed is False
     assert tolerance == 1e-9
     assert residual == pytest.approx(abs(factor - 1.0), rel=1e-4)
@@ -126,11 +131,11 @@ def test_fenchel_sweep_holds_one_stack_at_a_time():
     # The brute force holds one stack of _DIRECTIONS directions per case, and the
     # polish one of _POLISH_POINTS perturbations per round: about 150 kB traced,
     # well under the 2 MB bound.
-    verification._check_fenchel_conjugate(FENCHEL)  # first-call setup outside the count
+    run_check("fenchel_conjugate_bruteforce")  # first-call setup outside the count
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        verification._check_fenchel_conjugate(FENCHEL)
+        run_check("fenchel_conjugate_bruteforce")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -148,7 +153,7 @@ def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(
         return polish(objective, w, rng)
 
     monkeypatch.setattr(verification, "_local_search", recording)
-    assert verification._check_fenchel_conjugate(FENCHEL)[0]
+    assert run_check("fenchel_conjugate_bruteforce")[0]
     rng = verification._rng(FENCHEL)
     rng.bit_generator.jumped()  # as the check takes its polish stream, before the first draw
     cases = [(2.0, 2.0, [3.0, 4.0]), (1.5, 2.0, [1.0, -0.5]),
@@ -188,6 +193,54 @@ def test_map_modulus_checks_fail_a_modulus_off_by_1e_12(check, modulus, factor, 
     assert dict(verification.CHECKS)[check](seed)[0] is False
 
 
+@pytest.mark.parametrize("mirror, check, modulus, factor", [
+    ("PNormMap(p=1.2)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
+    ("PNormMap(p=1.5)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
+    ("PNormMap(p=1.9)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
+    ("SmoothedL1Map(epsilon=0.5, lam=1.0)", "strong_smoothness", "smoothness", 1.0 - 1e-10),
+    ("SmoothedL1Map(epsilon=0.1, lam=2.0)", "strong_smoothness", "smoothness", 1.0 - 1e-10),
+])
+def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, factor, monkeypatch):
+    # Each map attains its modulus at its tight pairs: a p-norm map up to a relative
+    # O(eps^2), 1e-6 at eps = 1e-3, and a smoothed-l1 map exactly, inside its quadratic
+    # band.  So one map's modulus off by factor fails, the others left true.
+    maps = verification._maps
+
+    def planted():
+        out = maps()
+        for m in out:
+            if repr(m) == mirror:
+                setattr(m, modulus, getattr(m, modulus) * factor)
+        return out
+
+    assert mirror in map(repr, maps())
+    assert run_check(check)[0]
+    monkeypatch.setattr(verification, "_maps", planted)
+    assert run_check(check)[0] is False
+
+
+@pytest.mark.parametrize("check, kernels, delta", [
+    ("bregman_duality", [(diagnostics, "pnorm_gradient")], 1e-12),
+    ("key_identity", [(MirrorMap, "bregman"), (PNormMap, "bregman")], 1e-10),
+    ("bregman_sum_identity", [(MirrorMap, "bregman"), (PNormMap, "bregman")], 1e-13),
+    ("gradient_round_trip", [(PNormMap, "grad_inv"), (SmoothedL1Map, "grad_inv")], 1e-11),
+    ("gradient_norm_identity", [(verification, "pnorm_gradient")], 1e-11),
+    ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
+])
+def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, delta, monkeypatch):
+    # Each identity holds to rounding on its sweep, so the kernel it checks, scaled by
+    # 1 + delta on every map, breaks the row's bound; delta is the smallest power of
+    # ten the check catches.
+    assert run_check(check)[0]
+    for owner, name in kernels:
+        kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, kernel=kernel: kernel(*args) * (1.0 + delta))
+    passed, residual, tolerance = run_check(check)
+    assert passed is False
+    assert residual > tolerance
+
+
 @pytest.mark.parametrize("loss, delta", [
     ("LeastSquares", 1e-8),
     ("SquaredHinge", 1e-8),
@@ -198,8 +251,7 @@ def test_map_modulus_checks_fail_a_modulus_off_by_1e_12(check, modulus, factor, 
 ])
 def test_lipschitz_check_fails_a_constant_lowered_by_delta(loss, delta, monkeypatch):
     cls = getattr(verification, loss)
-    seed = CHECK_NAMES.index("loss_lipschitz_quotients")
     monkeypatch.setattr(cls, "lipschitz", cls.lipschitz * (1.0 - delta))
-    passed, residual, tolerance = verification._check_loss_lipschitz(seed)
+    passed, residual, tolerance = run_check("loss_lipschitz_quotients")
     assert passed is False
     assert residual > tolerance

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import as_vector, check_interval, row_inner
+from .geometry import DIVERGENCE_LIMIT, as_vector, check_interval, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
 from .sources import SampleSource
@@ -69,7 +69,6 @@ __all__ = [
     "RegimeError",
 ]
 
-DIVERGENCE_LIMIT = 1e12
 # Byte budget for what a block's sampling holds at once, as each source's
 # ``_stream_bytes`` counts it per run (its generators, ~600 B each, aside).
 # For any T >= 257: 1,517 runs of a discrete source at d = 4, 640 of a

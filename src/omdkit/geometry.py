@@ -58,6 +58,7 @@ def as_result(x):
 # labels or target, or the regularizer: a power of two whose square, 2^1022,
 # is finite, as the covariance, the labels and the risk square them.
 SQUARE_MAX = 2.0 ** 511
+DIVERGENCE_LIMIT = 1e12  # an iterate with an entry past it has diverged
 
 
 def check_interval(what: str, value, low: float, high: float, *, closed_low: bool = False,

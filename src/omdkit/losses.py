@@ -1,11 +1,11 @@
-"""Scalar losses phi(a, y), their derivatives and curvature constants, and the
-regularized per-sample objective f(w, z) = phi(<w, x>, y) + lam ||w||_2^2.
+"""Scalar losses phi(a, y), their first and (``curvature``, if convex) second derivatives
+in a, and the regularized per-sample objective f(w, z) = phi(<w, x>, y) + lam ||w||_2^2.
 
 Derivative Lipschitz constants for the margin losses assume labels in
 [-1, 1]; sample sources enforce that range for classification data.  All
 value/derivative formulas accept scalars or numpy arrays in the first
-argument, and ``LossModel.gradient`` takes a point or a stack of points and
-samples.  The logistic and sigmoid losses use ``_expit``, scipy's formula
+argument, and ``LossModel.f_value`` and ``gradient`` take a point or a stack
+of points and samples.  The logistic and sigmoid losses use ``_expit``, scipy's formula
 for the logistic function in numpy.
 """
 
@@ -65,6 +65,9 @@ class LeastSquares(Loss):
     def derivative(self, a, y):
         return a - y
 
+    def curvature(self, a, y):
+        return np.ones_like(a)
+
 
 class Logistic(Loss):
     """log(1 + exp(-a y)); curvature y^2/4 peaks at a y = 0."""
@@ -76,6 +79,9 @@ class Logistic(Loss):
 
     def derivative(self, a, y):
         return -y * _expit(-a * y)
+
+    def curvature(self, a, y):
+        return y * y * _expit(-a * y) * _expit(a * y)
 
 
 class Sigmoid(Loss):
@@ -107,6 +113,9 @@ class SquaredHinge(Loss):
     def derivative(self, a, y):
         return -2.0 * y * np.maximum(0.0, 1.0 - a * y)
 
+    def curvature(self, a, y):
+        return 2.0 * y * y * (1.0 - a * y > 0.0)
+
 
 class Huber(Loss):
     """Quadratic in |a - y| below 1, linear beyond; the derivative is a clipped residual."""
@@ -119,6 +128,9 @@ class Huber(Loss):
 
     def derivative(self, a, y):
         return np.clip(a - y, -1.0, 1.0)
+
+    def curvature(self, a, y):
+        return np.where(np.abs(a - y) < 1.0, 1.0, 0.0)
 
 
 LOSSES = {
@@ -140,14 +152,9 @@ class LossModel:
     def __post_init__(self):
         check_interval("regularizer weight lam", self.lam, 0.0, SQUARE_MAX, closed_low=True)
 
-    def f_value(self, w, x, y: float) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        a = float(x @ w)
-        val = float(self.loss.value(a, y))
-        if self.lam:
-            val += self.lam * float(w @ w)
-        return val
+    def f_value(self, w, x, y):
+        """phi(<w, x>, y) + lam ||w||^2 at a point or row-wise on a stack, broadcast as in ``gradient``."""
+        return self.loss.value(row_inner(w, x), y) + self.lam * row_inner(w, w)
 
     def gradient(self, w, x, y) -> np.ndarray:
         """phi'(<w, x>, y) x + 2 lam w at a point or row-wise on a stack: w and

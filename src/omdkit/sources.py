@@ -7,9 +7,9 @@ from them alone.  The Gaussian source clips features to an l2 ball of the
 declared radius, which keeps sup ||x||_q <= radius for every dual exponent
 q >= 2 and leaves the second moments in closed form (chi-square tails at
 integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
-``math.erfc``).  Every other population quantity is a probability-weighted
-sum of ``LossModel.gradient`` over a discrete source's atoms, and
-``_discrete`` refuses any other source with a ValueError naming the quantity.
+``math.erfc``).  Every other population quantity, damped Newton's minimizer
+included, comes from probability-weighted sums over a discrete source's atoms,
+and ``_discrete`` refuses any other source with a ValueError naming the quantity.
 
 Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
 the layout ``draw_arrays`` defines.  Each source's ``stream`` draws a block
@@ -27,7 +27,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import SQUARE_MAX, as_vector, check_exponent, check_interval, p_norm, row_inner, row_sum
+from .geometry import (DIVERGENCE_LIMIT, SQUARE_MAX, as_vector, check_exponent, check_interval, p_norm,
+                       row_inner, row_sum)
 from .losses import LeastSquares, LossModel
 
 __all__ = [
@@ -45,9 +46,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-_MINIMIZER_TOL = 1e-10
-# Full-gradient steps the minimizer takes before it gives up.
-MINIMIZER_STEPS = 500_000
 _OPTIMALITY_TOL = 1e-8
 _ZERO_VARIANCE_TOL = 1e-10
 # Steps of uniforms a discrete run draws per generator call.  A call costs
@@ -362,10 +360,9 @@ def population_gradient(source: SampleSource, model: LossModel, w) -> np.ndarray
 
 
 def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
-    """The exact (or to 1e-10 gradient norm) minimizer of the regularized risk.
-
-    ValueError when there is none to find, or when full-gradient descent
-    does not reach the tolerance in MINIMIZER_STEPS steps."""
+    """The minimizer of the regularized risk F: in closed form under least squares, else by damped
+    Newton on a discrete source until ||grad F|| stops falling, at its rounding.  ValueError when
+    there is none to find, or when Newton stalls, leaves the divergence guard or takes 100 steps."""
     if not model.loss.convex:
         raise ValueError(f"minimizer undefined for the non-convex {model.loss!r}")
     if isinstance(model.loss, LeastSquares):
@@ -379,18 +376,27 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
     source = _discrete(source, "the exact minimizer of a loss other than least-squares")
     if model.lam <= 0.0:
         raise ValueError("non-quadratic losses need lam > 0 for a guaranteed minimizer")
-    # Full-gradient descent; strong convexity from the regularizer gives a
-    # linear rate with step 1/L.
-    L = model.smoothness_bound(source.radius())
-    step = 1.0 / L
-    w = np.zeros(source.d)
-    for _ in range(MINIMIZER_STEPS):
-        g = population_gradient(source, model, w)
-        if float(np.sqrt(g @ g)) <= _MINIMIZER_TOL:
-            return w
-        w = w - step * g
-    raise ValueError("full-gradient descent failed to reach the gradient tolerance "
-                     f"in {MINIMIZER_STEPS} steps")
+    # Armijo halving on F from 0; once F's fall is below its rounding, ||grad F|| must fall
+    # instead, and where it stops falling it must be within 64 ulps of its terms' sizes.
+    X, y, p, w = source.X, source.y, source.probs, np.zeros(source.d)
+    F, g = p @ model.f_value(w, X, y), population_gradient(source, model, w)
+    for _ in range(100):
+        shift = 2.0 * model.lam + np.sqrt(g @ g) / DIVERGENCE_LIMIT  # keeps a step inside the guard
+        H = (X.T * (p * model.loss.curvature(X @ w, y))) @ X + shift * np.eye(source.d)
+        step = np.linalg.lstsq(H, g)[0]  # drops directions singular to rounding
+        t, slope = 1.0, g @ step / 4.0
+        while F - t * slope < F and not (np.abs(w - t * step).max() <= DIVERGENCE_LIMIT
+                                          and p @ model.f_value(w - t * step, X, y) < F - t * slope):
+            t /= 2.0
+        g_next = population_gradient(source, model, w - t * step)
+        if F - t * slope == F and not g_next @ g_next < g @ g:
+            break
+        w = w - t * step
+        F, g = p @ model.f_value(w, X, y), g_next
+    size = np.abs(X).T @ (p * np.abs(model.loss.derivative(X @ w, y))) + np.abs(H) @ np.abs(w)
+    if np.abs(w).max() <= DIVERGENCE_LIMIT and g @ g <= (64.0 * np.finfo(float).eps) ** 2 * (size @ size):
+        return w
+    raise ValueError("damped Newton for the minimizer stalled, left the divergence guard or took 100 steps")
 
 
 def mean_gradient_norm(

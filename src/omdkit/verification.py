@@ -64,8 +64,8 @@ def _rule(holds):
     bound)`` for ``worst = residual(_rng(seed))``; a fixed grid's residual takes ``_``."""
     def rule(bound: float, residual):
         def check(seed: int) -> tuple[bool, float, float]:
-            worst = residual(_rng(seed))
-            return bool(holds(worst, bound)), worst, bound
+            worst = float(residual(_rng(seed)))
+            return holds(worst, bound), worst, bound
         return check
     return rule
 
@@ -115,9 +115,9 @@ def _map_sweep(rng, maps, stacks, n, scales, gap, tight=False):
     worst = -np.inf
     for mirror in maps:
         arrays = [_scaled(rng, n, 5, scales) for _ in range(stacks)]
-        worst = max(worst, float(gap(mirror, *arrays).max()))
+        worst = np.maximum(worst, float(gap(mirror, *arrays).max()))
         if tight:
-            worst = max(worst, float(gap(mirror, *_tight_pairs(mirror)).max()))
+            worst = np.maximum(worst, float(gap(mirror, *_tight_pairs(mirror)).max()))
     return worst
 
 
@@ -126,7 +126,7 @@ def _holder(rng):
     for p in (1.2, 1.5, 2.0):
         W, V = (_scaled(rng, 1000, 6, [0.1, 1.0, 10.0]) for _ in range(2))
         gap = np.abs(row_inner(W, V)) - p_norm(W, p) * p_norm(V, dual_exponent(p))
-        worst = max(worst, float(gap.max()))
+        worst = np.maximum(worst, float(gap.max()))
     return worst
 
 
@@ -135,7 +135,7 @@ def _triangle(rng):
     for p in (1.2, 1.5, 2.0, 3.0):
         W, V = (_scaled(rng, 1000, 5, [0.1, 1.0, 10.0]) for _ in range(2))
         gap = p_norm(W + V, p) - (p_norm(W, p) + p_norm(V, p))
-        worst = max(worst, float(gap.max()))
+        worst = np.maximum(worst, float(gap.max()))
     return worst
 
 
@@ -149,7 +149,7 @@ def _gradient_norm_identity(rng):
     for p in (1.2, 1.5, 1.9):
         W = _scaled(rng, 1000, 6, [0.1, 1.0, 10.0])
         resid = np.abs(p_norm(pnorm_gradient(W, p), dual_exponent(p)) - p_norm(W, p))
-        worst = max(worst, float(resid.max()))
+        worst = np.maximum(worst, float(resid.max()))
     return worst
 
 
@@ -177,7 +177,7 @@ def _bregman_duality(rng):
     worst = 0.0
     for p in (1.2, 1.5, 2.0):
         W, V = rng.uniform(-10.0, 10.0, size=(2, 1000, 6))
-        worst = max(worst, float(duality_residual(p, W, V).max()))
+        worst = np.maximum(worst, float(duality_residual(p, W, V).max()))
     return worst
 
 
@@ -195,7 +195,7 @@ def _pnorm_upper(rng):
         nt = p_norm(Wt, p)
         coef = (2.0 * nt) ** (2.0 - p) + nt ** (p - 1.0) + 1.0
         rhs = coef * (diff ** 2 + diff ** min(p, 3.0 - p))
-        worst = max(worst, float((pnorm_bregman(Wt, W, p) - rhs).max()))
+        worst = np.maximum(worst, float((pnorm_bregman(Wt, W, p) - rhs).max()))
     return worst
 
 
@@ -210,7 +210,7 @@ def _pnorm_lower_control(rng):
         W = np.concatenate([W, near + _scaled(rng, 1000, 5, [10.0, 1e3, 1e6])])
         d_vals = np.maximum(pnorm_bregman(Wt, W, p), 0.0)
         ratio = b_p_constant(p, p_norm(Wt, p)) * omega_p(p, d_vals) / p_norm(Wt - W, p) ** 2
-        worst = max(worst, float(ratio.max()))
+        worst = np.maximum(worst, float(ratio.max()))
     return worst
 
 
@@ -234,7 +234,7 @@ def _cocoercivity(rng):
         y = rng.uniform(-1.0, 1.0, size=2500)
         W, V = rng.standard_normal((2, 2500, 4)) * 2.0
         L = model.smoothness_bound(1.0)
-        worst = min(worst, float(cocoercivity_margin(model, Sample(X, y), W, V, L).min()))
+        worst = np.minimum(worst, float(cocoercivity_margin(model, Sample(X, y), W, V, L).min()))
     return worst
 
 
@@ -242,13 +242,13 @@ def _local_search(objective, w, rng):
     """Raise ``objective`` (a function of the last axis) from w: each round keeps
     the best of ``_POLISH_POINTS`` Gaussian perturbations of the incumbent, at a
     scale shrinking geometrically from ||w||/10 to ||w|| 1e-9 over
-    ``_POLISH_ROUNDS`` rounds.  Returns the best value seen."""
+    ``_POLISH_ROUNDS`` rounds.  Returns the best value seen, or NaN once one is seen."""
     best = float(objective(w))
     for scale in p_norm(w, 2.0) * np.geomspace(0.1, 1e-9, _POLISH_ROUNDS):
         W = w + scale * rng.standard_normal((_POLISH_POINTS, w.shape[-1]))
         vals = objective(W)
-        j = int(vals.argmax())
-        if vals[j] > best:
+        j = int(vals.argmax())  # the first NaN, if any
+        if vals[j] > best or np.isnan(vals[j]):
             w, best = W[j], float(vals[j])
     return best
 
@@ -279,7 +279,7 @@ def _fenchel_conjugate(rng):
             return w @ v - p_norm(w, p) ** kappa / kappa
 
         best = _local_search(objective, start, polish_rng)
-        worst = max(worst, abs(best - formula) / max(1.0, formula))
+        worst = np.maximum(worst, abs(best - formula) / max(1.0, formula))
     return worst
 
 
@@ -305,7 +305,7 @@ def _key_identity(rng):
         w_star = minimizer(source, model)
         W = _scaled(rng, 100, 3, [0.5, 2.0])
         etas = rng.choice([0.05, 0.5], size=100)
-        worst = max(worst, float(key_identity_residual(mirror, model, source, W, etas, w_star).max()))
+        worst = np.maximum(worst, float(key_identity_residual(mirror, model, source, W, etas, w_star).max()))
     return worst
 
 
@@ -316,7 +316,7 @@ def _witness_monotone(_):
         for d in (2, 3, 5):
             ratios = [nonsmoothness_witness(p, d, a) for a in grid]
             gaps = np.diff(ratios)
-            min_gap = min(min_gap, float(gaps.min()))
+            min_gap = np.minimum(min_gap, float(gaps.min()))
     return min_gap
 
 
@@ -332,14 +332,16 @@ def _loss_gradients(rng):
     losses = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
     h = 1e-6
     worst = 0.0
-    # (a, y) pairs in the order a draw per pair would give, less those near the
-    # huber / hinge kinks where phi'' jumps; each loss scores the next 1,000.
+    # (a, y) pairs in the order a draw per pair would give, less those near the huber / hinge
+    # kinks where phi'' jumps; each loss's next 1,000 score phi' and, if convex, phi''.
     A, Y = rng.uniform((-4.0, -1.0), (4.0, 1.0), size=(6000, 2)).T
     keep = (np.abs(np.abs(A - Y) - 1.0) >= 1e-3) & (np.abs(A * Y - 1.0) >= 1e-3)
     rows = [z[keep][:1000 * len(losses)].reshape(len(losses), 1000) for z in (A, Y)]
     for loss, a, y in zip(losses, *rows):
-        fd = (loss.value(a + h, y) - loss.value(a - h, y)) / (2.0 * h)
-        worst = max(worst, float(np.abs(fd - loss.derivative(a, y)).max()))
+        pairs = [(loss.value, loss.derivative)] + ([(loss.derivative, loss.curvature)] if loss.convex else [])
+        for f, df in pairs:
+            fd = (f(a + h, y) - f(a - h, y)) / (2.0 * h)
+            worst = np.maximum(worst, float(np.abs(fd - df(a, y)).max()))
     return worst
 
 
@@ -350,7 +352,7 @@ def _loss_lipschitz(_):
     worst = -np.inf  # max of (quotient - declared constant)
     for loss in losses:
         quot = np.abs(np.diff(loss.derivative(a_grid, labels))) / np.diff(a_grid)
-        worst = max(worst, float(quot.max()) - loss.lipschitz)
+        worst = np.maximum(worst, float(quot.max()) - loss.lipschitz)
     return worst
 
 
@@ -374,7 +376,7 @@ def _one_step_contract(rng):
         W_next = omd_step(mirror, model, W[:, None, :], source.X, source.y, eta)
         e_next = mirror.bregman(w_star, W_next) @ source.probs
         bound = mirror.bregman(w_star, W) + eta * eta / sigma * noise
-        worst = min(worst, float((bound - e_next).min()))
+        worst = np.minimum(worst, float((bound - e_next).min()))
     return worst
 
 
@@ -382,9 +384,9 @@ def _omega(_):
     worst = 0.0
     for p in (4.0 / 3.0, 1.5, 2.0):
         # branch agreement at u = 1: the upper branch there against the lower one an ulp below
-        worst = max(worst, abs(omega_p(p, 1.0) - omega_p(p, np.nextafter(1.0, 0.0))))
+        worst = np.maximum(worst, abs(omega_p(p, 1.0) - omega_p(p, np.nextafter(1.0, 0.0))))
         second = np.diff(omega_p(p, np.arange(601) / 200.0), 2)
-        worst = max(worst, float((-second).max()))
+        worst = np.maximum(worst, float((-second).max()))
     return worst
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omdkit import cli, sources
+from omdkit import cli
 from omdkit.cli import main, omega_table
 from omdkit.config import (
     ConfigError,
@@ -296,12 +296,12 @@ def test_run_negative_label_noise_exits_2_without_outputs(tmp_path, capsys):
     [
         ("schedule = theorem_rate\nsigma_f = 1e-320", "the first step overflows"),
         ("schedule = polynomial\ndecay_c = 0.1\ndecay_theta = 2000", "the step size underflows to 0 by t = 63"),
-        # The minimizer's step budget is cut so that it gives up in milliseconds.
-        ("map = smoothed_l1\nloss = logistic\nreg_lambda = 1e-300", "failed to reach the gradient tolerance"),
+        # Separable data: each Newton step grows the margins by about 1, and at
+        # reg_lambda = 1e-300 the minimizer's are near log(1e300) = 690.
+        ("map = smoothed_l1\nloss = logistic\nreg_lambda = 1e-300", "damped Newton for the minimizer"),
     ],
 )
-def test_run_unusable_steps_or_minimizer_exit_2_without_outputs(tmp_path, capsys, monkeypatch, lines, message):
-    monkeypatch.setattr(sources, "MINIMIZER_STEPS", 100)
+def test_run_unusable_steps_or_minimizer_exit_2_without_outputs(tmp_path, capsys, lines, message):
     conf = tmp_path / "bad.conf"
     conf.write_text(f"T = 64\nn_runs = 10\n{lines}\n")
     assert main(["run", str(conf), "--workers", "1"]) == 2
@@ -543,8 +543,8 @@ def test_fresh_interpreters_cannot_import_scipy(run_fresh):
 
 def test_import_run_and_verify_leave_scipy_unloaded(run_fresh, tmp_path):
     # The Gaussian source takes the chi-square covariance path, logistic the
-    # expit one; logistic under smoothed-l1 finds its minimizer by descent on
-    # the population gradient.
+    # expit one; logistic under smoothed-l1 finds its minimizer by damped Newton
+    # on the population risk.
     confs = []
     for name, overrides in [("gauss", dict(source="gaussian_linear")),
                             ("logit", dict(loss="logistic", reg_lambda=0.1)),
@@ -794,12 +794,10 @@ def fuzzed_keys(draw):
 def test_every_config_ends_in_a_documented_exit_code(keys):
     # Every config ends in 0, 2, 3 or 4 and raises nothing; a RuntimeWarning
     # is an error under the suite's warning filter.  derandomize=True draws
-    # the same configs on every run, so a failure reproduces.  The minimizer's
-    # budget is cut, since a tiny reg_lambda spends all of it before exit 2.
+    # the same configs on every run, so a failure reproduces.
     text = "T = 16\nn_runs = 8\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-    with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch,
+    with (tempfile.TemporaryDirectory() as tmp,
           redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO())):
-        patch.setattr(sources, "MINIMIZER_STEPS", 100)
         conf = Path(tmp) / "fuzz.conf"
         conf.write_text(text)
         assert main(["run", str(conf), "--workers", "1"]) in (0, 2, 3, 4)

@@ -155,6 +155,18 @@ def test_row_gradients_match_per_sample_gradient(loss):
         model.gradient(W[:, :2], X, y)
 
 
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
+def test_row_values_match_per_sample_value(loss):
+    # f_value broadcasts as gradient does, and each row is the point's value bit for bit.
+    rng = np.random.default_rng(31)
+    model = LossModel(loss, lam=0.2)
+    W, X = rng.standard_normal((2, 6, 3))
+    y = rng.uniform(-1.0, 1.0, 6)
+    expected = [loss.value(float(w @ x), yi) + 0.2 * float(w @ w) for w, x, yi in zip(W, X, y)]
+    np.testing.assert_array_equal(model.f_value(W, X, y), expected)
+    np.testing.assert_array_equal(model.f_value(W[0], X, y), [model.f_value(W[0], x, yi) for x, yi in zip(X, y)])
+
+
 def test_gradient_matches_finite_difference_of_f_value():
     rng = np.random.default_rng(13)
     model = LossModel(Logistic(), lam=0.3)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omdkit import sources, verification
+from omdkit.config import ExperimentConfig, build_experiment
 from omdkit.diagnostics import kaczmarz_moments, key_identity_residual, linear_rate_bracket, nonconvergence_floor
 from omdkit.engine import ConstantStep, PolynomialDecay
 from omdkit.geometry import row_inner
@@ -399,6 +401,63 @@ def test_minimizer_rejects_singular_covariance():
 def test_minimizer_rejects_nonconvex_loss():
     with pytest.raises(ValueError, match="non-convex"):
         minimizer(two_atom_source(), LossModel(Sigmoid(), lam=0.1))
+
+
+EPS = np.finfo(np.float64).eps
+# The default config's orthonormal source, with label noise 0 and 1, and the verify
+# suite's identity fixture.
+NEWTON_SOURCES = {
+    "default-noise-0": lambda: build_experiment(ExperimentConfig()).source,
+    "default-noise-1": lambda: build_experiment(ExperimentConfig(source_label_noise=1.0)).source,
+    "identity-fixture": verification._identity_fixture,
+}
+NEWTON_FAILURE = "damped Newton for the minimizer"
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-6])
+@pytest.mark.parametrize("source", sorted(NEWTON_SOURCES))
+@pytest.mark.parametrize("loss", [Logistic(), SquaredHinge(), Huber()], ids=repr)
+def test_minimizer_is_certified_by_strong_convexity(loss, source, lam):
+    # F is 2 lam-strongly convex, so ||w - w_true|| <= ||grad F(w)|| / (2 lam).  A float64
+    # point brings ||grad F|| down only to about eps ||H|| ||w||, as one ulp of w moves it
+    # that much, so the bound reaches 1e-12 relative at lam = 1e-2 but eps / (2 lam) =
+    # 1.1e-10 at lam = 1e-6.
+    src, model = NEWTON_SOURCES[source](), LossModel(loss, lam)
+    w = minimizer(src, model)
+    g = population_gradient(src, model, w)
+    assert np.sqrt(g @ g) / (2.0 * lam) <= max(1e-12, EPS / (2.0 * lam)) * max(1.0, np.abs(w).max())
+
+
+@pytest.mark.parametrize("source", sorted(NEWTON_SOURCES))
+@pytest.mark.parametrize("loss", [Logistic(), SquaredHinge(), Huber()], ids=repr)
+def test_minimizer_at_a_vanishing_regularizer_ends_within_its_step_cap(loss, source, monkeypatch):
+    # At lam = 1e-300 the certificate bounds nothing.  Noiseless logistic data are
+    # separable: each Newton step grows the margins by about 1, and the minimizer's lie
+    # near log(1e300) = 690, so those cases fail by name after 100 steps.  Every other
+    # case ends where ||grad F|| stops falling, at its rounding.  Either way the search
+    # takes one population gradient per step, and one more at the start.
+    src, model = NEWTON_SOURCES[source](), LossModel(loss, 1e-300)
+    calls = []
+    gradient = sources.population_gradient
+    monkeypatch.setattr(sources, "population_gradient", lambda *args: calls.append(1) or gradient(*args))
+    if isinstance(loss, Logistic) and source != "default-noise-1":
+        with pytest.raises(ValueError, match=NEWTON_FAILURE):
+            minimizer(src, model)
+    else:
+        w = minimizer(src, model)
+        g = gradient(src, model, w)
+        assert np.sqrt(g @ g) <= EPS * max(1.0, np.abs(w).max())
+    assert len(calls) <= 101
+
+
+def test_minimizer_with_a_wrong_curvature_fails_by_name(monkeypatch):
+    # phi'' scaled by 1e-6 makes each Newton step about 1e6 times too long, so the line
+    # search cuts it to about a gradient step, and at lam = 1e-6 those stall with
+    # ||grad F|| near 7e-12, far above its rounding.
+    curvature = Logistic.curvature
+    monkeypatch.setattr(Logistic, "curvature", lambda self, a, y: 1e-6 * curvature(self, a, y))
+    with pytest.raises(ValueError, match=NEWTON_FAILURE):
+        minimizer(NEWTON_SOURCES["default-noise-0"](), LossModel(Logistic(), lam=1e-6))
 
 
 # -- gradient-norm expectations ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from omdkit import diagnostics, verification
 from omdkit.geometry import p_norm
+from omdkit.losses import Huber, LeastSquares, Logistic, Sigmoid, SquaredHinge
 from omdkit.mirror_maps import MirrorMap, PNormMap, SmoothedL1Map
 from omdkit.verification import CHECK_NAMES, run_verification
 
@@ -80,6 +81,16 @@ def test_fenchel_polish_closes_the_brute_force_gap():
     best = _local_search(objective, start, np.random.default_rng(0))
     assert best == pytest.approx(formula, rel=1e-12)
     assert best <= formula + 1e-9 * formula
+
+
+def test_fenchel_polish_keeps_a_nan_it_meets():
+    # NaN on half the plane: the polish returns NaN, not the best finite value it saw.
+    from omdkit.verification import _local_search
+
+    def objective(w):
+        return np.where(w[..., 0] > 1.0, np.nan, -(w * w).sum(axis=-1))
+
+    assert np.isnan(_local_search(objective, np.array([1.0, 0.5]), np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("kernel", ["b_p_constant", "omega_p"])
@@ -226,6 +237,8 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
     ("gradient_round_trip", [(PNormMap, "grad_inv"), (SmoothedL1Map, "grad_inv")], 1e-11),
     ("gradient_norm_identity", [(verification, "pnorm_gradient")], 1e-11),
     ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
+    ("loss_gradient_fd", [(loss, "curvature") for loss in (LeastSquares, Logistic, SquaredHinge, Huber)],
+     1e-6),
 ])
 def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, delta, monkeypatch):
     # Each identity holds to rounding on its sweep, so the kernel it checks, scaled by
@@ -255,3 +268,40 @@ def test_lipschitz_check_fails_a_constant_lowered_by_delta(loss, delta, monkeypa
     passed, residual, tolerance = run_check("loss_lipschitz_quotients")
     assert passed is False
     assert residual > tolerance
+
+
+_BREGMAN_READERS = ["strong_convexity", "strong_smoothness", "bregman_sum_identity", "key_identity",
+                    "one_step_distance_contract"]
+
+
+@pytest.mark.parametrize("owner, name, checks", [
+    (SmoothedL1Map, "bregman", _BREGMAN_READERS),
+    (PNormMap, "bregman", _BREGMAN_READERS),
+    (SmoothedL1Map, "grad_inv", ["gradient_round_trip", "key_identity", "one_step_distance_contract"]),
+    (PNormMap, "grad_inv", ["gradient_round_trip", "key_identity", "kaczmarz_equivalence",
+                            "one_step_distance_contract"]),
+    (diagnostics, "pnorm_gradient", ["bregman_duality"]),
+    (verification, "row_inner", ["holder_inequality", "bregman_sum_identity"]),
+    # The other three readers of p_norm hand a NaN norm to a kernel that rejects
+    # it with a ValueError before a residual is formed.
+    (verification, "p_norm", ["holder_inequality", "triangle_inequality", "gradient_norm_identity",
+                              "strong_convexity", "strong_smoothness", "pnorm_bregman_upper",
+                              "incremental_condition", "one_step_distance_contract"]),
+    (verification, "b_p_constant", ["pnorm_lower_control"]),
+    (verification, "omega_p", ["pnorm_lower_control", "omega_continuity_convexity"]),
+    (verification, "cocoercivity_margin", ["cocoercivity_margin"]),
+    (verification, "norm_power_conjugate", ["fenchel_conjugate_bruteforce"]),
+    (verification, "key_identity_residual", ["key_identity"]),
+    (verification, "nonsmoothness_witness", ["nonsmoothness_witness_monotone"]),
+    (verification, "kaczmarz_step", ["kaczmarz_equivalence"]),
+    (Sigmoid, "derivative", ["loss_gradient_fd", "loss_lipschitz_quotients"]),
+    (verification, "mean_gradient_norm", ["zero_variance_gradient"]),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_kernel_returning_nan_fails_every_check_that_reads_it(owner, name, checks, monkeypatch):
+    # A NaN residual compares False with any bound, so each check whose fold keeps it fails.
+    kernel = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, kernel=kernel: kernel(*args) * np.nan)
+    for check in checks:
+        passed, residual, _ = run_check(check)
+        assert passed is False, check
+        assert np.isnan(residual), check

@@ -25,8 +25,13 @@ where every kept run has the same distance, as at t = 1, reads that
 distance with a standard error of 0.  Divergence (iterate norm beyond 1e12)
 freezes a run at its last state and flags it instead of raising; such runs
 stay in the averages unless explicitly excluded.  There is one stepping
-loop: ``run_trajectory`` is a block of one row.  The tests check the engine
-against an exact oracle, ``diagnostics.kaczmarz_moments``.
+loop: ``run_trajectory`` is a block of one row.  A block allocates its
+iterates, dual iterates and gradient once and steps them in place: the loss
+gradient writes into the gradient buffer and a p-norm map's inverse into the
+iterate buffer, through their ``out`` arguments, so a p-norm step allocates
+only per-row temporaries and one scratch stack.  The tests check the engine
+against an exact oracle, ``diagnostics.kaczmarz_moments``, and against an
+out-of-place loop.
 
 The module also resolves the geometry and loss constants that a theorem's
 step-size regime is checked against; the regimes themselves are registered
@@ -83,13 +88,6 @@ BLOCK_BYTES = 5 << 20
 SHARE_STEPS = 500_000
 
 
-def _check_iteration(t: int) -> int:
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"iteration index must be >= 1, got {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """eta_t = c * (scale * (t + shift))^(-theta), a nonincreasing step sequence.
@@ -121,7 +119,10 @@ class StepSchedule:
             raise ValueError(f"the first step overflows or is not positive: {self!r}")
 
     def __call__(self, t: int) -> float:
-        return self.c * (self.scale * (_check_iteration(t) + self.shift)) ** (-self.theta)
+        t = int(t)
+        if t < 1:
+            raise ValueError(f"iteration index must be >= 1, got {t}")
+        return self.c * (self.scale * (t + self.shift)) ** (-self.theta)
 
     @property
     def limit_zero(self) -> bool:
@@ -351,8 +352,10 @@ def _run_block(
         # size is evaluated where it is taken, so nothing here grows with T.
         if not schedule(T - 1) > 0.0:
             raise ValueError("step size must be positive")
+    # Stepped in place; g is also the guard's scratch, and at p = 2 W is dual.
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
+    g = np.empty_like(W)
     live = None  # indices of the rows still stepping, once some row has diverged
     gradient = model.gradient
     grad_inv = mirror.grad_inv
@@ -370,11 +373,14 @@ def _run_block(
                 continue  # every row has diverged, so no more samples are drawn
             x, y = next(steps)
             if live is None:
-                dual = dual - schedule(t) * gradient(W, x, y)
-                W = grad_inv(dual)
-                if np.abs(W).max() <= DIVERGENCE_LIMIT:  # False on NaN as well
+                gradient(W, x, y, g)
+                g *= schedule(t)
+                dual -= g
+                W = grad_inv(dual, W)
+                # argmax, faster than max, finds the largest |entry| or the first NaN.
+                if g.item(np.abs(W, out=g).argmax()) <= DIVERGENCE_LIMIT:  # False on NaN as well
                     continue
-                bad = ~(np.abs(W).max(axis=1) <= DIVERGENCE_LIMIT)
+                bad = ~(g.max(axis=1) <= DIVERGENCE_LIMIT)
                 live = np.arange(B)
             else:
                 dual[live] = dual[live] - schedule(t) * gradient(W[live], x[live], y[live])

@@ -156,18 +156,17 @@ class LossModel:
         """phi(<w, x>, y) + lam ||w||^2 at a point or row-wise on a stack, broadcast as in ``gradient``."""
         return self.loss.value(row_inner(w, x), y) + self.lam * row_inner(w, w)
 
-    def gradient(self, w, x, y) -> np.ndarray:
+    def gradient(self, w, x, y, out=None) -> np.ndarray:
         """phi'(<w, x>, y) x + 2 lam w at a point or row-wise on a stack: w and
         the samples x broadcast along their leading axes, so one point w is
-        shared by every row of a stack x."""
+        shared by every row of a stack x.  Written into ``out``, which must not
+        overlap w, if given.  ``np.vecdot`` is ``row_inner`` without its
+        conversions; it refuses samples of another dimension with a ValueError."""
         w = np.asarray(w, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 1 or w.shape[-1:] != x.shape[-1:]:
-            raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-        a = row_inner(w, x)
-        g = np.asarray(self.loss.derivative(a, y), dtype=np.float64)[..., None] * x
+        g = np.multiply(self.loss.derivative(np.vecdot(w, x), y)[..., None], x, out=out)
         if self.lam:
-            g = g + (2.0 * self.lam) * w
+            g += (2.0 * self.lam) * w
         return g
 
     def smoothness_bound(self, radius: float) -> float:

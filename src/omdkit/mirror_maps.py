@@ -79,13 +79,15 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
     return _pnorm_gradient(np.asarray(w, dtype=np.float64), check_exponent(q))
 
 
-def _pnorm_gradient(w: np.ndarray, q: float) -> np.ndarray:
+def _pnorm_gradient(w: np.ndarray, q: float, out=None) -> np.ndarray:
     """pnorm_gradient of a float64 w without the exponent check, for a map
-    that checked its exponents once, when it was made."""
+    that checked its exponents once, when it was made; written into ``out``,
+    which must not overlap w, if given, except at q = 2, where w is returned."""
     if q == 2.0:
         return w
     a = np.abs(w)
-    g = a ** (q - 1.0)
+    g = np.abs(w, out=out)  # **= below takes the same power as a ** (q - 1) would
+    g **= q - 1.0
     n = _p_norm_of_abs(a, q)
     # A zero row has sign 0 in every coordinate, so any finite scale keeps it
     # at 0, the limit along every ray.  n + (n == 0) puts in 1 for a zero norm
@@ -93,8 +95,8 @@ def _pnorm_gradient(w: np.ndarray, q: float) -> np.ndarray:
     # is libm's; an array's power may differ from it in the last digit.
     scale = (n + (n == 0.0)) ** (2.0 - q)
     # The same three factors as scale * sgn(w) * |w|^{q-1}, in place; the sign
-    # factor is exact, so the order does not move a bit.
-    g *= np.sign(w)
+    # factor is exact, so the order does not move a bit.  The signs go to a.
+    g *= np.sign(w, out=a)
     g *= scale[..., None]
     return g
 
@@ -116,6 +118,9 @@ class MirrorMap:
     """A strongly convex potential with gradient, inverse gradient, and moduli.
 
     ``value``, ``grad``, ``grad_inv`` and ``bregman`` take a point or a stack.
+    ``grad_inv`` may write its result into ``out``, which must not overlap its
+    argument, and returns the result, which need not be ``out``: the identity
+    map (the p-norm potential at p = 2) returns its argument.
     The reference norm is the ``p``-norm, and gradients are measured in its
     dual, the ``dual_p``-norm.  ``strong_convexity`` is the modulus sigma with
     D(t, b) >= (sigma/2) ||t - b||^2 in the reference norm; ``smoothness`` is
@@ -134,7 +139,7 @@ class MirrorMap:
     def grad(self, w) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_inv(self, v) -> np.ndarray:
+    def grad_inv(self, v, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def bregman(self, target, base):
@@ -166,8 +171,8 @@ class PNormMap(MirrorMap):
     def grad(self, w) -> np.ndarray:
         return _pnorm_gradient(np.asarray(w, dtype=np.float64), self.p)
 
-    def grad_inv(self, v) -> np.ndarray:
-        return _pnorm_gradient(np.asarray(v, dtype=np.float64), self.dual_p)
+    def grad_inv(self, v, out=None) -> np.ndarray:
+        return _pnorm_gradient(np.asarray(v, dtype=np.float64), self.dual_p, out)
 
     def bregman(self, target, base):
         return pnorm_bregman(target, base, self.p)
@@ -213,10 +218,10 @@ class SmoothedL1Map(MirrorMap):
         slope = np.where(np.abs(w) <= self.epsilon, w / self.epsilon, np.sign(w))
         return self.lam * slope + w
 
-    def grad_inv(self, v) -> np.ndarray:
+    def grad_inv(self, v, out=None) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         thr = self.lam + self.epsilon
-        return np.where(
+        return np.where(  # a new array: out is not used
             np.abs(v) <= thr,
             v * (self.epsilon / thr),
             v - self.lam * np.sign(v),

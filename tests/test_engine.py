@@ -354,7 +354,7 @@ def test_worker_pool_matches_serial(mirror, monkeypatch):
 class _RaisingMap(EuclideanMap):
     """A map whose inverse gradient raises inside the process that steps the block."""
 
-    def grad_inv(self, V):
+    def grad_inv(self, V, out=None):
         raise RuntimeError("grad_inv failed")
 
 
@@ -568,9 +568,9 @@ def test_streamed_block_draws_as_draw_arrays(kind, chunk, T, d, seed, B):
     seen = []
 
     class RecordingModel(LossModel):
-        def gradient(self, W, X, y):
+        def gradient(self, W, X, y, out=None):
             seen.append((X.copy(), y.copy()))
-            return super().gradient(W, X, y)
+            return super().gradient(W, X, y, out)
 
     src = streamed_source(kind, d)
     args = (EuclideanMap(), RecordingModel(LeastSquares()), src, ConstantStep(0.05), np.zeros(d), T,
@@ -640,6 +640,50 @@ def scalar_values(mirror, model, source, schedule, w1, T, cps, n_runs, base_seed
     return np.array([t.bregman_to_optimum for t in trajs]), [i for i, t in enumerate(trajs) if t.diverged]
 
 
+def loop_block(mirror, model, source, schedule, w1, T, cps, n_runs, base_seed, ref):
+    """The engine's runs by an out-of-place loop that shares none of its code:
+    each run steps a one-row stack over its own ``draw_arrays`` samples,
+    carrying the dual iterate, and stops at the step whose iterate crosses the
+    guard, which it keeps.  Returns the Bregman distances at the checkpoints,
+    the final iterates and the guard-crossing iterate indices (0 if none)."""
+    values, last, diverged_at = [], [], []
+    for i in range(n_runs):
+        X, y = draw_arrays(source, _rng(base_seed + i), T - 1)
+        W, dual = w1[None], mirror.grad(w1)[None]
+        at, row = 0, []
+        for t in range(1, T + 1):
+            if t in cps:
+                row.append(mirror.bregman(ref, W)[0])
+            if t == T or at:
+                continue
+            dual = dual - schedule(t) * model.gradient(W, X[t - 1:t], y[t - 1:t])
+            W = mirror.grad_inv(dual)
+            if not np.abs(W).max() <= engine.DIVERGENCE_LIMIT:
+                at = t + 1
+        values.append(row)
+        last.append(W[0])
+        diverged_at.append(at)
+    return np.array(values), np.array(last), np.array(diverged_at)
+
+
+def assert_engine_is_the_loop(mirror, model, source, schedule, w1, T, cps, n_runs, base_seed, ref):
+    """monte_carlo_curve's values and diverged runs, and a block's final iterates
+    and guard crossings, equal ``loop_block``'s bit for bit."""
+    args = (mirror, model, source, schedule, w1, T, cps)
+    values, last, diverged_at = loop_block(*args, n_runs, base_seed, ref)
+    block = engine._run_block(*args, ref, range(base_seed, base_seed + n_runs))
+    assert block.values.tobytes() == values.tobytes()
+    assert block.last.tobytes() == last.tobytes()
+    np.testing.assert_array_equal(block.diverged_at, diverged_at)
+    diverged = np.flatnonzero(diverged_at).tolist()
+    if len(diverged) <= n_runs - 2:
+        mc = monte_carlo_curve(*args, n_runs=n_runs, base_seed=base_seed, w_star=ref, workers=1,
+                               exclude_diverged=bool(diverged))
+        assert mc.values.tobytes() == values.tobytes()
+        assert mc.diverged_runs == diverged
+    return diverged
+
+
 @pytest.mark.parametrize("source_kind", ["discrete", "gaussian"])
 @pytest.mark.parametrize(
     "model",
@@ -667,6 +711,7 @@ def test_batched_engine_matches_run_trajectory(mirror, model, source_kind):
     expected, expected_diverged = scalar_values(*args, n_runs, base_seed, ref)
     assert mc.diverged_runs == expected_diverged == []
     np.testing.assert_array_equal(mc.values, expected)
+    assert assert_engine_is_the_loop(*args, n_runs, base_seed, ref) == []
 
 
 MIXED_DIVERGENCE = [(EuclideanMap(), 0.5), (PNormMap(1.5), 0.5), (SmoothedL1Map(0.5, 1.0), 0.7)]
@@ -693,6 +738,20 @@ def test_batched_engine_mixed_divergence(mirror, eta, monkeypatch):
     finite = np.isfinite(expected)
     np.testing.assert_array_equal(np.isfinite(mc.values), finite)
     np.testing.assert_array_equal(mc.values[finite], expected[finite])
+    # A frozen row keeps the iterate that crossed the guard, as the loop's run does.
+    assert assert_engine_is_the_loop(*args, n_runs, base_seed, ref) == expected_diverged
+
+
+@pytest.mark.parametrize("mirror", [EuclideanMap(), PNormMap(1.2), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)],
+                         ids=repr)
+@pytest.mark.parametrize("w1", [np.zeros(4), np.array([-0.0, 0.25, -0.5, 0.0])], ids=["zero", "signed-zero"])
+def test_engine_is_the_loop_from_zero_rows_and_signed_zeros(mirror, w1):
+    # From w1 = 0 every row's first dual iterate is a zero row, where a p < 2
+    # gradient takes its n + (n == 0) branch; a -0.0 entry in w1 keeps its sign
+    # in the Euclidean dual iterate.
+    src = eight_atom_source(label_noise=0.5)
+    assert assert_engine_is_the_loop(mirror, LS, src, PolynomialDecay(0.5, 1.0), w1, 64,
+                                     geometric_checkpoints(64), 4, 11, REFERENCE_POINT[4]) == []
 
 
 @pytest.mark.parametrize("mirror, eta", MIXED_DIVERGENCE, ids=lambda v: repr(v))

@@ -155,6 +155,23 @@ def test_row_gradients_match_per_sample_gradient(loss):
         model.gradient(W[:, :2], X, y)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
+def test_gradient_out_form_is_the_allocating_form_bit_for_bit(loss, lam):
+    model = LossModel(loss, lam=lam)
+    rng = np.random.default_rng(43)
+    W, X = rng.standard_normal((2, 8, 3))
+    y = rng.uniform(-1.0, 1.0, 8)
+    W[0], X[1] = 0.0, 0.0  # a zero iterate and a zero sample
+    W[2, 1], X[2, 0], W[3] = -0.0, -0.0, -0.0
+    for args in [(W, X, y), (W[0], X, y), (W[3], X[3], float(y[3]))]:
+        expected = model.gradient(*args)
+        out = np.full_like(expected, np.nan)
+        got = model.gradient(*args, out=out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
 def test_row_values_match_per_sample_value(loss):
     # f_value broadcasts as gradient does, and each row is the point's value bit for bit.

@@ -27,6 +27,22 @@ ALL_MAPS = [
 ]
 
 
+@pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
+def test_grad_inv_out_form_is_the_allocating_form_bit_for_bit(mirror):
+    # Rows at three scales, with a zero row, a row of signed zeros and a -0.0 entry.
+    rng = np.random.default_rng(41)
+    V = rng.standard_normal((9, 4)) * rng.choice([1e-3, 1.0, 30.0], size=(9, 1))
+    V[0] = 0.0
+    V[1] = [-0.0, 0.0, -0.0, 0.0]
+    V[2, 1] = -0.0
+    for v in [V, *V[:3]]:  # the stack, and its first three rows as points
+        before = v.copy()
+        expected = mirror.grad_inv(v)
+        got = mirror.grad_inv(v, out=np.full_like(v, np.nan))
+        assert got.tobytes() == expected.tobytes()
+        assert v.tobytes() == before.tobytes()
+
+
 # -- potential values ---------------------------------------------------------
 
 def test_euclidean_value():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from omdkit import diagnostics, verification
+from omdkit import cli, diagnostics, verification
 from omdkit.geometry import p_norm
 from omdkit.losses import Huber, LeastSquares, Logistic, Sigmoid, SquaredHinge
 from omdkit.mirror_maps import MirrorMap, PNormMap, SmoothedL1Map
@@ -282,11 +282,11 @@ _BREGMAN_READERS = ["strong_convexity", "strong_smoothness", "bregman_sum_identi
                             "one_step_distance_contract"]),
     (diagnostics, "pnorm_gradient", ["bregman_duality"]),
     (verification, "row_inner", ["holder_inequality", "bregman_sum_identity"]),
-    # The other three readers of p_norm hand a NaN norm to a kernel that rejects
-    # it with a ValueError before a residual is formed.
+    # Three readers of p_norm hand its NaN to a kernel that refuses it with a ValueError.
     (verification, "p_norm", ["holder_inequality", "triangle_inequality", "gradient_norm_identity",
                               "strong_convexity", "strong_smoothness", "pnorm_bregman_upper",
-                              "incremental_condition", "one_step_distance_contract"]),
+                              "pnorm_lower_control", "incremental_condition", "cocoercivity_margin",
+                              "fenchel_conjugate_bruteforce", "one_step_distance_contract"]),
     (verification, "b_p_constant", ["pnorm_lower_control"]),
     (verification, "omega_p", ["pnorm_lower_control", "omega_continuity_convexity"]),
     (verification, "cocoercivity_margin", ["cocoercivity_margin"]),
@@ -296,6 +296,8 @@ _BREGMAN_READERS = ["strong_convexity", "strong_smoothness", "bregman_sum_identi
     (verification, "kaczmarz_step", ["kaczmarz_equivalence"]),
     (Sigmoid, "derivative", ["loss_gradient_fd", "loss_lipschitz_quotients"]),
     (verification, "mean_gradient_norm", ["zero_variance_gradient"]),
+    # p_norm refuses the NaN gradient with a ValueError, which fails the row.
+    (verification, "pnorm_gradient", ["gradient_norm_identity"]),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_kernel_returning_nan_fails_every_check_that_reads_it(owner, name, checks, monkeypatch):
     # A NaN residual compares False with any bound, so each check whose fold keeps it fails.
@@ -305,3 +307,30 @@ def test_a_kernel_returning_nan_fails_every_check_that_reads_it(owner, name, che
         passed, residual, _ = run_check(check)
         assert passed is False, check
         assert np.isnan(residual), check
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("pnorm_gradient", ["gradient_norm_identity"]),
+    ("p_norm", ["pnorm_lower_control", "cocoercivity_margin", "fenchel_conjugate_bruteforce"]),
+])
+def test_a_kernel_refusing_a_nan_fails_its_verify_row(name, checks, monkeypatch, capsys):
+    # Each of these checks hands the NaN to a kernel that raises ValueError on
+    # it; omdkit verify prints the row as failed with a NaN residual and exits 1.
+    kernel = getattr(verification, name)
+    monkeypatch.setattr(verification, name, lambda *args, kernel=kernel: kernel(*args) * np.nan)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == CHECK_NAMES
+    for check in checks:
+        assert f"{check},fail,nan" in lines
+
+
+def test_a_check_raising_another_value_error_raises(monkeypatch):
+    # Only a kernel's refusal of a NaN becomes a failing row; a defect such as a
+    # shape mismatch ends omdkit verify with its own message.
+    def mismatch(*args):
+        raise ValueError("dimension mismatch")
+
+    monkeypatch.setattr(verification, "row_inner", mismatch)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        run_check("holder_inequality")

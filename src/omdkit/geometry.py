@@ -130,13 +130,7 @@ def unchecked_p_norm(w: np.ndarray, p: float):
             w = w.ravel(order="K")
             return np.sqrt(w.dot(w))
         return np.sqrt(row_sum(w * w))
-    return _p_norm_of_abs(np.abs(w), p)
-
-
-def _p_norm_of_abs(a: np.ndarray, p: float):
-    """unchecked_p_norm for p != 2 from the entries' absolute values ``a``,
-    which it overwrites with their p-th powers, so that a caller that needs
-    |w| for more than the norm takes it once."""
+    a = np.abs(w)
     a **= p
     s = row_sum(a)
     s **= 1.0 / p

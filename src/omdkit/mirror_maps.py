@@ -24,7 +24,6 @@ import numpy as np
 
 from .geometry import (
     SQUARE_MAX,
-    _p_norm_of_abs,
     as_points,
     as_result,
     check_exponent,
@@ -82,23 +81,25 @@ def pnorm_gradient(w, q: float) -> np.ndarray:
 def _pnorm_gradient(w: np.ndarray, q: float, out=None) -> np.ndarray:
     """pnorm_gradient of a float64 w without the exponent check, for a map
     that checked its exponents once, when it was made; written into ``out``,
-    which must not overlap w, if given, except at q = 2, where w is returned."""
+    which must not overlap w, if given, except at q = 2, where w is returned.
+
+    ||w||_q^{2-q} is (sum_j |w_j|^q)^{(2-q)/q}, one power of the row sums, and
+    |w_j|^q is |w_j| |w_j|^{q-1}, from the power the gradient takes anyway."""
     if q == 2.0:
         return w
-    a = np.abs(w)
     g = np.abs(w, out=out)  # **= below takes the same power as a ** (q - 1) would
     g **= q - 1.0
-    n = _p_norm_of_abs(a, q)
+    a = np.abs(w)
+    a *= g
+    s = row_sum(a)
     # A zero row has sign 0 in every coordinate, so any finite scale keeps it
-    # at 0, the limit along every ray.  n + (n == 0) puts in 1 for a zero norm
-    # and, unlike np.where, keeps a point's norm a numpy scalar, whose power
+    # at 0, the limit along every ray.  s + (s == 0) puts in 1 for a zero sum
+    # and, unlike np.where, keeps a point's sum a numpy scalar, whose power
     # is libm's; an array's power may differ from it in the last digit.
-    scale = (n + (n == 0.0)) ** (2.0 - q)
-    # The same three factors as scale * sgn(w) * |w|^{q-1}, in place; the sign
-    # factor is exact, so the order does not move a bit.  The signs go to a.
-    g *= np.sign(w, out=a)
+    scale = (s + (s == 0.0)) ** ((2.0 - q) / q)
     g *= scale[..., None]
-    return g
+    # The gradient is odd, so w's sign goes on exactly, a -0.0 entry included.
+    return np.copysign(g, w, out=g)
 
 
 def pnorm_bregman(target, base, q: float):

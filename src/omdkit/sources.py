@@ -227,10 +227,13 @@ class GaussianLinearSource:
                 rng.standard_normal(out=flat[:min(flat.size, n * d - s)])
         for c in range(0, n, _NORMAL_CHUNK):
             m = min(_NORMAL_CHUNK, n - c)
-            for r in range(B):
-                features[r].standard_normal(out=normals[r, :m])
-                noises[r].standard_normal(out=noise[r, :m])
-            X, y = self.clip_and_label(normals[:, :m], noise[:, :m])
+            xs, es = normals[:, :m], noise[:, :m]
+            # Iterating the chunk takes each run's rows as views one at a
+            # time, so the block holds no view per run beyond the buffers.
+            for feature, noise_rng, x, e in zip(features, noises, xs, es):
+                feature.standard_normal(out=x)
+                noise_rng.standard_normal(out=e)
+            X, y = self.clip_and_label(xs, es)
             yield from zip(X.swapaxes(0, 1), y.T)
 
 

@@ -239,6 +239,11 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
     ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
     ("loss_gradient_fd", [(loss, "curvature") for loss in (LeastSquares, Logistic, SquaredHinge, Huber)],
      1e-6),
+    # Two inequalities whose sweeps hold no case of equality: the tightest Holder
+    # pair has a relative slack of 2.9e-2, and the p-norm Bregman upper bound one
+    # of 3.5, so only a large delta shows.
+    ("holder_inequality", [(verification, "row_inner")], 1e-1),
+    ("pnorm_bregman_upper", [(verification, "pnorm_bregman")], 1e1),
 ])
 def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, delta, monkeypatch):
     # Each identity holds to rounding on its sweep, so the kernel it checks, scaled by
@@ -250,6 +255,19 @@ def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, de
         monkeypatch.setattr(owner, name,
                             lambda *args, kernel=kernel: kernel(*args) * (1.0 + delta))
     passed, residual, tolerance = run_check(check)
+    assert passed is False
+    assert residual > tolerance
+
+
+def test_triangle_check_fails_a_p_norm_raised_to_1_plus_delta(monkeypatch):
+    # A norm scaled by 1 + delta is still a norm, which no triangle check can
+    # tell apart.  A root off by the factor 1 + delta gives ||x||^(1 + delta),
+    # which is superadditive along a ray; delta = 1e-2 is the smallest power of
+    # ten the check catches (2.4e-3 by bisection).
+    assert run_check("triangle_inequality")[0]
+    kernel = verification.p_norm
+    monkeypatch.setattr(verification, "p_norm", lambda *args: kernel(*args) ** (1.0 + 1e-2))
+    passed, residual, tolerance = run_check("triangle_inequality")
     assert passed is False
     assert residual > tolerance
 

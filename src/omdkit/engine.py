@@ -9,29 +9,29 @@ three config spellings.
 Each Monte Carlo run owns a counter-based random stream keyed by
 ``base_seed + run_index`` and draws its whole sample from it, so extending
 ``n_runs`` reproduces the existing runs exactly.  Runs step in even blocks,
-as few as a byte budget for what each block's sampling holds allows: a
-block advances as one ``(B, d)`` stack, one run per row, through the same
-map and loss kernels a single point takes, and a row's values do not depend
-on which other runs share its block.  The source's ``stream`` method draws
-a block's samples a span of steps at a time and hands them over one step at
-a time, bit for bit those ``draw_arrays`` gives each run's stream, so what a
-block holds does not grow with T: up to 1,517 runs of a discrete source at
-d = 4 fit one block, and 640 of a Gaussian one at d = 3.  A run large
-enough to be worth sharing out, whatever its source, is cut into blocks
-that the workers share evenly.  Worker processes share out whole blocks,
-and only when there are two or more.  A row's values do not depend on its
-block, so the artifacts are identical at any worker count.  A checkpoint
-where every kept run has the same distance, as at t = 1, reads that
-distance with a standard error of 0.  Divergence (iterate norm beyond 1e12)
-freezes a run at its last state and flags it instead of raising; such runs
-stay in the averages unless explicitly excluded.  There is one stepping
-loop: ``run_trajectory`` is a block of one row.  A block allocates its
-iterates, dual iterates and gradient once and steps them in place: the loss
-gradient writes into the gradient buffer and a p-norm map's inverse into the
-iterate buffer, through their ``out`` arguments, so a p-norm step allocates
-only per-row temporaries and one scratch stack.  The tests check the engine
-against an exact oracle, ``diagnostics.kaczmarz_moments``, and against an
-out-of-place loop.
+as few as a byte budget for what each block's sampling holds allows: a block
+advances as one ``(B, d)`` stack, one run per row, through the same map and
+loss kernels a single point takes, and a row's values do not depend on which
+other runs share its block.  The source's ``stream`` method draws a block's
+samples a span of steps at a time and hands them over one step at a time,
+bit for bit those ``draw_arrays`` gives each run's stream, so what a block
+holds does not grow with T: up to 1,517 runs of a discrete source at d = 4
+fit one block, and 640 of a Gaussian one at d = 3.  A run large enough to be
+worth sharing out, whatever its source, is cut into blocks that the workers
+share evenly.  Worker processes share out whole blocks, and only when there
+are two or more.  A row's values do not depend on its block, so the
+artifacts are identical at any worker count.  A checkpoint where every kept
+run has the same distance, as at t = 1, reads that distance with a standard
+error of 0.  Divergence (iterate norm beyond 1e12) flags a run instead of
+raising: the run leaves its block's stacks, keeping the iterate that crossed
+the guard and its distance, and stays in the averages unless explicitly
+excluded.  There is one stepping loop and one step: ``run_trajectory`` is a
+block of one row.  A block allocates its iterates, dual iterates and
+gradient once and steps them in place: the loss gradient writes into the
+gradient buffer and a p-norm map's inverse into the iterate buffer, through
+their ``out`` arguments, so a p-norm step allocates only per-row temporaries
+and one scratch stack.  The tests check the engine against an exact oracle,
+``diagnostics.kaczmarz_moments``, and against an out-of-place loop.
 
 The module also resolves the geometry and loss constants that a theorem's
 step-size regime is checked against; the regimes themselves are registered
@@ -339,8 +339,8 @@ def _run_block(
     Row r draws its whole sample from its own stream, seeded ``seeds[r]``,
     a span of steps at a time, and the kernels act on each row alone, so a
     row's values do not depend on the other rows of its block.  A row whose
-    iterate crosses the divergence guard keeps that iterate and steps no
-    further.
+    iterate crosses the divergence guard leaves the stacks, keeping that
+    iterate and its distance at the checkpoints to come.
     """
     w1, w_star = as_vector(w1), as_vector(w_star)
     B = len(seeds)
@@ -356,7 +356,8 @@ def _run_block(
     W = np.tile(w1, (B, 1))
     dual = np.tile(mirror.grad(w1), (B, 1))
     g = np.empty_like(W)
-    live = None  # indices of the rows still stepping, once some row has diverged
+    last = np.empty_like(W)
+    rows = np.arange(B)  # the block rows still stepping
     gradient = model.gradient
     grad_inv = mirror.grad_inv
     ci = 0
@@ -365,30 +366,29 @@ def _run_block(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if ci < len(cps) and cps[ci] == t:
-                values[:, ci] = mirror.bregman(w_star, W)
+                values[rows, ci] = mirror.bregman(w_star, W)
                 ci += 1
             if t == T:
                 break
-            if live is not None and not live.size:
-                continue  # every row has diverged, so no more samples are drawn
             x, y = next(steps)
-            if live is None:
-                gradient(W, x, y, g)
-                g *= schedule(t)
-                dual -= g
-                W = grad_inv(dual, W)
-                # argmax, faster than max, finds the largest |entry| or the first NaN.
-                if g.item(np.abs(W, out=g).argmax()) <= DIVERGENCE_LIMIT:  # False on NaN as well
-                    continue
-                bad = ~(g.max(axis=1) <= DIVERGENCE_LIMIT)
-                live = np.arange(B)
-            else:
-                dual[live] = dual[live] - schedule(t) * gradient(W[live], x[live], y[live])
-                W[live] = grad_inv(dual[live])
-                bad = ~(np.abs(W[live]).max(axis=1) <= DIVERGENCE_LIMIT)
-            diverged_at[live[bad]] = t + 1
-            live = live[~bad]
-    return _Block(values, W, diverged_at)
+            if len(rows) < B:
+                x, y = x[rows], y[rows]
+            gradient(W, x, y, g)
+            g *= schedule(t)
+            dual -= g
+            W = grad_inv(dual, W)
+            # argmax, faster than max, finds the largest |entry| or the first NaN.
+            if g.item(np.abs(W, out=g).argmax()) <= DIVERGENCE_LIMIT:  # False on NaN as well
+                continue
+            keep = g.max(axis=1) <= DIVERGENCE_LIMIT
+            frozen = rows[~keep]
+            diverged_at[frozen], last[frozen] = t + 1, W[~keep]
+            values[frozen, ci:] = mirror.bregman(w_star, last[frozen])[:, None]
+            rows, W, dual, g = rows[keep], W[keep], dual[keep], g[keep]
+            if not len(rows):
+                break  # every row has diverged, so no more samples are drawn
+    last[rows] = W
+    return _Block(values, last, diverged_at)
 
 
 def monte_carlo_curve(

@@ -754,6 +754,32 @@ def test_engine_is_the_loop_from_zero_rows_and_signed_zeros(mirror, w1):
                                      geometric_checkpoints(64), 4, 11, REFERENCE_POINT[4]) == []
 
 
+class CountedSteps:
+    """A block's stream, counting the steps the engine takes from it with ``next``."""
+
+    def __init__(self, steps):
+        self.steps, self.calls = steps, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.calls += 1
+        return next(self.steps)
+
+
+def counted_stream(monkeypatch, src):
+    """Wrap each stream ``src`` opens in a ``CountedSteps``; returns the list they go into."""
+    opened, stream = [], src.stream
+
+    def counted(seeds, n):
+        opened.append(CountedSteps(stream(seeds, n)))
+        return opened[-1]
+
+    monkeypatch.setattr(src, "stream", counted)
+    return opened
+
+
 @pytest.mark.parametrize("mirror, eta", MIXED_DIVERGENCE, ids=lambda v: repr(v))
 @settings(max_examples=8, deadline=None)
 @given(base_seed=st.integers(0, 10**6))
@@ -763,23 +789,14 @@ def test_block_rows_diverge_like_their_one_row_runs(mirror, eta, base_seed):
     src = mixed_divergence_source()
     ref = np.array([0.3, -0.2])
     args = (mirror, LS, src, ConstantStep(eta), np.zeros(2), T, geometric_checkpoints(T))
-    drawn = []  # the steps each block takes from its stream
-    stream = src.stream
-
-    def counted_stream(seeds, n):
-        drawn.append(0)
-        for step in stream(seeds, n):
-            drawn[-1] += 1
-            yield step
-
     with pytest.MonkeyPatch.context() as mp:
         three_run_blocks(mp, T, src)  # 12 runs make four blocks of 3
-        mp.setattr(src, "stream", counted_stream)
+        opened = counted_stream(mp, src)
         blocks = [engine._run_block(*args, ref, range(base_seed + lo, base_seed + lo + 3))
                   for lo in range(0, n_runs, 3)]
         # A block draws no step after its last row has diverged.
-        assert drawn == [T - 1 if (b.diverged_at == 0).any() else int(b.diverged_at.max()) - 1
-                         for b in blocks]
+        assert [s.calls for s in opened] == [T - 1 if (b.diverged_at == 0).any()
+                                             else int(b.diverged_at.max()) - 1 for b in blocks]
         diverged_at = np.concatenate([block.diverged_at for block in blocks])
         values = np.concatenate([block.values for block in blocks])
         for i in range(n_runs):
@@ -797,6 +814,56 @@ def test_block_rows_diverge_like_their_one_row_runs(mirror, eta, base_seed):
                                exclude_diverged=True)
     assert mc.diverged_runs == flagged
     assert mc.curve.run_count == n_runs - len(flagged)
+
+
+def signed_blow_up_source():
+    # The common atom contracts the first coordinate toward 0; either rare atom
+    # expands the second by |1 - 9 eta| per hit, towards a label of +1 or -1, so
+    # every run crosses the guard, each at its own step and its own iterate.
+    return DiscreteFiniteSource([Sample(np.array([1.0, 0.0]), 0.0), Sample(np.array([0.0, 3.0]), 1.0),
+                                 Sample(np.array([0.0, 3.0]), -1.0)], [0.5, 0.25, 0.25])
+
+
+@pytest.mark.parametrize("mirror, eta", MIXED_DIVERGENCE, ids=lambda v: repr(v))
+def test_a_block_whose_rows_all_diverge_draws_up_to_the_last_crossing(mirror, eta, monkeypatch):
+    # Each row leaves the block's stacks at its own step; the rows left step on
+    # with their own samples, and once the last row leaves, no step is drawn.
+    # At p = 2 the iterate stack is the dual stack, also after a row leaves it.
+    T, cps, ref = 256, geometric_checkpoints(256), np.array([0.3, -0.2])
+    src = signed_blow_up_source()
+    args = (mirror, LS, src, ConstantStep(eta), np.array([0.5, 0.0]), T, cps)
+    values, last, diverged_at = loop_block(*args, 6, 40, ref)
+    opened = counted_stream(monkeypatch, src)
+    block = engine._run_block(*args, ref, range(40, 46))
+    assert (block.diverged_at > 0).all() and len(set(block.diverged_at)) == 6
+    assert [s.calls for s in opened] == [block.diverged_at.max() - 1]
+    np.testing.assert_array_equal(block.diverged_at, diverged_at)
+    assert block.last.tobytes() == last.tobytes()
+    assert block.values.tobytes() == values.tobytes()
+    # From its crossing on, each row reads the distance of the iterate that crossed.
+    for at, row, w in zip(block.diverged_at, block.values, block.last):
+        later = np.asarray(cps) >= at
+        assert later.any()
+        np.testing.assert_array_equal(row[later], mirror.bregman(ref, w[None])[0])
+    assert len(set(block.values[:, -1])) == 6
+
+
+def test_a_trajectory_that_diverges_keeps_its_crossing_iterate(monkeypatch):
+    # A run of one row that crosses the guard draws no step after its crossing and
+    # reads its crossing iterate's distance at each checkpoint from there on.
+    T, cps, ref = 256, geometric_checkpoints(256), np.array([0.3, -0.2])
+    src = signed_blow_up_source()
+    args = (PNormMap(1.5), LS, src, ConstantStep(0.5), np.array([0.5, 0.0]), T, cps)
+    values, last, diverged_at = loop_block(*args, 1, 44, ref)
+    opened = counted_stream(monkeypatch, src)
+    traj = run_trajectory(*args, seed=44, w_star=ref)
+    assert traj.diverged and traj.diverged_at == diverged_at[0] > 0
+    assert [s.calls for s in opened] == [traj.diverged_at - 1]
+    assert traj.final_iterate.tobytes() == last[0].tobytes()
+    assert traj.bregman_to_optimum.tobytes() == values[0].tobytes()
+    later = traj.checkpoints >= traj.diverged_at
+    np.testing.assert_array_equal(traj.bregman_to_optimum[later],
+                                  PNormMap(1.5).bregman(ref, traj.final_iterate))
 
 
 # -- the engine against the exact Kaczmarz oracle -----------------------------------------

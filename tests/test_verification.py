@@ -5,7 +5,7 @@ import pytest
 
 from omdkit import cli, diagnostics, verification
 from omdkit.geometry import p_norm
-from omdkit.losses import Huber, LeastSquares, Logistic, Sigmoid, SquaredHinge
+from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
 from omdkit.mirror_maps import MirrorMap, PNormMap, SmoothedL1Map
 from omdkit.verification import CHECK_NAMES, run_verification
 
@@ -239,24 +239,34 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
     ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
     ("loss_gradient_fd", [(loss, "curvature") for loss in (LeastSquares, Logistic, SquaredHinge, Huber)],
      1e-6),
-    # Two inequalities whose sweeps hold no case of equality: the tightest Holder
-    # pair has a relative slack of 2.9e-2, and the p-norm Bregman upper bound one
-    # of 3.5, so only a large delta shows.
-    ("holder_inequality", [(verification, "row_inner")], 1e-1),
+    # Holder's sweep holds its case of equality, V = pnorm_gradient(W, p).
+    ("holder_inequality", [(verification, "row_inner")], 1e-13),
+    # Least squares with a unit-norm feature meets co-coercivity with equality.
+    ("cocoercivity_margin", [(LossModel, "gradient")], 1e-11),
+    # A minimizer off by 1 + delta leaves a mean gradient of norm about delta.
+    ("zero_variance_gradient", [(verification, "minimizer")], 1e-9),
+    # Three inequalities whose sweeps hold no case of equality, so only a large
+    # delta shows: the p-norm Bregman upper bound has a relative slack of 3.5, the
+    # growth bound ||grad psi(w)|| <= C (1 + ||w||) one of 1 at w = 0 that a large
+    # ||w|| takes up, and the one-step contract an absolute one of 4.6e-3.
     ("pnorm_bregman_upper", [(verification, "pnorm_bregman")], 1e1),
+    ("incremental_condition", [(PNormMap, "grad"), (SmoothedL1Map, "grad")], 1e-3),
+    ("one_step_distance_contract", [(PNormMap, "grad_inv"), (SmoothedL1Map, "grad_inv")], 1e-1),
 ])
 def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, delta, monkeypatch):
     # Each identity holds to rounding on its sweep, so the kernel it checks, scaled by
     # 1 + delta on every map, breaks the row's bound; delta is the smallest power of
-    # ten the check catches.
-    assert run_check(check)[0]
+    # ten the check catches.  The residual crosses the bound from the side the true
+    # kernel's is on: above an upper bound, below a lower one (a margin's).
+    passed, true_residual, _ = run_check(check)
+    assert passed
     for owner, name in kernels:
         kernel = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *args, kernel=kernel: kernel(*args) * (1.0 + delta))
     passed, residual, tolerance = run_check(check)
     assert passed is False
-    assert residual > tolerance
+    assert (residual > tolerance) if true_residual < tolerance else (residual < tolerance)
 
 
 def test_triangle_check_fails_a_p_norm_raised_to_1_plus_delta(monkeypatch):
@@ -268,6 +278,31 @@ def test_triangle_check_fails_a_p_norm_raised_to_1_plus_delta(monkeypatch):
     kernel = verification.p_norm
     monkeypatch.setattr(verification, "p_norm", lambda *args: kernel(*args) ** (1.0 + 1e-2))
     passed, residual, tolerance = run_check("triangle_inequality")
+    assert passed is False
+    assert residual > tolerance
+
+
+def test_witness_check_fails_a_smooth_bregman(monkeypatch):
+    # A positive factor keeps the witness's ratios increasing, so no scaled kernel
+    # fails this check.  The Euclidean Bregman distance in place of the p-norm one
+    # does: its ratio is 1 at every a, so the ratios stop growing.
+    assert run_check("nonsmoothness_witness_monotone")[0]
+    kernel = diagnostics.pnorm_bregman
+    monkeypatch.setattr(diagnostics, "pnorm_bregman", lambda t, b, p: kernel(t, b, 2.0))
+    passed, residual, tolerance = run_check("nonsmoothness_witness_monotone")
+    assert passed is False
+    assert residual <= tolerance
+
+
+def test_omega_check_fails_a_jump_of_1e_11_at_the_branch_switch(monkeypatch):
+    # A positive factor keeps omega_p continuous and convex, so no scaled kernel
+    # fails this check.  An upper branch lifted by 1e-11 breaks both continuity
+    # at u = 1 and the second differences across it.
+    assert run_check("omega_continuity_convexity")[0]
+    kernel = verification.omega_p
+    monkeypatch.setattr(verification, "omega_p",
+                        lambda p, u: kernel(p, u) + 1e-11 * (np.asarray(u) >= 1.0))
+    passed, residual, tolerance = run_check("omega_continuity_convexity")
     assert passed is False
     assert residual > tolerance
 
@@ -315,7 +350,7 @@ _BREGMAN_READERS = ["strong_convexity", "strong_smoothness", "bregman_sum_identi
     (Sigmoid, "derivative", ["loss_gradient_fd", "loss_lipschitz_quotients"]),
     (verification, "mean_gradient_norm", ["zero_variance_gradient"]),
     # p_norm refuses the NaN gradient with a ValueError, which fails the row.
-    (verification, "pnorm_gradient", ["gradient_norm_identity"]),
+    (verification, "pnorm_gradient", ["gradient_norm_identity", "holder_inequality"]),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_kernel_returning_nan_fails_every_check_that_reads_it(owner, name, checks, monkeypatch):
     # A NaN residual compares False with any bound, so each check whose fold keeps it fails.

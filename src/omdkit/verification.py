@@ -8,7 +8,10 @@ writes the bound once: it opens the stream ``_rng(seed)`` for the row's
 offset and returns ``(passed, max_residual, tolerance)``.  Every sweep is
 drawn as stacks, one point or sample per row, each evaluated by one call of
 the library's own kernel; every norm comes from ``geometry``, so no check
-restates a formula it checks.  The checks over the test maps share one
+restates a formula it checks.  A sweep holds one stack at a time (tier-1
+traces each row under 1.25 MiB), so a cold ``omdkit verify`` peaks at
+39.7-39.9 MB of RSS in the benchmark, 41.1 MB when the Kaczmarz and
+Lipschitz sweeps were drawn whole.  The checks over the test maps share one
 sweep, ``_map_sweep``, and the two modulus checks also score each map at
 ``_tight_pairs``, where its modulus is attained.  The Fenchel-conjugate
 check draws ``_DIRECTIONS`` directions per case in one stack, takes the
@@ -59,17 +62,24 @@ class CheckResult(NamedTuple):
         return f"{self.name},{status},{self.max_residual!r}"
 
 
+# The ends of the refusals ``_rule`` scores as a failed row: the geometry
+# kernels' of a NaN, and ``minimizer``'s when damped Newton finds no minimizer.
+_REFUSALS = ("must be finite", "got nan", "or took 100 steps")
+
+
 def _rule(holds):
     """``rule(bound, residual)`` is a row's check, ``(holds(worst, bound), worst,
     bound)`` for ``worst = residual(_rng(seed))``; a fixed grid's residual takes ``_``.
-    A checked kernel that refuses a NaN input with a ``ValueError`` fails the
-    row with a NaN residual; any other ``ValueError`` is a defect, and is raised."""
+    A checked kernel that refuses a NaN input with a ``ValueError``, and
+    ``minimizer`` when damped Newton finds no minimizer (as a defective loss
+    gradient makes it), fail the row with a NaN residual; any other
+    ``ValueError`` is a defect, and is raised."""
     def rule(bound: float, residual):
         def check(seed: int) -> tuple[bool, float, float]:
             try:
                 worst = float(residual(_rng(seed)))
-            except ValueError as error:  # the geometry checks' refusals of a NaN
-                if not str(error).endswith(("must be finite", "got nan")):
+            except ValueError as error:
+                if not str(error).endswith(_REFUSALS):
                     raise
                 return False, np.nan, bound
             return holds(worst, bound), worst, bound
@@ -334,21 +344,34 @@ def _witness_monotone(_):
 
 
 def _kaczmarz(rng):
-    W, X = rng.standard_normal((2, 10_000, 4))
-    y = rng.standard_normal(10_000)
-    eta = rng.uniform(0.01, 1.5, size=(10_000, 1))
-    a = omd_step(EuclideanMap(), LossModel(LeastSquares()), W, X, y, eta)
-    return float(np.abs(a - kaczmarz_step(W, X, y, eta)).max())
+    worst = 0.0
+    for _ in range(10):  # 10,000 samples, drawn and scored as stacks of 1,000
+        W, X = rng.standard_normal((2, 1000, 4))
+        y = rng.standard_normal(1000)
+        eta = rng.uniform(0.01, 1.5, size=(1000, 1))
+        a = omd_step(EuclideanMap(), LossModel(LeastSquares()), W, X, y, eta)
+        worst = np.maximum(worst, float(np.abs(a - kaczmarz_step(W, X, y, eta)).max()))
+    return worst
+
+
+def _off_kinks(a, y):
+    """Where the pair (a, y) is at least 1e-3 from the huber and squared-hinge kinks, at which phi'' jumps."""
+    return (np.abs(np.abs(a - y) - 1.0) >= 1e-3) & (np.abs(a * y - 1.0) >= 1e-3)
 
 
 def _loss_gradients(rng):
+    # Each sweep's stacks are freed before the next draws its own.
+    return np.maximum(_loss_derivatives(rng), _model_gradients(rng))
+
+
+def _loss_derivatives(rng):
     losses = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
     h = 1e-6
     worst = 0.0
-    # (a, y) pairs in the order a draw per pair would give, less those near the huber / hinge
-    # kinks where phi'' jumps; each loss's next 1,000 score phi' and, if convex, phi''.
+    # (a, y) pairs in the order a draw per pair would give, less those near the kinks;
+    # each loss's next 1,000 score phi' and, if convex, phi''.
     A, Y = rng.uniform((-4.0, -1.0), (4.0, 1.0), size=(6000, 2)).T
-    keep = (np.abs(np.abs(A - Y) - 1.0) >= 1e-3) & (np.abs(A * Y - 1.0) >= 1e-3)
+    keep = _off_kinks(A, Y)
     rows = [z[keep][:1000 * len(losses)].reshape(len(losses), 1000) for z in (A, Y)]
     for loss, a, y in zip(losses, *rows):
         pairs = [(loss.value, loss.derivative)] + ([(loss.derivative, loss.curvature)] if loss.convex else [])
@@ -358,14 +381,38 @@ def _loss_gradients(rng):
     return worst
 
 
+def _model_gradients(rng):
+    """The largest gap between ``LossModel.gradient`` and central differences of
+    ``LossModel.f_value`` along each coordinate, for each convex loss at lam = 0
+    and 0.2, which checks the chain rule and the 2 lam w term.  Points whose
+    margin is near a kink are dropped; a step of h |x_j| < 1e-5 keeps the rest off it."""
+    h = 1e-6
+    steps = h * np.concatenate([np.eye(4), -np.eye(4)])  # w + h e_j, then w - h e_j
+    worst = 0.0
+    for loss in (LeastSquares(), Logistic(), SquaredHinge(), Huber()):
+        for lam in (0.0, 0.2):
+            model = LossModel(loss, lam)
+            W, X = rng.standard_normal((2, 100, 4))
+            y = rng.uniform(-1.0, 1.0, size=100)
+            keep = _off_kinks(np.vecdot(W, X), y)
+            W, X, y = W[keep], X[keep], y[keep]
+            # (points, coordinates) differences, with the samples shared along the steps
+            f = model.f_value(W[:, None] + steps, X[:, None], y[:, None])
+            fd = (f[:, :4] - f[:, 4:]) / (2.0 * h)
+            worst = np.maximum(worst, float(np.abs(fd - model.gradient(W, X, y)).max()))
+    return worst
+
+
 def _loss_lipschitz(_):
     losses = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
     a_grid = np.linspace(-6.0, 6.0, 1201)
-    labels = np.linspace(-1.0, 1.0, 21)[:, None]
+    # 21 labels, taken as 7 blocks of 3 rows
+    label_blocks = np.linspace(-1.0, 1.0, 21).reshape(7, 3, 1)
     worst = -np.inf  # max of (quotient - declared constant)
     for loss in losses:
-        quot = np.abs(np.diff(loss.derivative(a_grid, labels))) / np.diff(a_grid)
-        worst = np.maximum(worst, float(quot.max()) - loss.lipschitz)
+        for labels in label_blocks:
+            quot = np.abs(np.diff(loss.derivative(a_grid, labels))) / np.diff(a_grid)
+            worst = np.maximum(worst, float(quot.max()) - loss.lipschitz)
     return worst
 
 

@@ -168,7 +168,7 @@ def test_build_gaussian_experiment():
     )
     exp = build_experiment(cfg)
     assert exp.variance is VarianceRegime.ZERO
-    np.testing.assert_allclose(exp.w_star, [1.0, -0.5], atol=1e-12)
+    np.testing.assert_allclose(exp.w_star, [1.0, -0.5], atol=1e-12, rtol=0)
     noisy = build_experiment(
         ExperimentConfig(
             source="gaussian_linear", source_w_true=(1.0, -0.5), source_noise_sd=0.3,

@@ -138,7 +138,7 @@ def test_a_step_that_underflows_to_zero_is_refused():
 
 def test_omd_step_euclidean_matches_residual_update():
     w = omd_step(EuclideanMap(), LS, np.zeros(2), np.array([1.0, 0.0]), 1.0, 1.0)
-    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15, rtol=0)
 
 
 def test_omd_step_fixed_point_at_zero_gradient():
@@ -147,13 +147,13 @@ def test_omd_step_fixed_point_at_zero_gradient():
     w_star = minimizer(src, LS)
     for x, y in zip(src.X, src.y):
         w = omd_step(PNormMap(1.5), LS, w_star, x, float(y), 0.3)
-        np.testing.assert_allclose(w, w_star, atol=1e-12)
+        np.testing.assert_allclose(w, w_star, atol=1e-12, rtol=0)
 
 
 def test_omd_step_pnorm_single_coordinate_reduction():
     # dual point after the step is (1, 0); the dual-exponent gradient maps it back unchanged
     w = omd_step(PNormMap(1.5), LS, np.zeros(2), np.array([1.0, 0.0]), 1.0, 1.0)
-    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15, rtol=0)
 
 
 def test_omd_step_rejects_nonpositive_eta():
@@ -170,7 +170,7 @@ def test_kaczmarz_equivalence_random_sweep():
         y = float(rng.standard_normal())
         eta = float(rng.uniform(0.01, 1.5))
         np.testing.assert_allclose(
-            omd_step(mirror, LS, w, x, y, eta), kaczmarz_step(w, x, y, eta), atol=1e-15
+            omd_step(mirror, LS, w, x, y, eta), kaczmarz_step(w, x, y, eta), atol=1e-15, rtol=0
         )
 
 

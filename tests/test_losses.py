@@ -59,7 +59,9 @@ def test_huber_derivative_branches():
     assert Huber().derivative(-3.0, 0.0) == -1.0
 
 
-@pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
+# The loss_gradient_fd row catches a phi or phi' scaled by 1 + delta before these
+# 500 pairs do for every loss but the sigmoid: from delta = 4.10e-6 against 4.08e-6.
+@pytest.mark.parametrize("loss", [Sigmoid()], ids=repr)
 def test_derivative_matches_central_difference(loss):
     rng = np.random.default_rng(21)
     h = 1e-6
@@ -82,16 +84,6 @@ def test_declared_lipschitz_constants():
     assert SquaredHinge().lipschitz == 2.0
     assert Huber().lipschitz == 1.0
     assert Sigmoid().lipschitz == pytest.approx(math.sqrt(3.0) / 18.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("loss", ALL_LOSSES, ids=repr)
-def test_difference_quotients_bounded_by_constant(loss):
-    grid = np.linspace(-6.0, 6.0, 1201)
-    ell = loss.lipschitz
-    for y in np.linspace(-1.0, 1.0, 11):
-        der = np.asarray(loss.derivative(grid, float(y)))
-        quotients = np.abs(np.diff(der)) / np.diff(grid)
-        assert quotients.max() <= ell + 1e-8
 
 
 @pytest.mark.parametrize(
@@ -120,7 +112,7 @@ def test_midpoint_convexity(loss):
 def test_sample_gradient_hand_cases():
     model = LossModel(LeastSquares())
     np.testing.assert_allclose(
-        model.gradient(np.zeros(2), np.array([1.0, 0.0]), 1.0), [-1.0, 0.0], atol=1e-15
+        model.gradient(np.zeros(2), np.array([1.0, 0.0]), 1.0), [-1.0, 0.0], atol=1e-15, rtol=0
     )
     # zero feature vector kills the data term
     np.testing.assert_array_equal(
@@ -131,7 +123,7 @@ def test_sample_gradient_hand_cases():
 def test_sample_gradient_with_regularizer():
     model = LossModel(LeastSquares(), lam=1.0)
     g = model.gradient(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
-    np.testing.assert_allclose(g, [2.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(g, [2.0, 0.0], atol=1e-15, rtol=0)
 
 
 def test_sample_gradient_dimension_mismatch():

@@ -17,15 +17,10 @@ from omdkit.mirror_maps import (
     pnorm_gradient,
     tau,
 )
+from omdkit.verification import _maps
 
-ALL_MAPS = [
-    EuclideanMap(),
-    PNormMap(1.2),
-    PNormMap(1.5),
-    PNormMap(2.0),
-    SmoothedL1Map(0.5, 1.0),
-    SmoothedL1Map(0.1, 2.0),
-]
+# The maps that omdkit verify sweeps.
+ALL_MAPS = _maps()
 
 
 @pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
@@ -68,7 +63,7 @@ def test_smoothed_l1_value_linear_branch():
 # -- gradients ------------------------------------------------------------------
 
 def test_pnorm_gradient_single_coordinate_reduces_to_identity():
-    np.testing.assert_allclose(PNormMap(1.5).grad([4.0, 0.0]), [4.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(PNormMap(1.5).grad([4.0, 0.0]), [4.0, 0.0], atol=1e-14, rtol=0)
 
 
 def test_pnorm_gradient_symmetric_point():
@@ -189,12 +184,12 @@ def test_smoothed_l1_value_equals_the_numpy_form_bit_for_bit(mirror):
 
 
 def test_smoothed_l1_gradient_linear_branch():
-    np.testing.assert_allclose(SmoothedL1Map(0.5, 1.0).grad([2.0]), [3.0], atol=1e-15)
+    np.testing.assert_allclose(SmoothedL1Map(0.5, 1.0).grad([2.0]), [3.0], atol=1e-15, rtol=0)
 
 
 def test_smoothed_l1_gradient_quadratic_branch():
     # lam * xi/eps + xi at xi = 0.25
-    np.testing.assert_allclose(SmoothedL1Map(0.5, 1.0).grad([0.25]), [0.75], atol=1e-15)
+    np.testing.assert_allclose(SmoothedL1Map(0.5, 1.0).grad([0.25]), [0.75], atol=1e-15, rtol=0)
 
 
 def test_euclidean_gradient_is_identity():
@@ -207,8 +202,8 @@ def test_euclidean_gradient_is_identity():
 
 def test_smoothed_l1_inverse_round_trip_point():
     m = SmoothedL1Map(0.5, 1.0)
-    np.testing.assert_allclose(m.grad_inv([3.0]), [2.0], atol=1e-15)
-    np.testing.assert_allclose(m.grad(m.grad_inv([3.0])), [3.0], atol=1e-15)
+    np.testing.assert_allclose(m.grad_inv([3.0]), [2.0], atol=1e-15, rtol=0)
+    np.testing.assert_allclose(m.grad(m.grad_inv([3.0])), [3.0], atol=1e-15, rtol=0)
 
 
 def test_smoothed_l1_inverse_continuous_at_threshold():
@@ -219,29 +214,11 @@ def test_smoothed_l1_inverse_continuous_at_threshold():
     assert abs(below[0] - above[0]) < 1e-10
 
 
-@pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
-def test_gradient_round_trip_random(mirror):
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        w = rng.standard_normal(5) * rng.choice([0.05, 1.0, 20.0])
-        back = mirror.grad_inv(mirror.grad(w))
-        np.testing.assert_allclose(back, w, atol=1e-10)
-
-
 def test_pnorm_inverse_uses_dual_exponent():
     m = PNormMap(1.5)
     v = m.grad(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(m.grad_inv(v), [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(m.grad_inv(v), pnorm_gradient(v, 3.0), atol=1e-15)
-
-
-@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
-def test_gradient_norm_identity(p):
-    rng = np.random.default_rng(11)
-    q = dual_exponent(p)
-    for _ in range(1000):
-        w = rng.standard_normal(6) * rng.choice([0.1, 1.0, 10.0])
-        assert abs(p_norm(pnorm_gradient(w, p), q) - p_norm(w, p)) < 1e-10
+    np.testing.assert_allclose(m.grad_inv(v), [1.0, 1.0], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(m.grad_inv(v), pnorm_gradient(v, 3.0), atol=1e-15, rtol=0)
 
 
 # -- Bregman distances ---------------------------------------------------------------
@@ -313,7 +290,9 @@ def test_bregman_dimension_mismatch():
         EuclideanMap().bregman([1.0], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
+# The strong_convexity row catches a Bregman distance or a modulus off by 1 + delta
+# before these 400 pairs do on the other maps; on these three the pairs catch it first.
+@pytest.mark.parametrize("mirror", [EuclideanMap(), PNormMap(2.0), SmoothedL1Map(0.5, 1.0)], ids=repr)
 def test_strong_convexity_lower_bound(mirror):
     rng = np.random.default_rng(3)
     sigma = mirror.strong_convexity
@@ -322,28 +301,6 @@ def test_strong_convexity_lower_bound(mirror):
         v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
         gap = mirror.bregman(w, v) - 0.5 * sigma * p_norm(w - v, mirror.p) ** 2
         assert gap >= -1e-10
-
-
-@pytest.mark.parametrize("mirror", [EuclideanMap(), PNormMap(2.0), SmoothedL1Map(0.5, 1.0)], ids=repr)
-def test_strong_smoothness_upper_bound(mirror):
-    rng = np.random.default_rng(4)
-    L = mirror.smoothness
-    for _ in range(400):
-        w = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
-        v = rng.standard_normal(4) * rng.choice([0.3, 1.0, 3.0])
-        gap = 0.5 * L * p_norm(w - v, mirror.p) ** 2 - mirror.bregman(w, v)
-        assert gap >= -1e-10
-
-
-@pytest.mark.parametrize("mirror", ALL_MAPS, ids=repr)
-def test_bregman_sum_identity(mirror):
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        w = rng.standard_normal(4) * 2.0
-        v = rng.standard_normal(4) * 2.0
-        lhs = mirror.bregman(w, v) + mirror.bregman(v, w)
-        rhs = float((w - v) @ (mirror.grad(w) - mirror.grad(v)))
-        assert abs(lhs - rhs) < 1e-10
 
 
 # -- stacked forms -----------------------------------------------------------------
@@ -437,13 +394,12 @@ def test_omega_rejects_bad_arguments():
         omega_p(1.0, 0.5)
 
 
-def test_omega_convex_nondecreasing_positive():
+def test_omega_positive_and_increasing():
+    # Convexity and continuity at u = 1 are the omega_continuity_convexity row's.
+    u = np.arange(301) / 100.0
     for p in (4.0 / 3.0, 1.5, 2.0):
-        u = np.array([i / 100.0 for i in range(301)])
-        vals = np.array([omega_p(p, x) for x in u])
-        assert (vals[1:] > 0.0).all()
-        assert (np.diff(vals) >= -1e-15).all()
-        assert (np.diff(vals, 2) >= -1e-12).all()
+        vals = omega_p(p, u)
+        assert vals[0] == 0.0 and (np.diff(vals) > 0.0).all()
 
 
 # -- displayed constants ----------------------------------------------------------
@@ -505,31 +461,3 @@ def test_norm_power_conjugate_matches_grid_maximization():
 def test_norm_power_conjugate_rejects_kappa_at_most_one():
     with pytest.raises(ValueError):
         norm_power_conjugate(1.0, [1.0])
-
-
-def test_pnorm_upper_bound_random_sweep():
-    rng = np.random.default_rng(6)
-    from omdkit.mirror_maps import pnorm_bregman
-
-    for p in (1.2, 1.5, 1.9):
-        for _ in range(2000):
-            wt = rng.standard_normal(5) * rng.choice([0.3, 1.0, 3.0])
-            w = wt + rng.standard_normal(5) * rng.choice([0.05, 0.5, 4.0])
-            diff = p_norm(wt - w, p)
-            nt = p_norm(wt, p)
-            coef = (2.0 * nt) ** (2.0 - p) + nt ** (p - 1.0) + 1.0
-            rhs = coef * (diff ** 2 + diff ** min(p, 3.0 - p))
-            assert pnorm_bregman(wt, w, p) <= rhs + 1e-12
-
-
-def test_pnorm_lower_control_random_sweep():
-    rng = np.random.default_rng(9)
-    from omdkit.mirror_maps import pnorm_bregman
-
-    for p in (1.2, 1.5, 1.9):
-        for _ in range(2000):
-            wt = rng.standard_normal(5) * rng.choice([0.3, 1.0, 3.0])
-            w = wt + rng.standard_normal(5) * rng.choice([0.05, 0.5, 4.0])
-            d_val = pnorm_bregman(wt, w, p)
-            bound = b_p_constant(p, p_norm(wt, p)) * omega_p(p, max(d_val, 0.0))
-            assert p_norm(wt - w, p) ** 2 >= bound - 1e-12

@@ -14,19 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 from omdkit.geometry import row_inner
 from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, SquaredHinge
-from omdkit.mirror_maps import (
-    EuclideanMap,
-    PNormMap,
-    SmoothedL1Map,
-    b_p_constant,
-    omega_p,
-    pnorm_bregman,
-    pnorm_gradient,
-    tau,
-)
+from omdkit.mirror_maps import b_p_constant, omega_p, pnorm_bregman, pnorm_gradient, tau
+from omdkit.verification import _maps
 
-MAPS = [EuclideanMap(), PNormMap(1.2), PNormMap(1.5), PNormMap(2.0), SmoothedL1Map(0.5, 1.0),
-        SmoothedL1Map(0.1, 2.0)]
+MAPS = _maps()  # the maps that omdkit verify sweeps
 LOSSES = [LeastSquares(), Logistic(), Sigmoid(), SquaredHinge(), Huber()]
 MODELS = [LossModel(loss, lam=lam) for loss in LOSSES for lam in (0.0, 0.3)]
 SCALES = [1e-100, 1e-10, 1.0, 1e10, 1e100]
@@ -109,6 +100,21 @@ def test_loss_gradient_acts_row_wise(model, data):
     assert_row_wise(lambda R: model.gradient(R[..., :d], R[..., d:2 * d], R[..., 2 * d]), rows)
     with pytest.raises(ValueError, match="mismatch"):
         model.gradient(W, np.column_stack([X, X[:, :1]]), y)
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_loss_kernels_act_entry_wise(loss, data):
+    # phi(a, y), phi' and, if convex, phi'' take numbers or arrays of margins and
+    # labels, entry by entry; a point call takes Python floats.
+    n = data.draw(st.integers(1, 8))
+    a = data.draw(arrays(np.float64, n, elements=UNIT))
+    a *= np.array(data.draw(st.lists(st.sampled_from(SCALES + [2.0]), min_size=n, max_size=n)))
+    y = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    pairs = np.column_stack([a, y])
+    for kernel in [loss.value, loss.derivative] + ([loss.curvature] if loss.convex else []):
+        assert_row_wise(lambda R: kernel(R[:, 0], R[:, 1]) if R.ndim == 2 else kernel(*map(float, R)), pairs)
 
 
 @pytest.mark.parametrize("p", [1.2, 4.0 / 3.0, 1.5, 1.9, 2.0])

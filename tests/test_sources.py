@@ -65,10 +65,10 @@ def test_label_noise_preserves_second_moments():
     w_star = np.array([0.8, -0.45, 0.3, 0.25])
     clean = orthonormal_atom_source(np.eye(4), [0.15, 0.15, 0.1, 0.1], w_star)
     noisy = orthonormal_atom_source(np.eye(4), [0.15, 0.15, 0.1, 0.1], w_star, label_noise=1.0)
-    np.testing.assert_allclose(clean.covariance(), noisy.covariance(), atol=1e-15)
-    np.testing.assert_allclose(clean.mean_xy(), noisy.mean_xy(), atol=1e-15)
+    np.testing.assert_allclose(clean.covariance(), noisy.covariance(), atol=1e-15, rtol=0)
+    np.testing.assert_allclose(clean.mean_xy(), noisy.mean_xy(), atol=1e-15, rtol=0)
     model = LossModel(LeastSquares())
-    np.testing.assert_allclose(minimizer(noisy, model), w_star, atol=1e-12)
+    np.testing.assert_allclose(minimizer(noisy, model), w_star, atol=1e-12, rtol=0)
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_gaussian_covariance_closed_form_matches_monte_carlo():
 def test_population_gradient_hand_case():
     src = two_atom_source()
     g = population_gradient(src, LossModel(LeastSquares()), np.zeros(2))
-    np.testing.assert_allclose(g, [-0.5, -1.0], atol=1e-15)
+    np.testing.assert_allclose(g, [-0.5, -1.0], atol=1e-15, rtol=0)
 
 
 def test_population_gradient_linear_in_regularizer():
@@ -366,13 +366,13 @@ def test_population_gradient_unsupported_combination():
 
 def test_minimizer_two_atom_hand_solution():
     w = minimizer(two_atom_source(), LossModel(LeastSquares()))
-    np.testing.assert_allclose(w, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(w, [1.0, 2.0], atol=1e-12, rtol=0)
 
 
 def test_minimizer_noiseless_gaussian_recovers_target():
     src = GaussianLinearSource(np.array([1.0, -0.5]), noise_sd=0.0, feature_scale=0.5, radius=2.0)
     w = minimizer(src, LossModel(LeastSquares()))
-    np.testing.assert_allclose(w, src.w_true, atol=1e-12)
+    np.testing.assert_allclose(w, src.w_true, atol=1e-12, rtol=0)
 
 
 def test_minimizer_large_regularizer_shrinks_to_zero():

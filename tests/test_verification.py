@@ -93,18 +93,19 @@ def test_fenchel_polish_keeps_a_nan_it_meets():
     assert np.isnan(_local_search(objective, np.array([1.0, 0.5]), np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("kernel", ["b_p_constant", "omega_p"])
+@pytest.mark.parametrize("kernel", ["b_p_constant", "omega_p", "pnorm_bregman"])
 def test_pnorm_lower_control_sees_a_scaled_control(kernel, monkeypatch):
     # The residual is the largest B_p Omega_p(D) / ||w~ - w||_p^2 over the sweep.  No
     # pair pushes it past 2^-(tau_p + 1), 0.198 at p = 1.5 (tau = 4/3), and the sweep's
     # pairs near w~ = 0 reach that, so either control scaled by 5.1 > 1 / 0.198 fails.
+    # So does D scaled by 5.1: those pairs' D is far past 1, where Omega_p is linear.
     from omdkit import verification
 
     passed, ratio, _ = run_check("pnorm_lower_control")
     assert passed
     assert ratio == pytest.approx(0.5 ** (7 / 3), rel=1e-9)
     scaled = getattr(verification, kernel)
-    monkeypatch.setattr(verification, kernel, lambda p, x: 5.1 * scaled(p, x))
+    monkeypatch.setattr(verification, kernel, lambda *args: 5.1 * scaled(*args))
     assert not run_check("pnorm_lower_control")[0]
 
 
@@ -214,13 +215,20 @@ def test_map_modulus_checks_fail_a_modulus_off_by_1e_12(check, modulus, factor, 
     ("PNormMap(p=1.2)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
     ("PNormMap(p=1.5)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
     ("PNormMap(p=1.9)", "strong_convexity", "strong_convexity", 1.0 + 1e-5),
-    ("SmoothedL1Map(epsilon=0.5, lam=1.0)", "strong_smoothness", "smoothness", 1.0 - 1e-10),
-    ("SmoothedL1Map(epsilon=0.1, lam=2.0)", "strong_smoothness", "smoothness", 1.0 - 1e-10),
+    ("SmoothedL1Map(epsilon=0.1, lam=2.0)", "strong_convexity", "strong_convexity", 1.0 + 3e-12),
+    ("SmoothedL1Map(epsilon=0.5, lam=1.0)", "strong_smoothness", "smoothness", 1.0 - 5e-11),
+    ("SmoothedL1Map(epsilon=0.1, lam=2.0)", "strong_smoothness", "smoothness", 1.0 - 5e-11),
+    ("EuclideanMap()", "strong_smoothness", "smoothness", 1.0 - 9e-13),
+    ("PNormMap(p=2.0)", "strong_smoothness", "smoothness", 1.0 - 9e-13),
 ])
 def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, factor, monkeypatch):
     # Each map attains its modulus at its tight pairs: a p-norm map up to a relative
     # O(eps^2), 1e-6 at eps = 1e-3, and a smoothed-l1 map exactly, inside its quadratic
-    # band.  So one map's modulus off by factor fails, the others left true.
+    # band; the Euclidean potential attains both everywhere.  So one map's modulus off
+    # by factor fails, the others left true.  By bisection, the smoothed-l1 maps'
+    # smoothness fails from 1 - 1.34e-11 and 1 - 4.77e-11, the p = 2 maps' from
+    # 1 - 8.71e-13 and 1 - 7.61e-13, and the second smoothed-l1 map's strong
+    # convexity from 1 + 2.12e-12.
     maps = verification._maps
 
     def planted():
@@ -237,15 +245,27 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
 
 
 @pytest.mark.parametrize("check, kernels, delta", [
-    ("bregman_duality", [(diagnostics, "pnorm_gradient")], 1e-12),
+    ("bregman_duality", [(diagnostics, "pnorm_gradient")], 3.15e-13),
     ("key_identity", [(MirrorMap, "bregman"), (PNormMap, "bregman")], 1e-10),
-    ("bregman_sum_identity", [(MirrorMap, "bregman"), (PNormMap, "bregman")], 1e-13),
-    ("gradient_round_trip", [(PNormMap, "grad_inv"), (SmoothedL1Map, "grad_inv")], 1e-11),
-    ("gradient_norm_identity", [(verification, "pnorm_gradient")], 1e-11),
+    ("bregman_sum_identity", [(PNormMap, "bregman")], 1e-13),
+    ("bregman_sum_identity", [(MirrorMap, "bregman")], 2e-13),
+    ("bregman_sum_identity", [(PNormMap, "grad")], 1e-13),
+    *[("gradient_round_trip", [(owner, name)], 1e-11)
+      for owner in (PNormMap, SmoothedL1Map) for name in ("grad", "grad_inv")],
+    ("gradient_norm_identity", [(verification, "pnorm_gradient")], 1.27e-12),
+    ("strong_convexity", [(PNormMap, "bregman")], -1e-12),
+    ("strong_convexity", [(MirrorMap, "bregman")], -3e-12),
+    ("strong_convexity", [(verification, "p_norm")], 1e-12),
+    ("strong_smoothness", [(PNormMap, "bregman")], 9e-13),
+    ("strong_smoothness", [(MirrorMap, "bregman")], 5e-11),
+    ("strong_smoothness", [(verification, "p_norm")], -4.5e-13),
     ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
     ("loss_gradient_fd", [(loss, "curvature") for loss in (LeastSquares, Logistic, SquaredHinge, Huber)],
      1e-6),
     ("loss_gradient_fd", [(LossModel, "gradient")], 1e-7),
+    *[("loss_gradient_fd", [(loss, name)], delta)
+      for loss, delta in [(LeastSquares, 1e-7), (Logistic, 1e-6), (SquaredHinge, 1e-7), (Huber, 5e-7)]
+      for name in ("value", "derivative")],
     # Holder's sweep holds its case of equality, V = pnorm_gradient(W, p).
     ("holder_inequality", [(verification, "row_inner")], 1e-13),
     # Least squares with a unit-norm feature meets co-coercivity with equality.
@@ -256,15 +276,20 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
     # delta shows: the p-norm Bregman upper bound has a relative slack of 3.5, the
     # growth bound ||grad psi(w)|| <= C (1 + ||w||) one of 1 at w = 0 that a large
     # ||w|| takes up, and the one-step contract an absolute one of 4.6e-3.
-    ("pnorm_bregman_upper", [(verification, "pnorm_bregman")], 1e1),
+    ("pnorm_bregman_upper", [(verification, "pnorm_bregman")], 3.6),
+    ("pnorm_bregman_upper", [(verification, "p_norm")], -0.52),
+    ("pnorm_lower_control", [(verification, "p_norm")], -0.6),
     ("incremental_condition", [(PNormMap, "grad"), (SmoothedL1Map, "grad")], 1e-3),
     ("one_step_distance_contract", [(PNormMap, "grad_inv"), (SmoothedL1Map, "grad_inv")], 1e-1),
 ])
 def test_identity_check_fails_a_kernel_scaled_by_1_plus_delta(check, kernels, delta, monkeypatch):
     # Each identity holds to rounding on its sweep, so the kernel it checks, scaled by
     # 1 + delta on every map, breaks the row's bound; delta is the smallest power of
-    # ten the check catches.  The residual crosses the bound from the side the true
-    # kernel's is on: above an upper bound, below a lower one (a margin's).
+    # ten the check catches, or a round delta just above the check's bisected
+    # threshold where a power of ten would be coarser than a point-call sweep of the
+    # same identity.  A negative delta lowers the kernel, which is what breaks a lower
+    # bound on it.  The residual crosses the bound from the side the true kernel's is
+    # on: above an upper bound, below a lower one (a margin's).
     passed, true_residual, _ = run_check(check)
     assert passed
     for owner, name in kernels:
@@ -301,30 +326,44 @@ def test_witness_check_fails_a_smooth_bregman(monkeypatch):
     assert residual <= tolerance
 
 
-def test_omega_check_fails_a_jump_of_1e_11_at_the_branch_switch(monkeypatch):
+@pytest.mark.parametrize("branch", ["upper lifted", "lower scaled"])
+def test_omega_check_fails_a_jump_of_1e_11_at_the_branch_switch(branch, monkeypatch):
     # A positive factor keeps omega_p continuous and convex, so no scaled kernel
-    # fails this check.  An upper branch lifted by 1e-11 breaks both continuity
-    # at u = 1 and the second differences across it.
+    # fails this check.  An upper branch lifted by 1e-11, or a lower one scaled by
+    # 1 + 1e-11, breaks both continuity at u = 1 and the second differences across it.
     assert run_check("omega_continuity_convexity")[0]
     kernel = verification.omega_p
-    monkeypatch.setattr(verification, "omega_p",
-                        lambda p, u: kernel(p, u) + 1e-11 * (np.asarray(u) >= 1.0))
+    if branch == "upper lifted":
+        monkeypatch.setattr(verification, "omega_p",
+                            lambda p, u: kernel(p, u) + 1e-11 * (np.asarray(u) >= 1.0))
+    else:
+        monkeypatch.setattr(verification, "omega_p",
+                            lambda p, u: kernel(p, u) * (1.0 + 1e-11 * (np.asarray(u) < 1.0)))
     passed, residual, tolerance = run_check("omega_continuity_convexity")
     assert passed is False
     assert residual > tolerance
 
 
 @pytest.mark.parametrize("loss, delta", [
+    # The grid attains the constant of the three piecewise-quadratic losses, so delta
+    # is the 1e-8 bound over the constant.
     ("LeastSquares", 1e-8),
-    ("SquaredHinge", 1e-8),
+    ("SquaredHinge", 5.01e-9),
     ("Huber", 1e-8),
-    # The 0.01-spaced grid misses the supremum of these two by 6e-6 to 9e-6, relative.
-    ("Logistic", 1e-5),
-    ("Sigmoid", 1e-5),
+    # The 0.01-spaced grid misses the supremum of these two by 8.37e-6 and 6.20e-6,
+    # relative; delta is that, rounded up.
+    ("Logistic", 8.38e-6),
+    ("Sigmoid", 6.2e-6),
 ])
-def test_lipschitz_check_fails_a_constant_lowered_by_delta(loss, delta, monkeypatch):
+@pytest.mark.parametrize("kernel", ["lipschitz", "derivative"])
+def test_lipschitz_check_fails_a_constant_lowered_or_a_derivative_raised_by_delta(loss, delta, kernel, monkeypatch):
+    # A constant lowered by delta, or a derivative raised by 1 + delta, fails alike.
     cls = getattr(verification, loss)
-    monkeypatch.setattr(cls, "lipschitz", cls.lipschitz * (1.0 - delta))
+    if kernel == "lipschitz":
+        monkeypatch.setattr(cls, "lipschitz", cls.lipschitz * (1.0 - delta))
+    else:
+        derivative = cls.derivative
+        monkeypatch.setattr(cls, "derivative", lambda *args: derivative(*args) * (1.0 + delta))
     passed, residual, tolerance = run_check("loss_lipschitz_quotients")
     assert passed is False
     assert residual > tolerance

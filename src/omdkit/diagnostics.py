@@ -6,6 +6,10 @@ residuals, the non-strong-smoothness witness, and pass/fail verdicts.
 whether it is a violation probe.  ``assert_step_regime`` and
 ``theorem_verdict`` are lookups in that table.
 
+``kaczmarz_moments``, the exact E[D(w*, w_t)] of the Euclidean least-squares
+case, steps the error's mean and second moment as d x d arrays through the
+operators a source returns once (``kaczmarz_operators``), never its atoms.
+
 Verdicts on Monte Carlo curves use 2x standard-error margins: a claim that
 only holds (or only fails) inside the error band is reported Inconclusive
 rather than Fail, since the underlying statements concern exact
@@ -208,33 +212,37 @@ def kaczmarz_moments(
     """The exact E[D(w*, w_t)] at each checkpoint of least-squares OMD under
     the Euclidean map (randomized Kaczmarz) on a discrete source.
 
-    The error e = w - w* takes the affine step e <- M_k e + c_k on atom k, with
-    M_k = (1 - 2 eta lam) I - eta x_k x_k^T, c_k = eta xi_k x_k - 2 eta lam w*
-    and xi_k = y_k - <x_k, w*>.  The mean m and the second moment S = E[e e^T]
-    follow as probability-weighted sums over the atoms, and
-    E[D(w*, w_t)] = (1/2) tr S_t carries no Monte Carlo error.
+    The error e = w - w* takes the affine step e <- a e - eta P e + eta g, with
+    a = 1 - 2 eta lam, P = x x^T, g = xi x - 2 lam w* and xi = y - <x, w*>.
+    The mean m and the second moment S = E[e e^T] step through the source's
+    ``kaczmarz_operators``, read once:
+    m <- a m - eta E[P] m + eta E[g] and
+    S <- a^2 S - a eta (E[P] S + S E[P]) + eta^2 E[P S P] + K + K^T + eta^2 E[g g^T],
+    with K = eta (a m E[g]^T - eta E[P m g^T]); E[D(w*, w_t)] = (1/2) tr S_t
+    carries no Monte Carlo error.
     """
     source = _discrete(source, "the exact Kaczmarz moment recursion")
     if not isinstance(model.loss, LeastSquares):
         raise ValueError("the exact moments need the least-squares loss")
     cps = _checked_checkpoints(checkpoints, int(T))
     w1, w_star = as_vector(w1), as_vector(w_star)
-    X, probs = source.X, source.probs
-    xi = source.y - X @ w_star
-    outer = np.einsum("ki,kj->kij", X, X)
+    C, Eg, PP, PPg, Egg = source.kaczmarz_operators(model.lam, w_star)
+    d = C.shape[0]
+    # Every axis pair of E[P (x) P], and the two x axes of E[x (x) x (x) g], are
+    # symmetric, so a flattened contraction gives E[P S P] and E[P m g^T].
+    PP, PPg = PP.reshape(d * d, d * d), PPg.reshape(d, d * d)
     m = w1 - w_star
     S = np.outer(m, m)
     out = []
     for t in range(1, cps[-1] + 1):
         if t > 1:  # the step with eta_{t-1} that makes iterate t
             eta = float(schedule(t - 1))
-            M = (1.0 - 2.0 * eta * model.lam) * np.eye(X.shape[1]) - eta * outer
-            c = eta * xi[:, None] * X - (2.0 * eta * model.lam) * w_star
-            Mm = M @ m
-            cross = np.einsum("k,ki,kj->ij", probs, Mm, c)
-            S = (np.einsum("k,kij,klj->il", probs, M @ S, M) + cross + cross.T
-                 + np.einsum("k,ki,kj->ij", probs, c, c))
-            m = probs @ (Mm + c)
+            a = 1.0 - 2.0 * eta * model.lam
+            CS = C @ S
+            K = eta * (a * np.outer(m, Eg) - eta * (m @ PPg).reshape(d, d))
+            S = (a * a * S - a * eta * (CS + CS.T) + eta * eta * (PP @ S.reshape(-1)).reshape(d, d)
+                 + K + K.T + eta * eta * Egg)
+            m = a * m - eta * (C @ m) + eta * Eg
         if t in cps:
             out.append(0.5 * np.trace(S))
     return np.array(out)

@@ -10,6 +10,9 @@ integer degrees of freedom, summed in ``_chi2_tails`` from ``math.exp`` and
 ``math.erfc``).  Every other population quantity, damped Newton's minimizer
 included, comes from probability-weighted sums over a discrete source's atoms,
 and ``_discrete`` refuses any other source with a ValueError naming the quantity.
+A discrete source's ``kaczmarz_operators`` are such sums too, taken once: the
+fixed operators of the Euclidean least-squares error step, which the exact
+Kaczmarz moments read at every step in place of the atoms.
 
 Run ``seed`` of a Monte Carlo curve reads the Philox stream ``_rng(seed)`` in
 the layout ``draw_arrays`` defines.  Each source's ``stream`` draws a block
@@ -119,6 +122,20 @@ class DiscreteFiniteSource:
 
     def mean_xy(self) -> np.ndarray:
         return self.X.T @ (self.probs * self.y)
+
+    def kaczmarz_operators(self, lam: float, w_star) -> tuple[np.ndarray, ...]:
+        """The fixed operators of the least-squares error step under the
+        Euclidean map, e <- a e - eta P e + eta g with a = 1 - 2 eta lam,
+        P = x x^T, g = xi x - 2 lam w* and xi = y - <x, w*>:
+        (E[P], E[g], E[P (x) P], E[x (x) x (x) g], E[g g^T]), the third- and
+        fourth-order ones as (d, d, d) and (d, d, d, d) arrays, one axis per
+        factor.  E[P] is ``covariance()``."""
+        w_star = as_vector(w_star)
+        G = (self.y - self.X @ w_star)[:, None] * self.X - (2.0 * lam) * w_star
+        P = self.X[:, :, None] * self.X[:, None, :]
+        pP = self.probs[:, None, None] * P
+        return (self.covariance(), self.probs @ G, np.einsum("kij,klm->ijlm", pP, P),
+                np.einsum("kij,kl->ijl", pP, G), (self.probs[:, None] * G).T @ G)
 
     def _atom_index(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(self._cum, u, side="right")`` exactly, for uniforms

@@ -245,6 +245,29 @@ def brute_force_distances(source, model, schedule, w1, w_star, T):
     return np.array(out)
 
 
+@pytest.mark.parametrize("case", ["four_atoms", "rotated_noisy"])
+def test_kaczmarz_operators_match_a_per_atom_sum(case):
+    if case == "four_atoms":
+        src, lam = four_atom_source(), 0.1
+    else:
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        src = orthonormal_atom_source(q, [0.15, 0.15, 0.1, 0.1], np.array([0.8, -0.45, 0.3, 0.25]),
+                                      label_noise=0.5)
+        lam = 0.05
+    # Off the minimizer, where E[g] does not cancel to rounding.
+    w_star = np.linspace(0.5, -0.7, src.d)
+    C, Eg, PP, PPg, Egg = src.kaczmarz_operators(lam, w_star)
+    assert C.tobytes() == src.covariance().tobytes()
+    sums = [np.zeros(src.d), np.zeros((src.d,) * 4), np.zeros((src.d,) * 3), np.zeros((src.d,) * 2)]
+    for x, y, p in zip(src.X, src.y, src.probs):
+        g = (y - x @ w_star) * x - 2.0 * lam * w_star
+        P = np.outer(x, x)
+        for total, term in zip(sums, [g, np.multiply.outer(P, P), np.multiply.outer(P, g), np.outer(g, g)]):
+            total += p * term
+    for operator, total in zip([Eg, PP, PPg, Egg], sums):
+        np.testing.assert_allclose(operator, total, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("schedule", [ConstantStep(0.3), TheoremRate(0.2)],
                          ids=["ConstantStep(eta=0.3)", "TheoremRate(sigma_f=0.2)"])
 @pytest.mark.parametrize("case", ["four_atoms", "rotated_noisy"])

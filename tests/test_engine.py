@@ -20,7 +20,6 @@ from omdkit.engine import (
     StepSchedule,
     TheoremRate,
     geometric_checkpoints,
-    kaczmarz_step,
     monte_carlo_curve,
     omd_step,
     resolve_constants,
@@ -159,19 +158,6 @@ def test_omd_step_pnorm_single_coordinate_reduction():
 def test_omd_step_rejects_nonpositive_eta():
     with pytest.raises(ValueError):
         omd_step(EuclideanMap(), LS, np.zeros(2), np.array([1.0, 0.0]), 1.0, 0.0)
-
-
-def test_kaczmarz_equivalence_random_sweep():
-    rng = np.random.default_rng(2)
-    mirror = EuclideanMap()
-    for _ in range(2000):
-        w = rng.standard_normal(4)
-        x = rng.standard_normal(4)
-        y = float(rng.standard_normal())
-        eta = float(rng.uniform(0.01, 1.5))
-        np.testing.assert_allclose(
-            omd_step(mirror, LS, w, x, y, eta), kaczmarz_step(w, x, y, eta), atol=1e-15, rtol=0
-        )
 
 
 # -- checkpoints ----------------------------------------------------------------------

@@ -141,14 +141,15 @@ def test_fenchel_check_fails_a_closed_form_off_on_either_side(factor, monkeypatc
 
 # Rows that run after key_identity, whose first LAPACK call sets the process's
 # resident floor, and that would otherwise draw their whole sweep in one stack.
-_STACKED_AFTER_LAPACK = {"kaczmarz_equivalence", "loss_lipschitz_quotients"}
+_STACKED_AFTER_LAPACK = {"kaczmarz_equivalence", "loss_lipschitz_quotients", "one_step_distance_contract"}
 
 
 @pytest.mark.parametrize("check", CHECK_NAMES)
 def test_each_check_holds_one_stack_at_a_time(check):
     # Each sweep holds one stack at a time: the largest, pnorm_lower_control's,
-    # traces 1.10 MiB.  The Kaczmarz sweep draws 10 stacks of 1,000 samples and
-    # the Lipschitz grid takes 7 blocks of 3 labels, about 0.2 MiB each.
+    # traces 1.10 MiB.  The Kaczmarz sweep draws 10 stacks of 1,000 samples, the
+    # Lipschitz grid takes 7 blocks of 3 labels and the one-step contract steps
+    # 250 points at a time, about 0.2 MiB each.
     run_check(check)  # first-call setup outside the count
     tracemalloc.start()
     try:
@@ -260,6 +261,9 @@ def test_map_modulus_checks_fail_one_map_s_modulus_off(mirror, check, modulus, f
     ("strong_smoothness", [(MirrorMap, "bregman")], 5e-11),
     ("strong_smoothness", [(verification, "p_norm")], -4.5e-13),
     ("kaczmarz_equivalence", [(verification, "kaczmarz_step")], 1e-15),
+    # 1 + 1.2e-16 rounds to the float next above 1, the least scaling there is.
+    ("kaczmarz_equivalence", [(verification, "omd_step")], 1.2e-16),
+    ("kaczmarz_equivalence", [(LossModel, "gradient")], 1.2e-16),
     ("loss_gradient_fd", [(loss, "curvature") for loss in (LeastSquares, Logistic, SquaredHinge, Huber)],
      1e-6),
     ("loss_gradient_fd", [(LossModel, "gradient")], 1e-7),

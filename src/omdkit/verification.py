@@ -5,18 +5,28 @@
 counter-based stream and returns only its worst residual or margin over a
 randomized sweep.  The rule, ``_at_most``, ``_at_least`` or ``_above``,
 writes the bound once: it opens the stream ``_rng(seed)`` for the row's
-offset and returns ``(passed, max_residual, tolerance)``.  Every sweep is
-drawn as stacks, one point or sample per row, each evaluated by one call of
-the library's own kernel; every norm comes from ``geometry``, so no check
-restates a formula it checks.  A sweep holds one stack at a time (tier-1
-traces each row under 1.25 MiB), so a cold ``omdkit verify`` peaks at
-39.7-39.9 MB of RSS in the benchmark, 41.1 MB when the Kaczmarz and
-Lipschitz sweeps were drawn whole.  The checks over the test maps share one
-sweep, ``_map_sweep``, and the two modulus checks also score each map at
-``_tight_pairs``, where its modulus is attained.  The Fenchel-conjugate
-check draws ``_DIRECTIONS`` directions per case in one stack, takes the
-best, and polishes it with a numpy local search (``_local_search``), so the
-suite needs numpy alone.  Reports are byte-identical across runs.
+offset and returns ``(passed, max_residual, tolerance)``.
+
+The rows whose identity or modulus the kernels meet up to rounding score
+each point in units of its rounding, residual / (eps S) (``_ulps``), where S
+sums the magnitudes the kernels' arithmetic cancels there, taken from the
+outputs of ``value``, ``grad``, ``row_inner`` and ``p_norm``: a Bregman
+difference cancels psi(t) + psi(b) + <|t - b|, |grad psi(b)|>
+(``_bregman_scale``), and the p = 2 kernel, (1/2) ||t - b||^2, cancels
+nothing, so it adds only its value.  They share one bound, ``_ULPS``, and
+reach at most half of it on their draws, so a kernel off by a relative
+2e-15 to 7e-14 fails its row whatever magnitudes are drawn.
+
+Every sweep is drawn as stacks, one point or sample per row, each evaluated
+by one call of the library's own kernel; every norm comes from
+``geometry``, so no check restates a formula it checks.  A sweep holds one
+stack at a time (tier-1 traces each row under 1.25 MiB).  The checks over
+the test maps share one sweep, ``_map_sweep``, and the two modulus checks
+also score each map at ``_tight_pairs``, where its modulus is attained.
+The Fenchel-conjugate check draws ``_DIRECTIONS`` directions per case in
+one stack, takes the best, and polishes it with a numpy local search
+(``_local_search``), so the suite needs numpy alone.  Reports are
+byte-identical across runs.
 """
 
 import operator
@@ -35,6 +45,7 @@ from .mirror_maps import (
     omega_p,
     pnorm_bregman,
     pnorm_gradient,
+    pnorm_potential,
 )
 from . import sources
 from .sources import DiscreteFiniteSource, Sample, mean_gradient_norm, minimizer, orthonormal_atom_source
@@ -49,6 +60,8 @@ _SEED = 20250801
 _DIRECTIONS = 2_000
 _POLISH_ROUNDS = 30
 _POLISH_POINTS = 300
+# The one bound of the rows scored in units of their rounding (``_ulps``).
+_ULPS = 16.0
 
 
 class CheckResult(NamedTuple):
@@ -104,6 +117,26 @@ def _maps():
         SmoothedL1Map(0.5, 1.0),
         SmoothedL1Map(0.1, 2.0),
     ]
+
+
+def _ulps(residual, scale):
+    """``residual`` in units of the rounding of magnitudes ``scale``: residual / (eps scale)."""
+    return residual / (np.finfo(np.float64).eps * scale)
+
+
+def _pnorm_bregman_scale(T, B, q):
+    """The magnitudes ``pnorm_bregman(T, B, q)`` cancels: psi(T) + psi(B) + <|T - B|, |grad psi(B)|>
+    for the generic difference; at q = 2 it cancels nothing, so its scale is its value."""
+    if q == 2.0:
+        return pnorm_bregman(T, B, q)
+    return pnorm_potential(T, q) + pnorm_potential(B, q) + row_inner(np.abs(T - B), np.abs(pnorm_gradient(B, q)))
+
+
+def _bregman_scale(mirror, T, B):
+    """The magnitudes ``mirror.bregman(T, B)`` cancels."""
+    if isinstance(mirror, PNormMap):
+        return _pnorm_bregman_scale(T, B, mirror.p)
+    return mirror.value(T) + mirror.value(B) + row_inner(np.abs(T - B), np.abs(mirror.grad(B)))
 
 
 def _scaled(rng, n, d, scales):
@@ -165,44 +198,56 @@ def _triangle(rng):
 
 
 def _round_trip(rng):
-    return _map_sweep(rng, _maps(), 1, 1000, [0.05, 1.0, 20.0],
-                      lambda mirror, W: np.abs(mirror.grad_inv(mirror.grad(W)) - W))
+    def ulps(mirror, W):
+        # grad_inv cancels the gradient's entries, and its p-norm powers carry their rounding.
+        G = mirror.grad(W)
+        scale = np.abs(W).max(axis=-1) + np.abs(G).max(axis=-1)
+        return _ulps(np.abs(mirror.grad_inv(G) - W).max(axis=-1), scale)
+    return _map_sweep(rng, _maps(), 1, 1000, [0.05, 1.0, 20.0], ulps)
 
 
 def _gradient_norm_identity(rng):
     worst = 0.0
     for p in (1.2, 1.5, 1.9):
         W = _scaled(rng, 1000, 6, [0.1, 1.0, 10.0])
-        resid = np.abs(p_norm(pnorm_gradient(W, p), dual_exponent(p)) - p_norm(W, p))
-        worst = np.maximum(worst, float(resid.max()))
+        norm = p_norm(W, p)
+        resid = np.abs(p_norm(pnorm_gradient(W, p), dual_exponent(p)) - norm)
+        worst = np.maximum(worst, float(_ulps(resid, norm).max()))
     return worst
 
 
+def _modulus_gap(modulus, sign):
+    """The violation of D >= (sigma/2) ||diff||^2 (sign 1) or D <= (L/2) ||diff||^2 (sign -1), in ulps."""
+    def ulps(mirror, W, V):
+        quad = 0.5 * getattr(mirror, modulus) * p_norm(W - V, mirror.p) ** 2
+        return _ulps(sign * (quad - mirror.bregman(W, V)), quad + _bregman_scale(mirror, W, V))
+    return ulps
+
+
 def _strong_convexity(rng):
-    def gap(mirror, W, V):  # violation of D >= (sigma/2) ||diff||^2
-        return 0.5 * mirror.strong_convexity * p_norm(W - V, mirror.p) ** 2 - mirror.bregman(W, V)
-    return _map_sweep(rng, _maps(), 2, 500, [0.3, 1.0, 3.0], gap, tight=True)
+    return _map_sweep(rng, _maps(), 2, 500, [0.3, 1.0, 3.0], _modulus_gap("strong_convexity", 1.0), tight=True)
 
 
 def _strong_smoothness(rng):
-    def gap(mirror, W, V):  # violation of D <= (L/2) ||diff||^2
-        return mirror.bregman(W, V) - 0.5 * mirror.smoothness * p_norm(W - V, mirror.p) ** 2
     smooth = [mirror for mirror in _maps() if mirror.smoothness is not None]
-    return _map_sweep(rng, smooth, 2, 500, [0.3, 1.0, 3.0], gap, tight=True)
+    return _map_sweep(rng, smooth, 2, 500, [0.3, 1.0, 3.0], _modulus_gap("smoothness", -1.0), tight=True)
 
 
 def _bregman_sum(rng):
-    def gap(mirror, W, V):
+    def ulps(mirror, W, V):
+        inner = row_inner(W - V, mirror.grad(W) - mirror.grad(V))
         lhs = mirror.bregman(W, V) + mirror.bregman(V, W)
-        return np.abs(lhs - row_inner(W - V, mirror.grad(W) - mirror.grad(V)))
-    return _map_sweep(rng, _maps(), 2, 500, [0.3, 1.0, 5.0], gap)
+        return _ulps(np.abs(lhs - inner), _bregman_scale(mirror, W, V) + _bregman_scale(mirror, V, W) + np.abs(inner))
+    return _map_sweep(rng, _maps(), 2, 500, [0.3, 1.0, 5.0], ulps)
 
 
 def _bregman_duality(rng):
     worst = 0.0
     for p in (1.2, 1.5, 2.0):
         W, V = rng.uniform(-10.0, 10.0, size=(2, 1000, 6))
-        worst = np.maximum(worst, float(duality_residual(p, W, V).max()))
+        dual = (pnorm_gradient(V, p), pnorm_gradient(W, p))
+        scale = _pnorm_bregman_scale(W, V, p) + _pnorm_bregman_scale(*dual, dual_exponent(p))
+        worst = np.maximum(worst, float(_ulps(duality_residual(p, W, V), scale).max()))
     return worst
 
 
@@ -266,7 +311,11 @@ def _cocoercivity(rng):
         y = rng.uniform(-1.0, 1.0, size=2500)
         W, V = rng.standard_normal((2, 2500, 4)) * 2.0
         L = model.smoothness_bound(1.0)
-        worst = np.minimum(worst, float(cocoercivity_margin(model, Sample(X, y), W, V, L).min()))
+        margin = cocoercivity_margin(model, Sample(X, y), W, V, L)
+        # The margin cancels <|w - v|, G> and ||G||^2 / L, G the gradients' entries' magnitudes.
+        G = np.abs(model.gradient(W, X, y)) + np.abs(model.gradient(V, X, y))
+        scale = row_inner(np.abs(W - V), G) + p_norm(G, 2.0) ** 2 / L
+        worst = np.minimum(worst, float(_ulps(margin, scale).min()))
     return worst
 
 
@@ -332,12 +381,20 @@ def _key_identity(rng):
         (EuclideanMap(), LossModel(LeastSquares())),
         (PNormMap(1.5), LossModel(LeastSquares())),
         (SmoothedL1Map(0.5, 1.0), LossModel(Logistic(), lam=0.1)),
+        (SmoothedL1Map(0.5, 1.0), LossModel(LeastSquares())),
     ]
     for mirror, model in configs:
         w_star = minimizer(source, model)
         W = _scaled(rng, 100, 3, [0.5, 2.0])
         etas = rng.choice([0.05, 0.5], size=100)
-        worst = np.maximum(worst, float(key_identity_residual(mirror, model, source, W, etas, w_star).max()))
+        resid = key_identity_residual(mirror, model, source, W, etas, w_star)
+        # The identity cancels its three Bregman distances and eta <w* - w, grad F(w)>.
+        atoms = W[:, None, :]  # each point against every atom
+        W_next = omd_step(mirror, model, atoms, source.X, source.y, etas[:, None, None])
+        grad_f = source.probs @ model.gradient(atoms, source.X, source.y)
+        scale = ((_bregman_scale(mirror, w_star, W_next) + _bregman_scale(mirror, atoms, W_next)) @ source.probs
+                 + _bregman_scale(mirror, w_star, W) + etas * row_inner(np.abs(w_star - W), np.abs(grad_f)))
+        worst = np.maximum(worst, float(_ulps(resid, scale).max()))
     return worst
 
 
@@ -471,18 +528,18 @@ def _mean_gradient_zero(_):
 CHECKS: list[tuple[str, Callable[[int], tuple[bool, float, float]]]] = [
     ("holder_inequality", _at_most(1e-12, _holder)),
     ("triangle_inequality", _at_most(1e-12, _triangle)),
-    ("gradient_round_trip", _at_most(1e-10, _round_trip)),
-    ("gradient_norm_identity", _at_most(1e-10, _gradient_norm_identity)),
-    ("strong_convexity", _at_most(1e-10, _strong_convexity)),
-    ("strong_smoothness", _at_most(1e-10, _strong_smoothness)),
-    ("bregman_sum_identity", _at_most(1e-10, _bregman_sum)),
-    ("bregman_duality", _at_most(1e-9, _bregman_duality)),
+    ("gradient_round_trip", _at_most(_ULPS, _round_trip)),
+    ("gradient_norm_identity", _at_most(_ULPS, _gradient_norm_identity)),
+    ("strong_convexity", _at_most(_ULPS, _strong_convexity)),
+    ("strong_smoothness", _at_most(_ULPS, _strong_smoothness)),
+    ("bregman_sum_identity", _at_most(_ULPS, _bregman_sum)),
+    ("bregman_duality", _at_most(_ULPS, _bregman_duality)),
     ("pnorm_bregman_upper", _at_most(1e-12, _pnorm_upper)),
     ("pnorm_lower_control", _at_most(1.0 + 1e-12, _pnorm_lower_control)),
     ("incremental_condition", _at_most(1e-8, _incremental)),
-    ("cocoercivity_margin", _at_least(-1e-10, _cocoercivity)),
+    ("cocoercivity_margin", _at_least(-_ULPS, _cocoercivity)),
     ("fenchel_conjugate_bruteforce", _at_most(1e-9, _fenchel_conjugate)),
-    ("key_identity", _at_most(1e-10, _key_identity)),
+    ("key_identity", _at_most(_ULPS, _key_identity)),
     ("nonsmoothness_witness_monotone", _above(0.0, _witness_monotone)),
     ("kaczmarz_equivalence", _at_most(1e-15, _kaczmarz)),
     ("loss_gradient_fd", _at_most(1e-6, _loss_gradients)),

@@ -187,6 +187,13 @@ def key_identity_residual(
     ``w_t`` may be a stack of points, with ``eta`` one step or one per row;
     each row takes one stacked step over all atoms.
     """
+    return as_result(_key_identity_with_step(mirror, model, source, w_t, eta, w_star)[0])
+
+
+def _key_identity_with_step(mirror, model, source, w_t, eta, w_star):
+    """``key_identity_residual`` with the step it took, for a scale of its
+    rounding: the residual, the steps W_next from each point to every atom,
+    and grad F(w)."""
     source = _discrete(source, "the exact one-step identity")
     w_t = as_points(w_t)
     w_star = minimizer(source, model) if w_star is None else as_vector(w_star)
@@ -197,7 +204,7 @@ def key_identity_residual(
     e_move = mirror.bregman(W, W_next) @ source.probs
     grad_f = source.probs @ model.gradient(W, source.X, source.y)
     rhs = eta * row_inner(w_star - w_t, grad_f) + e_move
-    return as_result(abs(e_next - mirror.bregman(w_star, w_t) - rhs))
+    return abs(e_next - mirror.bregman(w_star, w_t) - rhs), W_next, grad_f
 
 
 def kaczmarz_moments(

@@ -18,6 +18,8 @@ control functions ``omega_p`` and ``b_p_constant`` take a number, giving a
 Python float, or an array, taken entry by entry.  The Bregman distance is
 value(t) - value(b) - <t - b, grad(b)>, which cancels near t = b; at
 exponent 2 ``pnorm_bregman`` computes it as (1/2) ||t - b||^2 instead.
+A map's ``bregman_scale`` sums the magnitudes its distance cancels, so
+the distance's rounding error is a few eps times it.
 """
 
 import numpy as np
@@ -113,12 +115,28 @@ def pnorm_bregman(target, base, q: float):
     return _bregman(lambda w: pnorm_potential(w, q), lambda w: pnorm_gradient(w, q), target, base)
 
 
+def _bregman_scale(value, grad, target, base):
+    """The magnitudes ``_bregman(value, grad, target, base)`` cancels, whose
+    rounding bounds its error: value(t) + value(b) + <|t - b|, |grad(b)|>."""
+    t, b = _bregman_pair(target, base)
+    return as_result(value(t) + value(b) + row_inner(np.abs(t - b), np.abs(grad(b))))
+
+
+def _pnorm_bregman_scale(target, base, q: float):
+    """The magnitudes ``pnorm_bregman(target, base, q)`` cancels; at q = 2 it
+    cancels nothing, so its scale is its value."""
+    if check_exponent(q) == 2.0:
+        return pnorm_bregman(target, base, q)
+    return _bregman_scale(lambda w: pnorm_potential(w, q), lambda w: pnorm_gradient(w, q), target, base)
+
+
 # -- mirror maps --------------------------------------------------------------
 
 class MirrorMap:
     """A strongly convex potential with gradient, inverse gradient, and moduli.
 
-    ``value``, ``grad``, ``grad_inv`` and ``bregman`` take a point or a stack.
+    ``value``, ``grad``, ``grad_inv``, ``bregman`` and ``bregman_scale`` take
+    a point or a stack.
     ``grad_inv`` may write its result into ``out``, which must not overlap its
     argument, and returns the result, which need not be ``out``: the identity
     map (the p-norm potential at p = 2) returns its argument.
@@ -146,6 +164,10 @@ class MirrorMap:
     def bregman(self, target, base):
         """D(target, base) = value(target) - value(base) - <target - base, grad(base)>."""
         return _bregman(self.value, self.grad, target, base)
+
+    def bregman_scale(self, target, base):
+        """The magnitudes ``bregman(target, base)`` cancels: its error is a few eps times this."""
+        return _bregman_scale(self.value, self.grad, target, base)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -177,6 +199,9 @@ class PNormMap(MirrorMap):
 
     def bregman(self, target, base):
         return pnorm_bregman(target, base, self.p)
+
+    def bregman_scale(self, target, base):
+        return _pnorm_bregman_scale(target, base, self.p)
 
     def __repr__(self) -> str:
         return f"PNormMap(p={self.p!r})"

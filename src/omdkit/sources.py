@@ -209,9 +209,8 @@ class GaussianLinearSource:
         """The samples (X, y) that standard normals make: feature rows ``normals``
         (last axis of length d, any leading axes) and label noise ``noise`` (the
         leading axes alone).  Each row is clipped and labelled on its own, so a
-        row's values do not depend on the shape of the stack it comes in.  The
-        samples are C-ordered whatever the layout of ``normals``."""
-        X = np.multiply(self.feature_scale, normals, order="C")
+        row's values do not depend on the shape of the stack it comes in."""
+        X = self.feature_scale * normals
         norms = np.sqrt(row_sum(X * X))
         X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
         return X, row_inner(X, self.w_true) + self.noise_sd * noise
@@ -251,9 +250,8 @@ class GaussianLinearSource:
             for feature, noise_rng, x, e in zip(features, noises, xs, es):
                 feature.standard_normal(out=x)
                 noise_rng.standard_normal(out=e)
-            # Step-major samples: each step's (B, d) and (B,) rows are contiguous.
-            X, y = self.clip_and_label(xs.swapaxes(0, 1), es.T)
-            yield from zip(X, y)
+            X, y = self.clip_and_label(xs, es)
+            yield from zip(X.swapaxes(0, 1), y.T)
 
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource

@@ -11,8 +11,8 @@ The rows whose identity or modulus the kernels meet up to rounding score
 each point in units of its rounding, residual / (eps S) (``_ulps``), where S
 sums the magnitudes the kernels' arithmetic cancels there, taken from the
 outputs of ``value``, ``grad``, ``row_inner`` and ``p_norm``: a Bregman
-difference cancels psi(t) + psi(b) + <|t - b|, |grad psi(b)|>
-(``_bregman_scale``), and the p = 2 kernel, (1/2) ||t - b||^2, cancels
+difference cancels psi(t) + psi(b) + <|t - b|, |grad psi(b)|> (the map's
+``bregman_scale``), and the p = 2 kernel, (1/2) ||t - b||^2, cancels
 nothing, so it adds only its value.  They share one bound, ``_ULPS``, and
 reach at most half of it on their draws, so a kernel off by a relative
 2e-15 to 7e-14 fails its row whatever magnitudes are drawn.
@@ -40,17 +40,17 @@ from .mirror_maps import (
     EuclideanMap,
     PNormMap,
     SmoothedL1Map,
+    _pnorm_bregman_scale,
     b_p_constant,
     norm_power_conjugate,
     omega_p,
     pnorm_bregman,
     pnorm_gradient,
-    pnorm_potential,
 )
 from . import sources
 from .sources import DiscreteFiniteSource, Sample, mean_gradient_norm, minimizer, orthonormal_atom_source
 from .engine import kaczmarz_step, omd_step
-from .diagnostics import cocoercivity_margin, duality_residual, key_identity_residual, nonsmoothness_witness
+from .diagnostics import _key_identity_with_step, cocoercivity_margin, duality_residual, nonsmoothness_witness
 
 __all__ = ["CheckResult", "run_verification", "CHECK_NAMES"]
 
@@ -122,21 +122,6 @@ def _maps():
 def _ulps(residual, scale):
     """``residual`` in units of the rounding of magnitudes ``scale``: residual / (eps scale)."""
     return residual / (np.finfo(np.float64).eps * scale)
-
-
-def _pnorm_bregman_scale(T, B, q):
-    """The magnitudes ``pnorm_bregman(T, B, q)`` cancels: psi(T) + psi(B) + <|T - B|, |grad psi(B)|>
-    for the generic difference; at q = 2 it cancels nothing, so its scale is its value."""
-    if q == 2.0:
-        return pnorm_bregman(T, B, q)
-    return pnorm_potential(T, q) + pnorm_potential(B, q) + row_inner(np.abs(T - B), np.abs(pnorm_gradient(B, q)))
-
-
-def _bregman_scale(mirror, T, B):
-    """The magnitudes ``mirror.bregman(T, B)`` cancels."""
-    if isinstance(mirror, PNormMap):
-        return _pnorm_bregman_scale(T, B, mirror.p)
-    return mirror.value(T) + mirror.value(B) + row_inner(np.abs(T - B), np.abs(mirror.grad(B)))
 
 
 def _scaled(rng, n, d, scales):
@@ -220,7 +205,7 @@ def _modulus_gap(modulus, sign):
     """The violation of D >= (sigma/2) ||diff||^2 (sign 1) or D <= (L/2) ||diff||^2 (sign -1), in ulps."""
     def ulps(mirror, W, V):
         quad = 0.5 * getattr(mirror, modulus) * p_norm(W - V, mirror.p) ** 2
-        return _ulps(sign * (quad - mirror.bregman(W, V)), quad + _bregman_scale(mirror, W, V))
+        return _ulps(sign * (quad - mirror.bregman(W, V)), quad + mirror.bregman_scale(W, V))
     return ulps
 
 
@@ -237,7 +222,7 @@ def _bregman_sum(rng):
     def ulps(mirror, W, V):
         inner = row_inner(W - V, mirror.grad(W) - mirror.grad(V))
         lhs = mirror.bregman(W, V) + mirror.bregman(V, W)
-        return _ulps(np.abs(lhs - inner), _bregman_scale(mirror, W, V) + _bregman_scale(mirror, V, W) + np.abs(inner))
+        return _ulps(np.abs(lhs - inner), mirror.bregman_scale(W, V) + mirror.bregman_scale(V, W) + np.abs(inner))
     return _map_sweep(rng, _maps(), 2, 500, [0.3, 1.0, 5.0], ulps)
 
 
@@ -387,13 +372,10 @@ def _key_identity(rng):
         w_star = minimizer(source, model)
         W = _scaled(rng, 100, 3, [0.5, 2.0])
         etas = rng.choice([0.05, 0.5], size=100)
-        resid = key_identity_residual(mirror, model, source, W, etas, w_star)
+        resid, W_next, grad_f = _key_identity_with_step(mirror, model, source, W, etas, w_star)
         # The identity cancels its three Bregman distances and eta <w* - w, grad F(w)>.
-        atoms = W[:, None, :]  # each point against every atom
-        W_next = omd_step(mirror, model, atoms, source.X, source.y, etas[:, None, None])
-        grad_f = source.probs @ model.gradient(atoms, source.X, source.y)
-        scale = ((_bregman_scale(mirror, w_star, W_next) + _bregman_scale(mirror, atoms, W_next)) @ source.probs
-                 + _bregman_scale(mirror, w_star, W) + etas * row_inner(np.abs(w_star - W), np.abs(grad_f)))
+        scale = ((mirror.bregman_scale(w_star, W_next) + mirror.bregman_scale(W[:, None, :], W_next)) @ source.probs
+                 + mirror.bregman_scale(w_star, W) + etas * row_inner(np.abs(w_star - W), np.abs(grad_f)))
         worst = np.maximum(worst, float(_ulps(resid, scale).max()))
     return worst
 

@@ -9,6 +9,21 @@ from omdkit.losses import Huber, LeastSquares, Logistic, LossModel, Sigmoid, Squ
 from omdkit.mirror_maps import MirrorMap, PNormMap, SmoothedL1Map
 from omdkit.verification import CHECK_NAMES, run_verification
 
+IDENTITY_CHECKS = {
+    "key_identity",
+    "bregman_duality",
+    "bregman_sum_identity",
+    "gradient_norm_identity",
+    "pnorm_bregman_upper",
+    "pnorm_lower_control",
+    "cocoercivity_margin",
+    "fenchel_conjugate_bruteforce",
+    "nonsmoothness_witness_monotone",
+    "kaczmarz_equivalence",
+    "omega_continuity_convexity",
+}
+
+
 @pytest.fixture(scope="module")
 def results():
     return run_verification()
@@ -22,6 +37,12 @@ def run_check(name):
 def test_suite_is_green(results):
     failures = [r.name for r in results if not r.passed]
     assert failures == []
+
+
+def test_suite_covers_the_identity_checks(results):
+    names = {r.name for r in results}
+    assert IDENTITY_CHECKS <= names
+    assert len(names) >= 9
 
 
 @pytest.mark.parametrize("check", ["gradient_round_trip", "gradient_norm_identity", "strong_convexity",
@@ -179,6 +200,28 @@ def test_fenchel_sweep_starts_the_polish_where_one_draw_of_all_directions_would(
         j = int(np.nan_to_num(vals, nan=0.0, posinf=0.0).argmax())
         r0 = (s[j] / norms_p[j] ** kappa) ** (1.0 / (kappa - 1.0))
         np.testing.assert_array_equal(start, r0 * U[j])
+
+
+@pytest.mark.parametrize("check, modulus, factor", [
+    ("strong_convexity", "strong_convexity", 1.0 + 1e-12),
+    ("strong_smoothness", "smoothness", 1.0 - 1e-12),
+])
+def test_map_modulus_checks_fail_a_modulus_off_by_1e_12(check, modulus, factor, monkeypatch):
+    # The Euclidean potential meets both bounds with equality, so a strong-convexity
+    # modulus raised, or a smoothness modulus lowered, by a relative 1e-12 fails.
+    maps = verification._maps
+
+    def planted():
+        out = maps()
+        for mirror in out:
+            if getattr(mirror, modulus) is not None:
+                setattr(mirror, modulus, getattr(mirror, modulus) * factor)
+        return out
+
+    seed = CHECK_NAMES.index(check)
+    assert dict(verification.CHECKS)[check](seed)[0]
+    monkeypatch.setattr(verification, "_maps", planted)
+    assert dict(verification.CHECKS)[check](seed)[0] is False
 
 
 @pytest.mark.parametrize("mirror, check, modulus, factor", [
@@ -366,7 +409,7 @@ _BREGMAN_READERS = ["strong_convexity", "strong_smoothness", "bregman_sum_identi
     (verification, "omega_p", ["pnorm_lower_control", "omega_continuity_convexity"]),
     (verification, "cocoercivity_margin", ["cocoercivity_margin"]),
     (verification, "norm_power_conjugate", ["fenchel_conjugate_bruteforce"]),
-    (verification, "key_identity_residual", ["key_identity"]),
+    (diagnostics, "omd_step", ["key_identity"]),
     (verification, "nonsmoothness_witness", ["nonsmoothness_witness_monotone"]),
     (verification, "kaczmarz_step", ["kaczmarz_equivalence"]),
     (Sigmoid, "derivative", ["loss_gradient_fd", "loss_lipschitz_quotients"]),

@@ -16,7 +16,7 @@ other runs share its block.  The source's ``stream`` method draws a block's
 samples a span of steps at a time and hands them over one step at a time,
 bit for bit those ``draw_arrays`` gives each run's stream, so what a block
 holds does not grow with T: up to 1,517 runs of a discrete source at d = 4
-fit one block, and 640 of a Gaussian one at d = 3.  A run large enough to be
+fit one block, and 1,280 of a Gaussian one at d = 3.  A run large enough to be
 worth sharing out, whatever its source, is cut into blocks that the workers
 share evenly.  Worker processes share out whole blocks, and only when there
 are two or more.  A row's values do not depend on its block, so the
@@ -50,7 +50,7 @@ import numpy as np
 from .geometry import DIVERGENCE_LIMIT, as_vector, check_interval, row_inner
 from .losses import LeastSquares, LossModel
 from .mirror_maps import MirrorMap
-from .sources import SampleSource
+from .sources import SampleSource, least_squares_system
 # perfbench's tracer wraps ``engine.draw_arrays``, so the engine keeps the name.
 from .sources import draw_arrays  # noqa: F401
 
@@ -76,7 +76,7 @@ __all__ = [
 
 # Byte budget for what a block's sampling holds at once, as each source's
 # ``_stream_bytes`` counts it per run (its generators, ~600 B each, aside).
-# For any T >= 257: 1,517 runs of a discrete source at d = 4, 640 of a
+# For any T >= 257: 1,517 runs of a discrete source at d = 4, 1,280 of a
 # Gaussian one at d = 3.
 BLOCK_BYTES = 5 << 20
 # Run-steps (runs x steps) worth a worker process of their own, whatever the
@@ -493,7 +493,7 @@ def resolve_constants(mirror: MirrorMap, model: LossModel, source: SampleSource)
     L = model.smoothness_bound(R)
     lambda_min: float | None = None
     if isinstance(model.loss, LeastSquares):
-        eigs = np.linalg.eigvalsh(source.covariance())
+        eigs, _ = least_squares_system(source.covariance(), model.lam)
         lambda_min = float(eigs[0])
         sigma_f_norm = lambda_min + 2.0 * model.lam
         # D_F <= (lam_max/2) ||.||_2^2 <= (lam_max/2) ||.||_p^2 for p <= 2.

@@ -21,7 +21,13 @@ over one step at a time; ``_stream_bytes`` counts what it holds per run.  A
 discrete run draws its uniforms 256 steps to a generator call, and an exact
 bucket table over the cumulative probabilities, ``_atom_index``, turns them
 into the atom indices ``np.searchsorted`` gives, 16 steps of samples at a
-time.  A Gaussian run draws its normals 64 steps at a time.
+time.  A Gaussian run draws its normals 64 steps at a time, and its stream
+clips and labels them in its own buffers.
+
+Under least squares, ``least_squares_system`` gives the covariance's spectrum
+and the minimizer's solve; a covariance exactly c·I, as every Gaussian
+source's is, takes them in closed form, bit for bit LAPACK's, and no LAPACK
+routine runs.
 """
 
 import enum
@@ -183,6 +189,13 @@ class GaussianLinearSource:
         self._radius = check_interval("radius", radius, 0.0, SQUARE_MAX)
         self.feature_scale = check_interval(
             "feature_scale", feature_scale, self._radius / SQUARE_MAX, SQUARE_MAX)
+        # E[x x^T] = covariance_coef * I for the clipped isotropic Gaussian, exact
+        # via chi-square tails: E[min(Q, rho^2)] = d F_{d+2}(rho^2) + rho^2 (1 - F_d(rho^2)),
+        # Q ~ chi2_d, with rho = radius / feature_scale.
+        d = self.d
+        rho2 = (self._radius / self.feature_scale) ** 2
+        second_moment = d * _chi2_tails(d + 2, rho2)[0] + rho2 * _chi2_tails(d, rho2)[1]
+        self.covariance_coef = self.feature_scale ** 2 * second_moment / d
 
     @property
     def d(self) -> int:
@@ -194,64 +207,63 @@ class GaussianLinearSource:
         return self._radius
 
     def covariance(self) -> np.ndarray:
-        # E[x x^T] of the clipped isotropic Gaussian: exact via chi-square tails,
-        # E[min(Q, rho^2)] = d F_{d+2}(rho^2) + rho^2 (1 - F_d(rho^2)), Q ~ chi2_d.
-        d = self.d
-        rho2 = (self._radius / self.feature_scale) ** 2
-        second_moment = d * _chi2_tails(d + 2, rho2)[0] + rho2 * _chi2_tails(d, rho2)[1]
-        coef = self.feature_scale ** 2 * second_moment / d
-        return coef * np.eye(d)
+        return self.covariance_coef * np.eye(self.d)
 
     def mean_xy(self) -> np.ndarray:
         return self.covariance() @ self.w_true
 
-    def clip_and_label(self, normals: np.ndarray, noise: np.ndarray):
+    def clip_and_label(self, normals: np.ndarray, noise: np.ndarray, out=None):
         """The samples (X, y) that standard normals make: feature rows ``normals``
-        (last axis of length d, any leading axes) and label noise ``noise`` (the
-        leading axes alone).  Each row is clipped and labelled on its own, so a
-        row's values do not depend on the shape of the stack it comes in."""
-        X = self.feature_scale * normals
-        norms = np.sqrt(row_sum(X * X))
-        X = X * np.minimum(1.0, self._radius / np.maximum(norms, 1e-300))[..., None]
-        return X, row_inner(X, self.w_true) + self.noise_sd * noise
+        (last axis of length d, one or more leading axes) and label noise
+        ``noise`` (the leading axes alone).  Each row is clipped and labelled on
+        its own, so a row's values do not depend on the shape of the stack it
+        comes in.  ``out``, a pair of arrays shaped as ``normals`` and ``noise``,
+        takes X and y in place of new arrays; it may be the pair itself."""
+        X, y = (np.empty_like(normals), np.empty_like(noise)) if out is None else out
+        np.multiply(self.feature_scale, normals, out=X)
+        X *= np.minimum(1.0, self._radius / np.maximum(np.sqrt(row_sum(X * X)), 1e-300))[..., None]
+        np.multiply(self.noise_sd, noise, out=y)
+        y += row_inner(X, self.w_true)
+        return X, y
 
     def _stream_bytes(self, n: int) -> int:
         """The most ``stream`` holds per run over n steps, in values per step
-        of a chunk: its normals and noise and the samples of the chunk before,
-        which the caller still holds (2d + 2), and at the peak of
-        ``clip_and_label`` two feature stacks and two per-row values
-        (2d + 2), or at d = 1 a feature stack and four per-row values
-        (d + 4)."""
-        d = self.d
-        return 8 * min(n, _NORMAL_CHUNK) * (2 * d + 2 + max(2 * d + 2, d + 4))
+        of a chunk: its normals and noise, which it clips and labels in place
+        (d + 1), and at the peak of ``clip_and_label`` the squared feature
+        stack and its row sums (d + 1)."""
+        return 8 * min(n, _NORMAL_CHUNK) * (2 * self.d + 2)
 
     def stream(self, seeds: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """As ``DiscreteFiniteSource.stream``, drawn _NORMAL_CHUNK steps at a
-        time.  Run r reads its stream through two cursors: one at its feature
-        normals, one past them at its noise, which ``draw_arrays`` draws after
-        every feature.  The noise cursor skips the n·d feature normals by
-        drawing them into the chunk buffer before its first fill; a normal's
-        words do not depend on how the draws are split into calls, so any
-        split leaves the cursor at the same place."""
+        time and clipped and labelled in the chunk's own buffers, so a step's
+        arrays are views of the stream's buffers, valid until the next step is
+        requested.  Run r reads its stream through two cursors: one at its
+        feature normals, one past them at its noise, which ``draw_arrays``
+        draws after every feature.  The noise cursor skips the n·d feature
+        normals by drawing them into the chunk buffer before its first fill; a
+        normal's words do not depend on how the draws are split into calls, so
+        any split leaves the cursor at the same place."""
         d, B, C = self.d, len(seeds), min(_NORMAL_CHUNK, n)
         features = [_rng(seed) for seed in seeds]
         noises = [_rng(seed) for seed in seeds]
-        normals = np.empty((B, C, d))
-        noise = np.empty((B, C))
-        flat = normals.reshape(-1)
+        normals = np.empty(B * C * d)
+        noise = np.empty(B * C)
         for rng in noises:
-            for s in range(0, n * d, max(flat.size, 1)):  # flat is empty only when n = 0
-                rng.standard_normal(out=flat[:min(flat.size, n * d - s)])
+            for s in range(0, n * d, max(normals.size, 1)):  # normals is empty only when n = 0
+                rng.standard_normal(out=normals[:min(normals.size, n * d - s)])
         for c in range(0, n, _NORMAL_CHUNK):
             m = min(_NORMAL_CHUNK, n - c)
-            xs, es = normals[:, :m], noise[:, :m]
+            # A short last chunk takes the buffers' heads, so every chunk is
+            # contiguous: on a strided stack numpy's ufuncs take buffers of
+            # their own, 64 KiB an operand.
+            xs, es = normals[:B * m * d].reshape(B, m, d), noise[:B * m].reshape(B, m)
             # Iterating the chunk takes each run's rows as views one at a
             # time, so the block holds no view per run beyond the buffers.
             for feature, noise_rng, x, e in zip(features, noises, xs, es):
                 feature.standard_normal(out=x)
                 noise_rng.standard_normal(out=e)
-            X, y = self.clip_and_label(xs, es)
-            yield from zip(X.swapaxes(0, 1), y.T)
+            self.clip_and_label(xs, es, out=(xs, es))
+            yield from zip(xs.swapaxes(0, 1), es.T)
 
 
 SampleSource = DiscreteFiniteSource | GaussianLinearSource
@@ -379,6 +391,20 @@ def population_gradient(source: SampleSource, model: LossModel, w) -> np.ndarray
     return source.probs @ model.gradient(w, source.X, source.y)
 
 
+def least_squares_system(C: np.ndarray, lam: float, b=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ascending eigenvalues of a covariance C and, given b, the solution w of
+    (C + 2 lam I) w = b; w is None without b, or when lam = 0 and C is not
+    positive definite.  For C exactly c·I these are [c]*d and b / (c + 2 lam),
+    bit for bit what LAPACK's ``eigvalsh`` and ``solve`` give, with no LAPACK
+    call; any other C goes to LAPACK."""
+    d, c = C.shape[0], C[0, 0]
+    isotropic = (C == c * np.eye(d)).all()
+    eigs = np.full(d, c) if isotropic else np.linalg.eigvalsh(C)
+    if b is None or (lam == 0.0 and not eigs[0] > _PROB_TOL):
+        return eigs, None
+    return eigs, b / (c + 2.0 * lam) if isotropic else np.linalg.solve(C + 2.0 * lam * np.eye(d), b)
+
+
 def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
     """The minimizer of the regularized risk F: in closed form under least squares, else by damped
     Newton on a discrete source until ||grad F|| stops falling, at its rounding.  ValueError when
@@ -386,13 +412,10 @@ def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:
     if not model.loss.convex:
         raise ValueError(f"minimizer undefined for the non-convex {model.loss!r}")
     if isinstance(model.loss, LeastSquares):
-        C = source.covariance()
-        if model.lam == 0.0:
-            lam_min = float(np.linalg.eigvalsh(C)[0])
-            if not lam_min > _PROB_TOL:
-                raise ValueError(f"covariance matrix is not positive definite (lambda_min={lam_min!r})")
-        A = C + 2.0 * model.lam * np.eye(C.shape[0])
-        return np.linalg.solve(A, source.mean_xy())
+        eigs, w = least_squares_system(source.covariance(), model.lam, source.mean_xy())
+        if w is None:
+            raise ValueError(f"covariance matrix is not positive definite (lambda_min={float(eigs[0])!r})")
+        return w
     source = _discrete(source, "the exact minimizer of a loss other than least-squares")
     if model.lam <= 0.0:
         raise ValueError("non-quadratic losses need lam > 0 for a guaranteed minimizer")

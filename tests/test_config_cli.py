@@ -534,6 +534,10 @@ def test_omega_matches_function_on_grid():
 # The mc_euclid benchmark run at its first base seed: 200 runs at T = 2048.
 MC_EUCLID = dict(source_label_noise=1.0, schedule="theorem_rate", T=2048, n_runs=200, base_seed=2000,
                  theorem_tag="Thm2b-rate")
+MC_PNORM_GAUSSIAN = dict(map="pnorm", map_p=1.5, source="gaussian_linear", source_w_true=(1.0, -0.5, 0.25),
+                         source_noise_sd=0.3, source_feature_scale=1.0, source_radius=2.0, schedule="polynomial",
+                         decay_c=1.0, decay_theta=1.0, T=2048, n_runs=100, base_seed=6000,
+                         theorem_tag="Thm1a-pnorm")
 
 
 def test_fresh_interpreters_cannot_import_scipy(run_fresh):
@@ -601,13 +605,25 @@ def test_import_and_single_block_run_leave_the_process_pool_unloaded(run_fresh, 
 def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(run_fresh, tmp_path):
     # Each benchmark run makes one block: the Gaussian one's 100 runs at
     # T = 2048, and mc_euclid's 200 runs, 409,400 run-steps.
-    gauss = dict(map="pnorm", map_p=1.5, source="gaussian_linear", source_w_true=(1.0, -0.5, 0.25),
-                 source_noise_sd=0.3, source_radius=2.0, schedule="polynomial", decay_c=1.0,
-                 decay_theta=1.0, T=2048, n_runs=100, theorem_tag="Thm1a-pnorm")
-    for name, overrides in [("gauss", gauss), ("euclid", MC_EUCLID)]:
+    for name, overrides in [("gauss", MC_PNORM_GAUSSIAN), ("euclid", MC_EUCLID)]:
         conf = tmp_path / f"{name}.conf"
         conf.write_text(small_config_text(**overrides))
         assert pool_modules_around_run(run_fresh, conf) == ("[]", "[]")
+
+
+@pytest.mark.parametrize("overrides", [MC_PNORM_GAUSSIAN, dict(source_weights=(0.125,) * 4, theorem_tag="none")],
+                         ids=["mc_pnorm_gaussian", "equal-weight-orthonormal"])
+def test_a_run_on_an_isotropic_covariance_calls_no_lapack(overrides, tmp_path, monkeypatch):
+    # Either covariance is exactly c·I, so the minimizer and the constants take
+    # its spectrum and solve in closed form, and the run loads no LAPACK code.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("eigvalsh", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    conf = tmp_path / "isotropic.conf"
+    conf.write_text(small_config_text(**overrides))
+    assert main(["run", str(conf), "--workers", "1"]) == 0
 
 
 def test_import_leaves_numpy_random_unloaded(run_fresh):

@@ -289,15 +289,15 @@ BLOCK_MAPS = [EuclideanMap(), PNormMap(1.5), SmoothedL1Map(0.5, 1.0)]
 
 
 def test_block_sizes_are_even_within_the_cap(monkeypatch):
-    # A Gaussian block holds a chunk of 64 steps: 4d + 4 values per run and step
-    # (4d + 5 at d = 1), so at d = 3 the 5 MiB cap is 640 runs; 100 runs make one
-    # block and 5,000 eight.
+    # A Gaussian block holds a chunk of 64 steps, clipped and labelled in place:
+    # 2d + 2 values per run and step, so at d = 3 the 5 MiB cap is 1,280 runs;
+    # 100 runs make one block and 5,000 four.
     gauss = GaussianLinearSource(np.array([1.0, -0.5, 0.25]), noise_sd=0.3)
-    assert gauss._stream_bytes(2047) == 8 * 16 * 64
-    assert engine._block_runs(2048, gauss) == 640
+    assert gauss._stream_bytes(2047) == 8 * 8 * 64
+    assert engine._block_runs(2048, gauss) == 1280
     assert engine._block_sizes(100, 2048, gauss) == [100]
-    assert engine._block_sizes(5000, 2048, gauss) == [625] * 8
-    assert GaussianLinearSource(np.ones(1), noise_sd=0.3)._stream_bytes(2047) == 8 * 9 * 64
+    assert engine._block_sizes(5000, 2048, gauss) == [1250] * 4
+    assert GaussianLinearSource(np.ones(1), noise_sd=0.3)._stream_bytes(2047) == 8 * 4 * 64
     # A discrete block holds 256 steps of uniforms, and 16 steps of atom indices
     # and of two gathers of d features and a label per run: 3,456 B at d = 4, so
     # the cap is 1,517 runs and 2,000 runs make two blocks.

@@ -281,8 +281,12 @@ def test_clip_and_label_equals_the_numpy_form_bit_for_bit(d):
     cases = [(normals, noise), (normals.reshape(4, 7, d), noise.reshape(4, 7)),
              *((normals[i:i + 1], noise[i:i + 1]) for i in range(len(normals)))]
     for args in cases:
-        for got, ref in zip(src.clip_and_label(*args), reference(*args)):
-            assert got.tobytes() == ref.tobytes()
+        # The stream's form writes the samples over the normals and noise.
+        aliased = tuple(a.copy() for a in args)
+        for form in (src.clip_and_label(*args), src.clip_and_label(*aliased, out=aliased)):
+            for got, ref in zip(form, reference(*args)):
+                assert got.tobytes() == ref.tobytes()
+        assert all(got is a for got, a in zip(src.clip_and_label(*aliased, out=aliased), aliased))
 
 
 def test_gaussian_covariance_closed_form_matches_monte_carlo():
@@ -393,9 +397,29 @@ def test_minimizer_gradient_descent_path(model):
 
 def test_minimizer_rejects_singular_covariance():
     atoms = [Sample(np.array([1.0, 0.0]), 1.0), Sample(np.array([2.0, 0.0]), 2.0)]
-    src = DiscreteFiniteSource(atoms, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        minimizer(src, LossModel(LeastSquares()))
+    zero = orthonormal_atom_source(np.eye(2), [0.25, 0.25], [1.0, -0.5], scale=0.0)  # covariance 0·I
+    for src in (DiscreteFiniteSource(atoms, [0.5, 0.5]), zero):
+        with pytest.raises(ValueError, match="not positive definite"):
+            minimizer(src, LossModel(LeastSquares()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 12), log_c=st.floats(-12.0, 12.0), log_lam=st.none() | st.floats(-12.0, 12.0),
+       log_b=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+@example(d=3, log_c=-12.0, log_lam=None, log_b=0.0, seed=0)  # c = 1e-12 is the tolerance itself
+@example(d=3, log_c=-12.0, log_lam=-12.0, log_b=0.0, seed=0)
+def test_an_isotropic_covariance_has_lapacks_spectrum_and_solve_bit_for_bit(d, log_c, log_lam, log_b, seed):
+    # For C = c·I the system needs no LAPACK call, and gives what LAPACK gives.
+    C = 10.0 ** log_c * np.eye(d)
+    lam = 0.0 if log_lam is None else 10.0 ** log_lam
+    b = 10.0 ** log_b * rng_(seed).standard_normal(d)
+    eigs, w = sources.least_squares_system(C, lam, b)
+    assert eigs.tobytes() == np.linalg.eigvalsh(C).tobytes()
+    if lam == 0.0 and not eigs[0] > 1e-12:  # not positive definite to the minimizer's tolerance
+        assert w is None
+    else:
+        assert w.tobytes() == np.linalg.solve(C + 2.0 * lam * np.eye(d), b).tobytes()
+    assert sources.least_squares_system(C, lam)[1] is None
 
 
 def test_minimizer_rejects_nonconvex_loss():

@@ -25,9 +25,9 @@ time.  A Gaussian run draws its normals 64 steps at a time, and its stream
 clips and labels them in its own buffers.
 
 Under least squares, ``least_squares_system`` gives the covariance's spectrum
-and the minimizer's solve; a covariance exactly c·I, as every Gaussian
-source's is, takes them in closed form, bit for bit LAPACK's, and no LAPACK
-routine runs.
+and the minimizer's solve; a covariance exactly diagonal, as every Gaussian
+source's and every unrotated orthonormal source's is, takes them in closed
+form, bit for bit LAPACK's, and no LAPACK routine runs.
 """
 
 import enum
@@ -394,15 +394,17 @@ def population_gradient(source: SampleSource, model: LossModel, w) -> np.ndarray
 def least_squares_system(C: np.ndarray, lam: float, b=None) -> tuple[np.ndarray, np.ndarray | None]:
     """The ascending eigenvalues of a covariance C and, given b, the solution w of
     (C + 2 lam I) w = b; w is None without b, or when lam = 0 and C is not
-    positive definite.  For C exactly c·I these are [c]*d and b / (c + 2 lam),
-    bit for bit what LAPACK's ``eigvalsh`` and ``solve`` give, with no LAPACK
-    call; any other C goes to LAPACK."""
-    d, c = C.shape[0], C[0, 0]
-    isotropic = (C == c * np.eye(d)).all()
-    eigs = np.full(d, c) if isotropic else np.linalg.eigvalsh(C)
+    positive definite.  For C exactly diagonal these are its diagonal in
+    ascending order and b / (diag + 2 lam), bit for bit what LAPACK's
+    ``eigvalsh`` and ``solve`` give, with no LAPACK call; any other C goes to
+    LAPACK."""
+    diag = C.diagonal()
+    diagonal = (C == np.diag(diag)).all()
+    # Python's sort: np.sort would page in numpy's SIMD sort code for d entries.
+    eigs = np.array(sorted(diag.tolist())) if diagonal else np.linalg.eigvalsh(C)
     if b is None or (lam == 0.0 and not eigs[0] > _PROB_TOL):
         return eigs, None
-    return eigs, b / (c + 2.0 * lam) if isotropic else np.linalg.solve(C + 2.0 * lam * np.eye(d), b)
+    return eigs, b / (diag + 2.0 * lam) if diagonal else np.linalg.solve(C + 2.0 * lam * np.eye(C.shape[0]), b)
 
 
 def minimizer(source: SampleSource, model: LossModel) -> np.ndarray:

@@ -611,19 +611,25 @@ def test_hundred_gaussian_runs_leave_the_process_pool_unloaded(run_fresh, tmp_pa
         assert pool_modules_around_run(run_fresh, conf) == ("[]", "[]")
 
 
-@pytest.mark.parametrize("overrides", [MC_PNORM_GAUSSIAN, dict(source_weights=(0.125,) * 4, theorem_tag="none")],
-                         ids=["mc_pnorm_gaussian", "equal-weight-orthonormal"])
-def test_a_run_on_an_isotropic_covariance_calls_no_lapack(overrides, tmp_path, monkeypatch):
-    # Either covariance is exactly c·I, so the minimizer and the constants take
-    # its spectrum and solve in closed form, and the run loads no LAPACK code.
+@pytest.mark.parametrize("overrides", [MC_PNORM_GAUSSIAN, MC_EUCLID, {}],
+                         ids=["mc_pnorm_gaussian", "mc_euclid", "default-Thm3-linear-rate"])
+def test_a_run_on_a_diagonal_covariance_calls_no_lapack(overrides, tmp_path, monkeypatch):
+    # Each covariance is exactly diagonal (c·I for the Gaussian source), so the
+    # minimizer and the constants take its spectrum and solve in closed form,
+    # and the rate verdicts (Thm2b-rate, Thm3-linear-rate) fit their line in
+    # closed form too: the run loads no LAPACK code.  np.polyfit is refused by
+    # name, since it calls the lstsq bound in its own module.
     def refuse(*args, **kwargs):
         raise AssertionError("a LAPACK routine was called")
 
     for name in ("eigvalsh", "solve", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    conf = tmp_path / "isotropic.conf"
+    monkeypatch.setattr(np, "polyfit", refuse)
+    conf = tmp_path / "diagonal.conf"
     conf.write_text(small_config_text(**overrides))
     assert main(["run", str(conf), "--workers", "1"]) == 0
+    if overrides is not MC_PNORM_GAUSSIAN:
+        assert "slope = " in conf.with_suffix(".report.txt").read_text()
 
 
 def test_import_leaves_numpy_random_unloaded(run_fresh):

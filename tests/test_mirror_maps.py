@@ -260,6 +260,11 @@ def test_pnorm_bregman_at_two_is_the_half_squared_distance_bit_for_bit():
     B = T + 1e-9 * rng.standard_normal((300, 5))
     assert pnorm_bregman(T, B, 2.0).tobytes() == (0.5 * row_inner(T - B, T - B)).tobytes()
     assert (duality_residual(2.0, T, B) == 0.0).all()
+    # Far-apart pairs at scale 10 too: their exact 0 fails a pnorm_gradient
+    # scaled by 1 + 2.3e-16, one ulp, which the rows above pass; the
+    # bregman_duality row, in units of rounding, needs 1 + 3.22e-15.
+    pairs = np.random.default_rng(4).uniform(-10, 10, size=(200, 2, 5))
+    assert (duality_residual(2.0, pairs[:, 0], pairs[:, 1]) == 0.0).all()
 
 
 def test_euclidean_map_is_the_pnorm_map_at_two():

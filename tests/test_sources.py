@@ -403,16 +403,23 @@ def test_minimizer_rejects_singular_covariance():
             minimizer(src, LossModel(LeastSquares()))
 
 
-@settings(max_examples=200, deadline=None)
-@given(d=st.integers(1, 12), log_c=st.floats(-12.0, 12.0), log_lam=st.none() | st.floats(-12.0, 12.0),
-       log_b=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
-@example(d=3, log_c=-12.0, log_lam=None, log_b=0.0, seed=0)  # c = 1e-12 is the tolerance itself
-@example(d=3, log_c=-12.0, log_lam=-12.0, log_b=0.0, seed=0)
-def test_an_isotropic_covariance_has_lapacks_spectrum_and_solve_bit_for_bit(d, log_c, log_lam, log_b, seed):
-    # For C = c·I the system needs no LAPACK call, and gives what LAPACK gives.
-    C = 10.0 ** log_c * np.eye(d)
+@settings(max_examples=300, deadline=None)
+@given(log_entries=st.lists(st.none() | st.floats(-12.0, 12.0), min_size=1, max_size=12), d=st.integers(1, 12),
+       log_lam=st.none() | st.floats(-12.0, 12.0), log_b=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+@example(log_entries=[-12.0], d=3, log_lam=None, log_b=0.0, seed=0)  # c·I at c = 1e-12, the tolerance itself
+@example(log_entries=[-12.0], d=3, log_lam=-12.0, log_b=0.0, seed=0)
+@example(log_entries=[3.0], d=12, log_lam=None, log_b=0.0, seed=0)
+@example(log_entries=[None, 2.0, -5.0], d=6, log_lam=None, log_b=0.0, seed=1)  # a zero entry: not definite
+@example(log_entries=[None, 2.0, -5.0], d=6, log_lam=-12.0, log_b=0.0, seed=1)
+def test_a_diagonal_covariance_has_lapacks_spectrum_and_solve_bit_for_bit(log_entries, d, log_lam, log_b, seed):
+    # For a diagonal C the system needs no LAPACK call, and gives what LAPACK
+    # gives.  Its d entries are picked from the drawn ones (None is 0), so they
+    # repeat when d exceeds their count, and a single one makes C = c·I.
+    rng = rng_(seed)
+    entries = [0.0 if e is None else 10.0 ** e for e in log_entries]
+    C = np.diag(rng.choice(entries, size=d))
     lam = 0.0 if log_lam is None else 10.0 ** log_lam
-    b = 10.0 ** log_b * rng_(seed).standard_normal(d)
+    b = 10.0 ** log_b * rng.standard_normal(d)
     eigs, w = sources.least_squares_system(C, lam, b)
     assert eigs.tobytes() == np.linalg.eigvalsh(C).tobytes()
     if lam == 0.0 and not eigs[0] > 1e-12:  # not positive definite to the minimizer's tolerance
